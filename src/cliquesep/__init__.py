@@ -4,7 +4,7 @@ problems on unit-height rectangles and unit-diameter discs."""
 
 from .graphs import (Graph, OrderedCliqueCover, RestrictionMeasure,
                      check_measure_axioms, cover_length, induced_subgraph,
-                     measure, verify_clique_cover)
+                     verify_clique_cover)
 from .chordal import (CliqueTree, NotChordalError, balanced_clique_separator,
                       clique_tree, maximal_cliques_chordal, mcs_order)
 from .geometry import (SCALE, Disc, GridFrame, PointSite, Rect,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "OrderedCliqueCover", "RestrictionMeasure",
-    "check_measure_axioms", "cover_length", "induced_subgraph", "measure",
+    "check_measure_axioms", "cover_length", "induced_subgraph",
     "verify_clique_cover",
     "CliqueTree", "NotChordalError", "balanced_clique_separator",
     "clique_tree", "maximal_cliques_chordal", "mcs_order",

@@ -9,6 +9,11 @@ r; coverage tests against them are still exact.
 
 All sets are closed: boundary contact counts as intersection/coverage, and a
 point pair at distance exactly one unit is adjacent.
+
+For each instance the separator engine needs the intersection graph G, a
+chordal supergraph G2 (an interval graph, built here), and the ordered strip
+cover of a second supergraph G1.  G1 is never built: the strip cover is all
+of it that anything reads.
 """
 from __future__ import annotations
 
@@ -253,12 +258,6 @@ def _interval_overlap_graph(n: int, intervals: list[tuple[int, int]]) -> Graph:
     return Graph(n, edges)
 
 
-def y_overlap_graph(rects: Sequence[Rect]) -> Graph:
-    """G1 for rectangles: edge iff vertical extents overlap."""
-    return _interval_overlap_graph(len(rects),
-                                   [(r.y_lo, r.y_hi) for r in rects])
-
-
 def x_chordal_graph(rects: Sequence[Rect]) -> Graph:
     """G2 for rectangles: edge iff horizontal extents overlap (interval graph)."""
     return _interval_overlap_graph(len(rects),
@@ -266,46 +265,36 @@ def x_chordal_graph(rects: Sequence[Rect]) -> Graph:
 
 
 def strip_cover_rects(rects: Sequence[Rect]) -> OrderedCliqueCover:
-    """Ordered cover of the y-overlap graph G1 by stab-line strips.
+    """The ordered strip cover (G1) of rectangles, by stab line.
 
     Part i collects the rectangles whose lowest stabbing integer line is the
-    i-th occupied line; intersecting rectangles land at most one part apart.
+    i-th occupied line.  Each part is a clique of G1, where rectangles are
+    adjacent iff their vertical extents overlap; G1 itself is never built.
+    Intersecting rectangles land at most one part apart.
     """
     by_line: dict[int, list[int]] = {}
     for i, r in enumerate(rects):
         by_line.setdefault(r.stab_line, []).append(i)
-    parts = [frozenset(by_line[line]) for line in sorted(by_line)]
-    return OrderedCliqueCover(y_overlap_graph(rects), tuple(parts))
-
-
-def strip_adjacency_graph_points(points: Sequence[PointSite], frame: GridFrame) -> Graph:
-    """G1 for points: edge iff vertical-strip indices differ by at most one."""
-    strips = [frame.strip_index(p.x) for p in points]
-    by_strip: dict[int, list[int]] = {}
-    for i, s in enumerate(strips):
-        by_strip.setdefault(s, []).append(i)
-    edges = []
-    for s, ids in by_strip.items():
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                edges.append((ids[a], ids[b]))
-        for j in by_strip.get(s + 1, []):
-            for i in ids:
-                edges.append((min(i, j), max(i, j)))
-    return Graph(len(points), set(edges))
+    return OrderedCliqueCover(tuple(frozenset(by_line[line])
+                                    for line in sorted(by_line)))
 
 
 def vertical_strip_cover_points(points: Sequence[PointSite],
                                 frame: GridFrame) -> OrderedCliqueCover:
-    """Ordered cover of G1 by vertical unit strips, left to right."""
+    """The ordered strip cover (G1) of points, by vertical unit strip.
+
+    Parts are the grid's strips, left to right.  Each is a clique of G1,
+    where points are adjacent iff their strip indices differ by at most one;
+    G1 itself is never built.  Points within one unit land at most one part
+    apart.
+    """
     if not frame.valid_for(points):
         raise BoundaryPointError("a point lies on a grid boundary line")
     by_strip: dict[int, list[int]] = {}
     for i, p in enumerate(points):
         by_strip.setdefault(frame.strip_index(p.x), []).append(i)
-    parts = [frozenset(by_strip[s]) for s in sorted(by_strip)]
-    return OrderedCliqueCover(strip_adjacency_graph_points(points, frame),
-                              tuple(parts))
+    return OrderedCliqueCover(tuple(frozenset(by_strip[s])
+                                    for s in sorted(by_strip)))
 
 
 def y_chordal_graph_points(points: Sequence[PointSite]) -> Graph:
@@ -326,8 +315,9 @@ def greedy_cover_and_is_rects(rects: Sequence[Rect]):
     its witness.  Witnesses from the larger of the odd/even line classes are
     pairwise disjoint, so |witness| >= |cover| / 2 and |cover| <= 2*alpha(G).
 
-    Returns (cover, witness) where cover is an OrderedCliqueCover of the
-    intersection graph itself and witness is a frozenset of rect indices.
+    Returns (cover, witness) where cover is an OrderedCliqueCover whose parts
+    are cliques of the intersection graph and witness is a frozenset of rect
+    indices.
     """
     G = rect_intersection_graph(rects)
     by_line: dict[int, list[int]] = {}
@@ -353,7 +343,7 @@ def greedy_cover_and_is_rects(rects: Sequence[Rect]):
         if current:
             parts.append(frozenset(current))
             line_of_part.append(line)
-    cover = OrderedCliqueCover(G, tuple(parts))
+    cover = OrderedCliqueCover(tuple(parts))
     odd = frozenset(i for line, i in witnesses if line % 2)
     even = frozenset(i for line, i in witnesses if not line % 2)
     witness = odd if len(odd) > len(even) else even
@@ -368,6 +358,8 @@ def candidate_discs(points: Sequence[PointSite], G: Graph) -> list[Disc]:
 
     For an edge xy the two centers are the intersections of the radius-1/2
     circles about x and y; they coincide when the distance is exactly one.
+    Duplicate points add no pair discs: the disc centered on a point already
+    covers its copies.
     """
     seen: dict[tuple, Disc] = {}
 
@@ -383,6 +375,8 @@ def candidate_discs(points: Sequence[PointSite], G: Graph) -> list[Disc]:
         ux = q.x - p.x
         uy = q.y - p.y
         d2 = ux * ux + uy * uy
+        if d2 == 0:
+            continue
         k = Fraction(SCALE * SCALE - d2, 4 * d2)
         if k == 0:
             add(Disc.rational(mx, my))

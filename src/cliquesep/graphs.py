@@ -1,5 +1,10 @@
 """Graphs, ordered clique covers, the edge-gap length statistic, and restriction measures.
 
+An ordered clique cover is a plain ordered partition of vertex ids; it holds no
+graph.  The separator's auxiliary graph G1 exists only through such a cover,
+the ordered strip cover: :func:`cover_length` measures how far the edges of G
+reach across its parts, and no G1 graph is ever built.
+
 A restriction measure counts how many parts of a fixed clique partition touch a
 vertex set.  It is monotone, subadditive, and exactly additive across edgeless
 splits, which is what the separator engine relies on.
@@ -129,14 +134,12 @@ def components_within(adj, members: frozenset) -> list[frozenset]:
 
 @dataclass(frozen=True)
 class OrderedCliqueCover:
-    """A partition of the host's vertices into cliques, with a part order.
+    """An ordered partition of a vertex set into parts meant to be cliques.
 
-    ``index_of`` maps each vertex to the index of its part.  Parts must be
-    pairwise disjoint and cover every vertex; use :func:`verify_clique_cover`
-    to check the clique condition against the host.
+    ``index_of`` maps each vertex to the index of its part.  The cover holds
+    no graph: use :func:`verify_clique_cover` to check it against one.
     """
 
-    host: Graph
     parts: tuple[frozenset[int], ...]
 
     def __post_init__(self):
@@ -159,16 +162,15 @@ class OrderedCliqueCover:
         return len(self.parts)
 
 
-def verify_clique_cover(cover: OrderedCliqueCover, explain: bool = False):
-    """True iff the parts are disjoint cliques of the host covering all vertices.
+def verify_clique_cover(G: Graph, cover: OrderedCliqueCover, explain: bool = False):
+    """True iff the parts are disjoint cliques of G covering all its vertices.
 
     With ``explain=True`` returns (ok, detail) where detail names the violation.
     """
-    host = cover.host
     seen: set[int] = set()
     for i, part in enumerate(cover.parts):
         for v in part:
-            if v < 0 or v >= host.n:
+            if v < 0 or v >= G.n:
                 return (False, f"vertex {v} out of range") if explain else False
             if v in seen:
                 return (False, f"vertex {v} in two parts") if explain else False
@@ -177,11 +179,11 @@ def verify_clique_cover(cover: OrderedCliqueCover, explain: bool = False):
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 u, w = members[a], members[b]
-                if not host.has_edge(u, w):
-                    detail = f"part {i}: {u},{w} not adjacent in host"
+                if not G.has_edge(u, w):
+                    detail = f"part {i}: {u},{w} not adjacent"
                     return (False, detail) if explain else False
-    if len(seen) != host.n:
-        missing = next(v for v in range(host.n) if v not in seen)
+    if len(seen) != G.n:
+        missing = next(v for v in range(G.n) if v not in seen)
         return (False, f"vertex {missing} uncovered") if explain else False
     return (True, None) if explain else True
 
@@ -197,8 +199,8 @@ class LengthReport:
 def cover_length(G: Graph, cover: OrderedCliqueCover) -> LengthReport:
     """max over edges xy of G of |index_of(x) - index_of(y)|.
 
-    The cover's host may be a supergraph of G; every vertex of G must be
-    covered.
+    The cover may be a clique cover of a supergraph of G (such as G1); every
+    vertex of G must be covered.
     """
     idx = cover.index_of
     best = 0
@@ -236,10 +238,6 @@ class RestrictionMeasure:
     @property
     def total(self) -> int:
         return len(self.cover.parts)
-
-
-def measure(mu: RestrictionMeasure, s: Iterable[int]) -> int:
-    return mu.of(s)
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,8 @@ def parse(text: str) -> Instance:
                 if fields[0] != "rect" or len(fields) != 4:
                     raise FormatError(f"expected 'rect x_lo x_hi y_lo': {ln!r}")
                 x_lo, x_hi, y_lo = (parse_coord(f) for f in fields[1:])
-                if x_hi < x_lo:
-                    raise FormatError(f"rect with x_hi < x_lo: {ln!r}")
+                if x_hi <= x_lo:
+                    raise FormatError(f"rect needs x_lo < x_hi: {ln!r}")
                 items.append(Rect(x_lo, x_hi, y_lo))
             else:
                 if fields[0] != "point" or len(fields) != 3:

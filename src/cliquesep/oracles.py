@@ -251,12 +251,9 @@ def order_from_length1_cover(G: Graph, cover: OrderedCliqueCover) -> OrderCheck:
     Verifies that the relation is a strict order whose incomparability graph
     is exactly G, which is the constructive content of the length-1 case.
     """
-    ok, detail = verify_clique_cover(cover, explain=True)
+    ok, detail = verify_clique_cover(G, cover, explain=True)
     if not ok:
-        raise ValueError(f"not a clique cover of the host: {detail}")
-    if cover.host is not G and (cover.host.n != G.n or
-                                set(cover.host.edges()) != set(G.edges())):
-        raise ValueError("cover must be a self cover of G")
+        raise ValueError(f"not a clique cover of G: {detail}")
     if cover_length(G, cover).value > 1:
         raise ValueError("cover has length greater than 1")
     idx = cover.index_of

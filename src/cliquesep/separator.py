@@ -1,7 +1,8 @@
 """Two-route balanced separator engine.
 
-Given a graph G, an ordered clique cover of a supergraph G1 with small edge-gap
-length, a chordal supergraph G2, and a restriction measure, produce a vertex
+Given a graph G, an ordered clique cover with small edge-gap length (the
+strip cover, which is all the engine knows of the supergraph G1: G1 is never
+built), a chordal supergraph G2, and a restriction measure, produce a vertex
 separator whose removal leaves two sides of measure at most 2/3 of the whole,
 together with a cover of the separator by certified units.  The chordal route
 removes a maximal clique of G2; the length route removes a window of
@@ -10,9 +11,10 @@ consecutive cover parts.  The cheaper valid candidate wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import chordal
+from .geometry import SCALE
 from .graphs import Graph, OrderedCliqueCover, RestrictionMeasure, cover_length
 
 G_CLIQUE = "G-CLIQUE"
@@ -185,25 +187,30 @@ def _diagnostic(G, g1_cover, mu):
     }
 
 
-def check_separator(G: Graph, mu: RestrictionMeasure,
-                    res: SeparatorResult) -> list[str]:
-    """Contract violations of a SeparatorResult, empty when valid.
+def check_separator(G: Graph, mu: RestrictionMeasure, res: SeparatorResult,
+                    F: Optional[frozenset] = None,
+                    points: Optional[Sequence] = None) -> list[str]:
+    """Contract violations of a SeparatorResult for the subproblem on F (all
+    of G by default), empty when valid.
 
-    Checks the three-way partition, the edge cut, the 2/3 balance, and that
-    the units exactly cover the separator.  Certificate geometry is validated
-    by the callers that know the instance.
+    Checks the three-way partition of F, the edge cut, the 2/3 balance, that
+    the units exactly cover the separator and that each unit's certificate
+    holds: G-CLIQUE units are cliques of G, MEASURE-PART units lie in one
+    part of ``mu``, and UNIT-BOX units fit a unit box of ``points`` (items
+    with ``x``/``y``, indexed like G).
     """
     problems = []
-    all_vs = frozenset(range(G.n))
-    if res.s | res.side_a | res.side_b != all_vs:
-        problems.append("s, side_a, side_b do not cover V")
+    if F is None:
+        F = frozenset(range(G.n))
+    if res.s | res.side_a | res.side_b != F:
+        problems.append("s, side_a, side_b do not partition F")
     if (res.s & res.side_a) or (res.s & res.side_b) or (res.side_a & res.side_b):
         problems.append("s, side_a, side_b overlap")
-    for u, v in G.edges():
-        if (u in res.side_a and v in res.side_b) or (u in res.side_b and v in res.side_a):
-            problems.append(f"edge ({u},{v}) crosses the sides")
-            break
-    total = mu.of(all_vs)
+    crossing = next(((u, v) for u in sorted(res.side_a)
+                     for v in sorted(G.adj[u] & res.side_b)), None)
+    if crossing is not None:
+        problems.append(f"edge {crossing} crosses the sides")
+    total = mu.of(F)
     for name, side in (("side_a", res.side_a), ("side_b", res.side_b)):
         if 3 * mu.of(side) > 2 * total:
             problems.append(f"{name} exceeds 2/3 of the measure")
@@ -212,16 +219,25 @@ def check_separator(G: Graph, mu: RestrictionMeasure,
         if covered & unit.members:
             problems.append("units overlap")
         covered |= unit.members
+        mem = sorted(unit.members)
         if unit.certificate == G_CLIQUE:
-            mem = sorted(unit.members)
             for a in range(len(mem)):
                 for b in range(a + 1, len(mem)):
                     if not G.has_edge(mem[a], mem[b]):
                         problems.append(f"G-CLIQUE unit not a clique: {mem}")
         elif unit.certificate == MEASURE_PART:
-            part_of = mu.part_of
-            if len({part_of[v] for v in unit.members}) > 1:
+            if len({mu.part_of[v] for v in mem}) > 1:
                 problems.append("MEASURE-PART unit spans two measure parts")
+        elif unit.certificate == UNIT_BOX:
+            if points is None:
+                problems.append("UNIT-BOX unit but no coordinates to check it")
+            elif mem:
+                xs = [points[v].x for v in mem]
+                ys = [points[v].y for v in mem]
+                if max(xs) - min(xs) > SCALE or max(ys) - min(ys) > SCALE:
+                    problems.append(f"UNIT-BOX unit exceeds a 1x1 box: {mem}")
+        else:
+            problems.append(f"unknown certificate {unit.certificate!r}")
     if covered != res.s:
         problems.append("units do not exactly cover s")
     if res.cost != len(res.units):

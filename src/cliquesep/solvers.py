@@ -1,12 +1,14 @@
 """Separator-driven exact and PTAS solvers.
 
-Three applications share the same recursion skeleton: split into connected
-components, solve leaves exactly when the restriction measure is small, and
-otherwise divide through a balanced separator.  The exact minimizers (piercing
-and disc cover) run a separator-guided branch-and-bound with certified
-pruning; the maximizer (independent set) enumerates independent selections
-inside the separator.  Every public solver re-verifies feasibility of its
-answer with a geometry-only scan before returning.
+Every solver, and the separator profile, runs on one recursion skeleton
+(:func:`_divide`): split into connected components, solve a component exactly
+when its restriction measure is small, and otherwise divide it through a
+balanced separator.  The problems differ only in their leaf and in how they
+combine a separator with the solutions of what it leaves behind.  The exact
+minimizers (piercing and disc cover) run a separator-guided branch-and-bound
+with certified pruning; the maximizer (independent set) enumerates independent
+selections inside the separator.  Every public solver re-verifies feasibility
+of its answer with a geometry-only scan before returning.
 """
 from __future__ import annotations
 
@@ -19,14 +21,12 @@ from .geometry import (Disc, GridFrame, PointSite, Rect, SCALE,
                        greedy_cover_and_is_rects, greedy_disc_cover,
                        helly_point, quarter_cell_partition,
                        rect_intersection_graph, sq_dist, strip_cover_rects,
-                       strip_adjacency_graph_points, unit_distance_graph,
-                       vertical_strip_cover_points, x_chordal_graph,
-                       y_chordal_graph_points, y_overlap_graph)
+                       unit_distance_graph, vertical_strip_cover_points,
+                       x_chordal_graph, y_chordal_graph_points)
 from .graphs import (OrderedCliqueCover, RestrictionMeasure,
                      components_within, cover_length, induced_subgraph)
-from .separator import (G_CLIQUE, MEASURE_PART, UNIT_BOX, CoverUnit,
-                        SeparatorResult, clique_certifier, separate,
-                        unit_box_certifier)
+from .separator import (MEASURE_PART, CoverUnit, SeparatorResult,
+                        clique_certifier, separate, unit_box_certifier)
 
 TraceHook = Callable[[int, int, str, int], None]
 
@@ -41,14 +41,11 @@ class SolveConfig:
     base_threshold: exact recursion becomes a leaf at measure <= t0.
     ptas_leaf_constant: PTAS switches to the exact solver at
         measure <= c0 / epsilon^2.
-    enum_budget_factor: beam width multiplier for the incumbent-seeding dive
-        of the branch-and-bound minimizers.
     """
 
     epsilon: Optional[float] = None
     base_threshold: int = 4
     ptas_leaf_constant: int = 8
-    enum_budget_factor: int = 3
 
     def __post_init__(self):
         if self.epsilon is not None and not (0 < float(self.epsilon) < 1):
@@ -119,6 +116,14 @@ def verify_disc_cover(points: Sequence[PointSite], discs: Sequence[Disc]) -> boo
 # solver contexts: one-time global structures per instance
 
 
+def _restricted_cover(index_of, vs, local) -> OrderedCliqueCover:
+    """The parts of a cover that meet ``vs``, in order, in local ids."""
+    by_part: dict[int, list[int]] = {}
+    for v in vs:
+        by_part.setdefault(index_of[v], []).append(local[v])
+    return OrderedCliqueCover(tuple(frozenset(by_part[k]) for k in sorted(by_part)))
+
+
 class _BaseContext:
     kind = "?"
 
@@ -135,45 +140,47 @@ class _BaseContext:
             out |= self.G.adj[v] & F
         return frozenset(out - set(I))
 
+    def restrict(self, F: frozenset):
+        """The subproblem on F in local ids 0..|F|-1.
+
+        Returns (vs, G[F], strip cover, measure): ``vs`` maps local ids back
+        to global ones; the strip cover keeps its part order, so its length
+        is at most the global one.
+        """
+        vs = sorted(F)
+        local = {v: i for i, v in enumerate(vs)}
+        strip = _restricted_cover(self.strip_cover.index_of, vs, local)
+        mu = RestrictionMeasure(_restricted_cover(self.part_of, vs, local))
+        return vs, induced_subgraph(self.G, vs), strip, mu
+
     def separate_subset(self, F: frozenset, depth: int,
                         trace: Optional[TraceHook] = None) -> SeparatorResult:
         """Separator for the induced subproblem on F, in global ids."""
-        vs = sorted(F)
-        local = {v: i for i, v in enumerate(vs)}
-        Gf = induced_subgraph(self.G, vs)
-        G1f = induced_subgraph(self.G1, vs)
+        vs, Gf, strip, mu_f = self.restrict(F)
         G2f = induced_subgraph(self.G2, vs)
-        line_of = self.line_of
-        by_line: dict[int, list[int]] = {}
-        for v in vs:
-            by_line.setdefault(line_of[v], []).append(local[v])
-        g1_parts = tuple(frozenset(by_line[k]) for k in sorted(by_line))
-        g1_cov = OrderedCliqueCover(G1f, g1_parts)
-        part_of = self.part_of
-        by_part: dict[int, list[int]] = {}
-        for v in vs:
-            by_part.setdefault(part_of[v], []).append(local[v])
-        mu_parts = tuple(frozenset(by_part[k]) for k in sorted(by_part))
-        mu_f = RestrictionMeasure(OrderedCliqueCover(Gf, mu_parts))
         nf, m2f = len(vs), G2f.m
         work = nf * (nf + m2f)
         if work <= _CHORDAL_BUDGET_OPS:
             max_evals = None
         else:
             max_evals = max(4, _CHORDAL_BUDGET_OPS // (5 * (nf + m2f)))
-        res = separate(Gf, g1_cov, G2f, mu_f, certifier=self.certifier,
+        res = separate(Gf, strip, G2f, mu_f, certifier=self.certifier,
                        max_clique_evals=max_evals)
+
+        def to_global(ids):
+            return frozenset(vs[i] for i in ids)
+
         out = SeparatorResult(
-            s=frozenset(vs[i] for i in res.s),
-            units=tuple(CoverUnit(frozenset(vs[i] for i in u.members),
-                                  u.certificate) for u in res.units),
-            side_a=frozenset(vs[i] for i in res.side_a),
-            side_b=frozenset(vs[i] for i in res.side_b),
+            s=to_global(res.s),
+            units=tuple(CoverUnit(to_global(u.members), u.certificate)
+                        for u in res.units),
+            side_a=to_global(res.side_a),
+            side_b=to_global(res.side_b),
             route=res.route,
             cost=res.cost,
         )
         if trace is not None:
-            trace(depth, len(mu_parts), out.route, out.cost)
+            trace(depth, mu_f.total, out.route, out.cost)
         return out
 
 
@@ -184,10 +191,8 @@ class RectContext(_BaseContext):
     def __init__(self, rects: Sequence[Rect]):
         self.rects = list(rects)
         self.G = rect_intersection_graph(self.rects)
-        self.G1 = y_overlap_graph(self.rects)
         self.G2 = x_chordal_graph(self.rects)
         self.strip_cover = strip_cover_rects(self.rects)
-        self.line_of = [r.stab_line for r in self.rects]
         self.measure_cover, self.witness = greedy_cover_and_is_rects(self.rects)
         self.mu = RestrictionMeasure(self.measure_cover)
         self.part_of = dict(self.mu.part_of)
@@ -201,16 +206,57 @@ class PointContext(_BaseContext):
         self.points = list(points)
         self.frame = GridFrame.for_points(self.points)
         self.G = unit_distance_graph(self.points)
-        self.G1 = strip_adjacency_graph_points(self.points, self.frame)
         self.G2 = y_chordal_graph_points(self.points)
         self.strip_cover = vertical_strip_cover_points(self.points, self.frame)
-        self.line_of = [self.frame.strip_index(p.x) for p in self.points]
         self.quarters = quarter_cell_partition(self.points, self.frame)
-        parts = tuple(group for _, group in self.quarters)
-        self.measure_cover = OrderedCliqueCover(self.G, parts)
+        self.measure_cover = OrderedCliqueCover(
+            tuple(group for _, group in self.quarters))
         self.mu = RestrictionMeasure(self.measure_cover)
         self.part_of = dict(self.mu.part_of)
         self.feasible_discs = greedy_disc_cover(self.points, self.frame)
+
+
+# ---------------------------------------------------------------------------
+# the divide-and-conquer skeleton
+
+
+def _divide(ctx, F: frozenset, threshold, leaf, split,
+            trace: Optional[TraceHook] = None, memo: Optional[dict] = None,
+            depth: int = 0) -> list:
+    """Solve F by components, leaves and balanced separators.
+
+    A connected F of measure at most ``threshold`` goes to ``leaf(F, depth)``;
+    a larger one to ``split(F, res, recurse)``, where ``res`` is the
+    separator of F and ``recurse(F')`` solves a subproblem one level deeper.
+    Solutions are lists, concatenated across components.  With ``memo`` they
+    are cached per connected vertex set (callers must not mutate returned
+    lists); unions of components are not stored, as the branch-and-bound
+    and the selection enumeration produce far too many of them.
+    """
+    def rec(F: frozenset, depth: int) -> list:
+        if not F:
+            return []
+        if memo is not None:
+            hit = memo.get(F)
+            if hit is not None:
+                return hit
+        comps = ctx.components(F)
+        if len(comps) > 1:
+            return [x for c in comps for x in rec(c, depth)]
+        if ctx.mu_of(F) <= threshold:
+            out = leaf(F, depth)
+        else:
+            res = ctx.separate_subset(F, depth, trace)
+            out = split(F, res, lambda sub: rec(sub, depth + 1))
+        if memo is not None:
+            memo[F] = out
+        return out
+
+    return rec(F, depth)
+
+
+def _everything(ctx) -> frozenset:
+    return frozenset(range(ctx.G.n))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +300,7 @@ def _independent_selections(ctx, units, F):
     yield from rec(0)
 
 
-def _mis_leaf(ctx, F: frozenset) -> frozenset:
+def _mis_leaf(ctx, F: frozenset) -> list[int]:
     """Exact MIS when few measure parts touch F: one pick per clique part."""
     by_part: dict[int, list[int]] = {}
     for v in F:
@@ -280,39 +326,22 @@ def _mis_leaf(ctx, F: frozenset) -> frozenset:
         rec(i + 1)
 
     rec(0)
-    return frozenset(best)
-
-
-def _mis_subset(ctx, F: frozenset, cfg: SolveConfig, depth: int,
-                trace: Optional[TraceHook], memo: dict) -> frozenset:
-    if not F:
-        return frozenset()
-    hit = memo.get(F)
-    if hit is not None:
-        return hit
-    comps = ctx.components(F)
-    if len(comps) > 1:
-        out = frozenset().union(*(_mis_subset(ctx, c, cfg, depth, trace, memo)
-                                  for c in comps))
-        memo[F] = out
-        return out
-    if ctx.mu_of(F) <= cfg.base_threshold:
-        out = _mis_leaf(ctx, F)
-        memo[F] = out
-        return out
-    res = ctx.separate_subset(F, depth, trace)
-    best: Optional[frozenset] = None
-    for I in _independent_selections(ctx, res.units, F):
-        rem = F - res.s - ctx.neighbors_of_set(I, F)
-        sol = set(I)
-        for comp in components_within(ctx.G.adj, rem):
-            sol |= _mis_subset(ctx, comp, cfg, depth + 1, trace, memo)
-        cand = frozenset(sol)
-        if best is None or len(cand) > len(best) or \
-                (len(cand) == len(best) and sorted(cand) < sorted(best)):
-            best = cand
-    memo[F] = best
     return best
+
+
+def _mis_exact(ctx, F: frozenset, cfg: SolveConfig, trace, memo: dict,
+               depth: int = 0) -> list[int]:
+    def split(F, res, recurse):
+        best: Optional[list[int]] = None
+        for I in _independent_selections(ctx, res.units, F):
+            cand = list(I) + recurse(F - res.s - ctx.neighbors_of_set(I, F))
+            if best is None or len(cand) > len(best) or \
+                    (len(cand) == len(best) and sorted(cand) < sorted(best)):
+                best = cand
+        return best
+
+    return _divide(ctx, F, cfg.base_threshold,
+                   lambda F, depth: _mis_leaf(ctx, F), split, trace, memo, depth)
 
 
 def mis_exact(rects: Sequence[Rect], cfg: Optional[SolveConfig] = None,
@@ -321,31 +350,8 @@ def mis_exact(rects: Sequence[Rect], cfg: Optional[SolveConfig] = None,
     """Optimal independent set of unit-height rectangles."""
     cfg = cfg or SolveConfig()
     ctx = ctx or RectContext(rects)
-    chosen = _mis_subset(ctx, frozenset(range(len(ctx.rects))), cfg, 0, trace, {})
+    chosen = frozenset(_mis_exact(ctx, _everything(ctx), cfg, trace, {}))
     return MisSolution(chosen, verify_independent_rects(ctx.rects, chosen))
-
-
-def _mis_ptas_subset(ctx, F: frozenset, cfg: SolveConfig, threshold: Fraction,
-                     depth: int, trace, memo) -> frozenset:
-    if not F:
-        return frozenset()
-    comps = ctx.components(F)
-    if len(comps) > 1:
-        return frozenset().union(*(_mis_ptas_subset(ctx, c, cfg, threshold,
-                                                    depth, trace, memo)
-                                   for c in comps))
-    if ctx.mu_of(F) <= threshold:
-        return _mis_subset(ctx, F, cfg, depth, trace, memo)
-    res = ctx.separate_subset(F, depth, trace)
-    sol = set(_mis_ptas_subset(ctx, res.side_a, cfg, threshold, depth + 1,
-                               trace, memo))
-    sol |= _mis_ptas_subset(ctx, res.side_b, cfg, threshold, depth + 1,
-                            trace, memo)
-    # the separator was discarded; greedily re-admit what still fits
-    for v in sorted(res.s):
-        if not (ctx.G.adj[v] & sol):
-            sol.add(v)
-    return frozenset(sol)
 
 
 def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
@@ -353,9 +359,20 @@ def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
              ctx: Optional[RectContext] = None) -> MisSolution:
     """(1-eps)-approximate independent set; exact below the measure leaf."""
     ctx = ctx or RectContext(rects)
-    threshold = cfg.ptas_leaf_threshold()
-    chosen = _mis_ptas_subset(ctx, frozenset(range(len(ctx.rects))), cfg,
-                              threshold, 0, trace, {})
+    memo: dict = {}
+
+    def split(F, res, recurse):
+        sol = set(recurse(res.side_a)) | set(recurse(res.side_b))
+        # the separator was discarded; greedily re-admit what still fits
+        for v in sorted(res.s):
+            if not (ctx.G.adj[v] & sol):
+                sol.add(v)
+        return list(sol)
+
+    chosen = frozenset(_divide(
+        ctx, _everything(ctx), cfg.ptas_leaf_threshold(),
+        lambda F, depth: _mis_exact(ctx, F, cfg, trace, memo, depth),
+        split, trace))
     return MisSolution(chosen, verify_independent_rects(ctx.rects, chosen))
 
 
@@ -385,18 +402,17 @@ class _CoverSearch:
             uncovered -= self.choice_items[best]
         return picked
 
-    def solve(self, items: frozenset):
-        """Minimum choice set covering ``items``; returns (cost, chosen ids)."""
-        seed = self.greedy(items)
-        best = [len(seed), list(seed)]
+    def solve(self, items: frozenset) -> list[int]:
+        """Minimum choice set covering ``items``, as choice ids."""
+        best = self.greedy(items)
 
         def rec(uncovered: frozenset, picked: list[int]):
+            nonlocal best
             if not uncovered:
-                if len(picked) < best[0]:
-                    best[0] = len(picked)
-                    best[1] = list(picked)
+                if len(picked) < len(best):
+                    best = list(picked)
                 return
-            if len(picked) + self.lower_bound(uncovered) >= best[0]:
+            if len(picked) + self.lower_bound(uncovered) >= len(best):
                 return
             target = min(uncovered)
             cands = sorted(self.item_choices[target],
@@ -412,26 +428,22 @@ class _CoverSearch:
                 picked.pop()
 
         rec(items, [])
-        return best[0], best[1]
+        return best
 
 
 def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
-                  solve_rest):
+                  solve_rest) -> list[int]:
     """B&B over the mandatory items; leftovers go to the side recursion."""
-    seed = search.greedy(mandatory | rest)
-    best_cost = len(seed)
-    best_sol = list(seed)
+    best = search.greedy(mandatory | rest)
 
     def rec(uncov_mand: frozenset, uncov_rest: frozenset, picked: list[int]):
-        nonlocal best_cost, best_sol
+        nonlocal best
         if not uncov_mand:
-            extra_cost, extra = solve_rest(uncov_rest)
-            total = len(picked) + extra_cost
-            if total < best_cost:
-                best_cost = total
-                best_sol = list(picked) + list(extra)
+            extra = solve_rest(uncov_rest)
+            if len(picked) + len(extra) < len(best):
+                best = picked + extra
             return
-        if len(picked) + search.lower_bound(uncov_mand | uncov_rest) >= best_cost:
+        if len(picked) + search.lower_bound(uncov_mand | uncov_rest) >= len(best):
             return
         target = min(uncov_mand)
         cands = sorted(search.item_choices[target],
@@ -450,7 +462,35 @@ def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
             picked.pop()
 
     rec(mandatory, rest, [])
-    return best_cost, best_sol
+    return best
+
+
+def _cover_exact(ctx, F: frozenset, cfg: SolveConfig, trace, memo: dict,
+                 depth: int = 0) -> list[int]:
+    """Optimal cover of the items in F by ``ctx.candidates``, as their ids."""
+    return _divide(
+        ctx, F, cfg.base_threshold,
+        lambda F, depth: ctx.search(F).solve(F),
+        lambda F, res, recurse: _split_search(ctx.search(F), res.s,
+                                              F - res.s, recurse),
+        trace, memo, depth)
+
+
+def _cover_ptas(ctx, cfg: SolveConfig, trace) -> list:
+    """(1+eps)-approximate cover, as candidate objects: each separator is
+    retired by ``ctx.retire`` and the sides recurse on what it leaves."""
+    memo: dict = {}
+
+    def leaf(F, depth):
+        return [ctx.candidates[c]
+                for c in _cover_exact(ctx, F, cfg, trace, memo, depth)]
+
+    def split(F, res, recurse):
+        picks, hit = ctx.retire(res.units, res.side_a | res.side_b)
+        return picks + recurse(res.side_a - hit) + recurse(res.side_b - hit)
+
+    return _divide(ctx, _everything(ctx), cfg.ptas_leaf_threshold(), leaf,
+                   split, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +500,10 @@ def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
 class PierceContext(RectContext):
     def __init__(self, rects: Sequence[Rect]):
         super().__init__(rects)
-        self.cand_points = candidate_pierce_points(self.rects)
+        self.candidates = candidate_pierce_points(self.rects)
         self.point_rects = [frozenset(i for i, r in enumerate(self.rects)
                                       if r.contains_point(p.x, p.y))
-                            for p in self.cand_points]
+                            for p in self.candidates]
         self.rect_points = [tuple(c for c, mask in enumerate(self.point_rects)
                                   if i in mask)
                             for i in range(len(self.rects))]
@@ -481,42 +521,15 @@ class PierceContext(RectContext):
         return _CoverSearch(item_choices, self.point_rects,
                             self.disjoint_lower_bound)
 
-
-def _pierce_subset(ctx: PierceContext, F: frozenset, cfg: SolveConfig,
-                   depth: int, trace, memo) -> tuple[int, list[int]]:
-    """Optimal piercing of the rectangles in F; returns (size, point ids)."""
-    if not F:
-        return 0, []
-    hit = memo.get(F)
-    if hit is not None:
-        return hit
-    comps = ctx.components(F)
-    if len(comps) > 1:
-        cost, sol = 0, []
-        for c in comps:
-            cc, cs = _pierce_subset(ctx, c, cfg, depth, trace, memo)
-            cost += cc
-            sol += cs
-        memo[F] = (cost, sol)
-        return cost, sol
-    search = ctx.search(F)
-    if ctx.mu_of(F) <= cfg.base_threshold:
-        cost, sol = search.solve(F)
-        memo[F] = (cost, sol)
-        return cost, sol
-    res = ctx.separate_subset(F, depth, trace)
-
-    def solve_rest(rest: frozenset):
-        cost, sol = 0, []
-        for comp in components_within(ctx.G.adj, rest):
-            cc, cs = _pierce_subset(ctx, comp, cfg, depth + 1, trace, memo)
-            cost += cc
-            sol += cs
-        return cost, sol
-
-    cost, sol = _split_search(search, res.s, F - res.s, solve_rest)
-    memo[F] = (cost, sol)
-    return cost, sol
+    def retire(self, units, F: frozenset):
+        """One Helly point per separator unit (each a rectangle clique), and
+        the rectangles of F those points pierce."""
+        points = [helly_point([self.rects[i] for i in sorted(u.members)])
+                  for u in units]
+        hit = frozenset(i for i in F
+                        if any(self.rects[i].contains_point(p.x, p.y)
+                               for p in points))
+        return points, hit
 
 
 def pierce_exact(rects: Sequence[Rect], cfg: Optional[SolveConfig] = None,
@@ -525,40 +538,11 @@ def pierce_exact(rects: Sequence[Rect], cfg: Optional[SolveConfig] = None,
     """Minimum piercing set, drawn from the corner candidate grid."""
     cfg = cfg or SolveConfig()
     ctx = ctx or PierceContext(rects)
-    _, ids = _pierce_subset(ctx, frozenset(range(len(ctx.rects))), cfg, 0,
-                            trace, {})
-    pts = tuple(ctx.cand_points[i] for i in sorted(set(ids)))
+    ids = _cover_exact(ctx, _everything(ctx), cfg, trace, {})
+    pts = tuple(ctx.candidates[i] for i in sorted(set(ids)))
     if not verify_piercing(ctx.rects, pts):
         raise AssertionError("pierce_exact produced an infeasible solution")
     return PierceSolution(pts)
-
-
-def _pierce_ptas_subset(ctx: PierceContext, F: frozenset, cfg: SolveConfig,
-                        threshold: Fraction, depth: int, trace,
-                        memo) -> list[PointSite]:
-    if not F:
-        return []
-    comps = ctx.components(F)
-    if len(comps) > 1:
-        out = []
-        for c in comps:
-            out += _pierce_ptas_subset(ctx, c, cfg, threshold, depth, trace, memo)
-        return out
-    if ctx.mu_of(F) <= threshold:
-        _, ids = _pierce_subset(ctx, F, cfg, depth, trace, memo)
-        return [ctx.cand_points[i] for i in sorted(set(ids))]
-    res = ctx.separate_subset(F, depth, trace)
-    # every separator unit is a rectangle clique: one Helly point retires it
-    points = [helly_point([ctx.rects[i] for i in sorted(u.members)])
-              for u in res.units]
-    out = list(points)
-    for side in (res.side_a, res.side_b):
-        left = frozenset(i for i in side
-                         if not any(ctx.rects[i].contains_point(p.x, p.y)
-                                    for p in points))
-        out += _pierce_ptas_subset(ctx, left, cfg, threshold, depth + 1,
-                                   trace, memo)
-    return out
 
 
 def pierce_ptas(rects: Sequence[Rect], cfg: SolveConfig,
@@ -566,10 +550,7 @@ def pierce_ptas(rects: Sequence[Rect], cfg: SolveConfig,
                 ctx: Optional[PierceContext] = None) -> PierceSolution:
     """(1+eps)-approximate piercing; exact below the measure leaf."""
     ctx = ctx or PierceContext(rects)
-    threshold = cfg.ptas_leaf_threshold()
-    pts = _pierce_ptas_subset(ctx, frozenset(range(len(ctx.rects))), cfg,
-                              threshold, 0, trace, {})
-    uniq = tuple(sorted(set(pts)))
+    uniq = tuple(sorted(set(_cover_ptas(ctx, cfg, trace))))
     if not verify_piercing(ctx.rects, uniq):
         raise AssertionError("pierce_ptas produced an infeasible solution")
     return PierceSolution(uniq)
@@ -577,6 +558,20 @@ def pierce_ptas(rects: Sequence[Rect], cfg: SolveConfig,
 
 # ---------------------------------------------------------------------------
 # disc cover (points)
+
+
+def _quarter_groups(ctx: CoverContext, members: frozenset):
+    """Split a unit's members at its bounding-box midpoints: at most four
+    groups, each inside a half-unit square and hence candidate-coverable."""
+    xs = [ctx.points[i].x for i in members]
+    ys = [ctx.points[i].y for i in members]
+    mx = Fraction(min(xs) + max(xs), 2)
+    my = Fraction(min(ys) + max(ys), 2)
+    groups: dict[tuple[bool, bool], set[int]] = {}
+    for i in members:
+        key = (Fraction(ctx.points[i].x) > mx, Fraction(ctx.points[i].y) > my)
+        groups.setdefault(key, set()).add(i)
+    return [frozenset(g) for _, g in sorted(groups.items())]
 
 
 class CoverContext(PointContext):
@@ -612,42 +607,18 @@ class CoverContext(PointContext):
                 return c
         raise AssertionError("no candidate disc covers a coverable group")
 
-
-def _cover_subset(ctx: CoverContext, F: frozenset, cfg: SolveConfig,
-                  depth: int, trace, memo) -> tuple[int, list[int]]:
-    """Optimal disc cover of the points in F; returns (size, candidate ids)."""
-    if not F:
-        return 0, []
-    hit = memo.get(F)
-    if hit is not None:
-        return hit
-    comps = ctx.components(F)
-    if len(comps) > 1:
-        cost, sol = 0, []
-        for c in comps:
-            cc, cs = _cover_subset(ctx, c, cfg, depth, trace, memo)
-            cost += cc
-            sol += cs
-        memo[F] = (cost, sol)
-        return cost, sol
-    search = ctx.search(F)
-    if ctx.mu_of(F) <= cfg.base_threshold:
-        cost, sol = search.solve(F)
-        memo[F] = (cost, sol)
-        return cost, sol
-    res = ctx.separate_subset(F, depth, trace)
-
-    def solve_rest(rest: frozenset):
-        cost, sol = 0, []
-        for comp in components_within(ctx.G.adj, rest):
-            cc, cs = _cover_subset(ctx, comp, cfg, depth + 1, trace, memo)
-            cost += cc
-            sol += cs
-        return cost, sol
-
-    cost, sol = _split_search(search, res.s, F - res.s, solve_rest)
-    memo[F] = (cost, sol)
-    return cost, sol
+    def retire(self, units, F: frozenset):
+        """Candidate discs covering the separator units (a MEASURE-PART unit
+        whole, a UNIT-BOX unit by quarters), and every point they cover."""
+        chosen = []
+        for unit in units:
+            if unit.certificate == MEASURE_PART:
+                groups = [unit.members]
+            else:
+                groups = _quarter_groups(self, unit.members)
+            chosen += [self.candidate_covering(g) for g in groups]
+        covered = frozenset().union(*(self.disc_points[c] for c in chosen))
+        return [self.candidates[c] for c in chosen], covered
 
 
 def disccover_exact(points: Sequence[PointSite],
@@ -657,56 +628,11 @@ def disccover_exact(points: Sequence[PointSite],
     """Minimum unit-diameter disc cover, drawn from the candidate set."""
     cfg = cfg or SolveConfig()
     ctx = ctx or CoverContext(points)
-    _, ids = _cover_subset(ctx, frozenset(range(len(ctx.points))), cfg, 0,
-                           trace, {})
+    ids = _cover_exact(ctx, _everything(ctx), cfg, trace, {})
     discs = tuple(ctx.candidates[i] for i in sorted(set(ids)))
     if not verify_disc_cover(ctx.points, discs):
         raise AssertionError("disccover_exact produced an infeasible solution")
     return CoverSolution(discs)
-
-
-def _quarter_groups(ctx: CoverContext, members: frozenset):
-    """Split a unit's members at its bounding-box midpoints: at most four
-    groups, each inside a half-unit square and hence candidate-coverable."""
-    xs = [ctx.points[i].x for i in members]
-    ys = [ctx.points[i].y for i in members]
-    mx = Fraction(min(xs) + max(xs), 2)
-    my = Fraction(min(ys) + max(ys), 2)
-    groups: dict[tuple[bool, bool], set[int]] = {}
-    for i in members:
-        key = (Fraction(ctx.points[i].x) > mx, Fraction(ctx.points[i].y) > my)
-        groups.setdefault(key, set()).add(i)
-    return [frozenset(g) for _, g in sorted(groups.items())]
-
-
-def _cover_ptas_subset(ctx: CoverContext, F: frozenset, cfg: SolveConfig,
-                       threshold: Fraction, depth: int, trace,
-                       memo) -> list[int]:
-    if not F:
-        return []
-    comps = ctx.components(F)
-    if len(comps) > 1:
-        out = []
-        for c in comps:
-            out += _cover_ptas_subset(ctx, c, cfg, threshold, depth, trace, memo)
-        return out
-    if ctx.mu_of(F) <= threshold:
-        _, ids = _cover_subset(ctx, F, cfg, depth, trace, memo)
-        return ids
-    res = ctx.separate_subset(F, depth, trace)
-    chosen: list[int] = []
-    for unit in res.units:
-        if unit.certificate == MEASURE_PART:
-            groups = [unit.members]
-        else:
-            groups = _quarter_groups(ctx, unit.members)
-        for g in groups:
-            chosen.append(ctx.candidate_covering(g))
-    covered = frozenset().union(*(ctx.disc_points[c] for c in chosen))
-    for side in (res.side_a, res.side_b):
-        chosen += _cover_ptas_subset(ctx, side - covered, cfg, threshold,
-                                     depth + 1, trace, memo)
-    return chosen
 
 
 def disccover_ptas(points: Sequence[PointSite], cfg: SolveConfig,
@@ -714,10 +640,8 @@ def disccover_ptas(points: Sequence[PointSite], cfg: SolveConfig,
                    ctx: Optional[CoverContext] = None) -> CoverSolution:
     """(1+eps)-approximate disc cover; exact below the measure leaf."""
     ctx = ctx or CoverContext(points)
-    threshold = cfg.ptas_leaf_threshold()
-    ids = _cover_ptas_subset(ctx, frozenset(range(len(ctx.points))), cfg,
-                             threshold, 0, trace, {})
-    discs = tuple(ctx.candidates[i] for i in sorted(set(ids)))
+    # candidates are sorted by key, so this is candidate-id order
+    discs = tuple(sorted(set(_cover_ptas(ctx, cfg, trace)), key=Disc.key))
     if not verify_disc_cover(ctx.points, discs):
         raise AssertionError("disccover_ptas produced an infeasible solution")
     return CoverSolution(discs)
@@ -736,82 +660,17 @@ class SeparatorCall:
     route: str
 
 
-def check_separator_call(ctx, F: frozenset, res: SeparatorResult) -> list[str]:
-    """Contract violations of one separator call on subset F, in global ids."""
-    problems = []
-    if res.s | res.side_a | res.side_b != F:
-        problems.append("s, side_a, side_b do not partition F")
-    if (res.s & res.side_a) or (res.s & res.side_b) or (res.side_a & res.side_b):
-        problems.append("s, side_a, side_b overlap")
-    if any(ctx.G.adj[u] & res.side_b for u in res.side_a):
-        problems.append("an edge crosses the sides")
-    total = ctx.mu_of(F)
-    for name, side in (("side_a", res.side_a), ("side_b", res.side_b)):
-        if 3 * ctx.mu_of(side) > 2 * total:
-            problems.append(f"{name} exceeds 2/3 of the measure")
-    covered: set[int] = set()
-    for unit in res.units:
-        if covered & unit.members:
-            problems.append("units overlap")
-        covered |= unit.members
-        mem = sorted(unit.members)
-        if unit.certificate == G_CLIQUE:
-            for a in range(len(mem)):
-                for b in range(a + 1, len(mem)):
-                    if mem[b] not in ctx.G.adj[mem[a]]:
-                        problems.append(f"G-CLIQUE unit not a clique: {mem}")
-        elif unit.certificate == MEASURE_PART:
-            if len({ctx.part_of[v] for v in mem}) > 1:
-                problems.append("MEASURE-PART unit spans two measure parts")
-        elif unit.certificate == UNIT_BOX:
-            xs = [ctx.points[v].x for v in mem]
-            ys = [ctx.points[v].y for v in mem]
-            if mem and (max(xs) - min(xs) > SCALE or max(ys) - min(ys) > SCALE):
-                problems.append(f"UNIT-BOX unit exceeds a 1x1 box: {mem}")
-        else:
-            problems.append(f"unknown certificate {unit.certificate!r}")
-    if covered != res.s:
-        problems.append("units do not exactly cover s")
-    if res.cost != len(res.units):
-        problems.append("cost does not match the unit count")
-    return problems
-
-
 def separation_profile(ctx, t0: int = 4, validator=None) -> list[SeparatorCall]:
     """Drive the bare separation recursion and record every separator call.
 
     ``validator(F, res)`` is invoked per call when given (contract sweeps).
     """
-    rows: list[SeparatorCall] = []
-
-    def rec(F: frozenset, depth: int):
-        if not F:
-            return
-        comps = ctx.components(F)
-        if len(comps) > 1:
-            for c in comps:
-                rec(c, depth)
-            return
-        if ctx.mu_of(F) <= t0:
-            return
-        vs = sorted(F)
-        by_line: dict[int, list[int]] = {}
-        for v in vs:
-            by_line.setdefault(ctx.line_of[v], []).append(v)
-        # the restricted strip cover keeps length <= the global one
-        local = {v: i for i, v in enumerate(vs)}
-        Gf = induced_subgraph(ctx.G, vs)
-        parts = tuple(frozenset(local[v] for v in by_line[k])
-                      for k in sorted(by_line))
-        g1_cov = OrderedCliqueCover(Gf, parts)  # host unused by cover_length
-        length = cover_length(Gf, g1_cov).value
-        res = ctx.separate_subset(F, depth)
+    def split(F, res, recurse):
+        _, Gf, strip, mu_f = ctx.restrict(F)
         if validator is not None:
             validator(F, res)
-        rows.append(SeparatorCall(len(F), ctx.mu_of(F), length, res.cost,
-                                  res.route))
-        rec(res.side_a, depth + 1)
-        rec(res.side_b, depth + 1)
+        row = SeparatorCall(len(F), mu_f.total, cover_length(Gf, strip).value,
+                            res.cost, res.route)
+        return [row] + recurse(res.side_a) + recurse(res.side_b)
 
-    rec(frozenset(range(ctx.G.n)), 0)
-    return rows
+    return _divide(ctx, _everything(ctx), t0, lambda F, depth: [], split)

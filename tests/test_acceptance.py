@@ -15,8 +15,9 @@ from cliquesep.geometry import (GridFrame, candidate_discs, greedy_disc_cover,
                                 strip_cover_rects, vertical_strip_cover_points)
 from cliquesep.graphs import (Graph, OrderedCliqueCover, check_measure_axioms,
                               cover_length)
+from cliquesep.separator import check_separator
 from cliquesep.solvers import (CoverContext, PierceContext, PointContext,
-                               RectContext, SolveConfig, check_separator_call,
+                               RectContext, SolveConfig,
                                disccover_exact, disccover_ptas, mis_exact,
                                mis_ptas, pierce_exact, pierce_ptas,
                                separation_profile, verify_independent_rects)
@@ -74,7 +75,8 @@ def bench_profiles():
 
     def sweep(ctx, label):
         def validator(F, res):
-            for msg in check_separator_call(ctx, F, res):
+            for msg in check_separator(ctx.G, ctx.mu, res, F,
+                                       getattr(ctx, "points", None)):
                 violations.append(f"{label}: {msg}")
         rows.extend(separation_profile(ctx, validator=validator))
 
@@ -186,7 +188,7 @@ def test_criterion_6_order_theory():
         if val > 1:
             continue
         checked += 1
-        cov = OrderedCliqueCover(G, parts)
+        cov = OrderedCliqueCover(parts)
         if not oracles.order_from_length1_cover(G, cov).ok:
             failed += 1
     rng = random.Random(0)

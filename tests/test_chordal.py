@@ -18,7 +18,7 @@ def path(n):
 
 def singleton_measure(G):
     parts = tuple(frozenset({v}) for v in range(G.n))
-    return RestrictionMeasure(OrderedCliqueCover(G, parts))
+    return RestrictionMeasure(OrderedCliqueCover(parts))
 
 
 @st.composite

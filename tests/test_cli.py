@@ -88,10 +88,28 @@ class TestSolve:
 
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "bad.inst"
-        p.write_text("not an instance\n")
-        code, out, err = run(["solve", str(p), "--solver", "mis-exact"],
-                             capsys)
-        assert code == cli.EXIT_INPUT
+        for text, message in [
+                ("not an instance\n", "missing header"),
+                ("cliquesep-instance v1\nkind rects\nrect 2 1 0\n",
+                 "rect needs x_lo < x_hi"),
+                ("cliquesep-instance v1\nkind rects\nrect 1 1 0\n",
+                 "rect needs x_lo < x_hi")]:
+            p.write_text(text)
+            code, out, err = run(["solve", str(p), "--solver", "mis-exact"],
+                                 capsys)
+            assert code == cli.EXIT_INPUT
+            assert message in err
+
+    @pytest.mark.parametrize("solver", ["cover-exact", "cover-ptas"])
+    def test_duplicate_points_solve(self, solver, tmp_path, capsys):
+        p = tmp_path / "dup.inst"
+        p.write_text("cliquesep-instance v1\nkind points\n"
+                     "point 0 0\npoint 0 0\npoint 2 0\n")
+        code, out, err = run(["solve", str(p), "--solver", solver,
+                              "--epsilon", "0.5", "--oracle-check"], capsys)
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["feasible"] and rep["value"] == rep["oracle"]["optimum"]
 
     def test_reports_reproducible(self, rect_file, capsys):
         argv = ["solve", rect_file, "--solver", "pierce-exact", "--trace"]

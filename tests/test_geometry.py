@@ -12,11 +12,10 @@ from cliquesep.geometry import (SCALE, BoundaryPointError, Disc, GridFrame,
                                 helly_point, parse_coord, format_coord,
                                 quarter_cell_partition,
                                 rect_intersection_graph, sq_dist,
-                                strip_adjacency_graph_points,
                                 strip_cover_rects, unit_distance_graph,
                                 vertical_strip_cover_points, x_chordal_graph,
-                                y_chordal_graph_points, y_overlap_graph)
-from cliquesep.graphs import cover_length, verify_clique_cover
+                                y_chordal_graph_points)
+from cliquesep.graphs import Graph, cover_length, verify_clique_cover
 from cliquesep.chordal import mcs_order
 
 
@@ -36,6 +35,12 @@ def random_points(rng, n, box=None):
     return [PointSite(rng.randint(0, int(box * 1000)) * (SCALE // 1000),
                       rng.randint(0, int(box * 1000)) * (SCALE // 1000))
             for _ in range(n)]
+
+
+def pairwise_graph(n, adjacent):
+    """Brute-force graph on 0..n-1 with an edge wherever adjacent(i, j)."""
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if adjacent(i, j)])
 
 
 class TestCoords:
@@ -93,13 +98,14 @@ class TestIntersectionGraphs:
         for trial in range(10):
             rects = random_rects(rng, 40)
             G = rect_intersection_graph(rects)
-            G1 = y_overlap_graph(rects)
             G2 = x_chordal_graph(rects)
             e = set(G.edges())
-            assert e == set(G1.edges()) & set(G2.edges())
             for i in range(len(rects)):
                 for j in range(i + 1, len(rects)):
                     assert ((i, j) in e) == rects[i].intersects(rects[j])
+                    y_overlap = (rects[i].y_lo <= rects[j].y_hi
+                                 and rects[j].y_lo <= rects[i].y_hi)
+                    assert ((i, j) in e) == (y_overlap and G2.has_edge(i, j))
 
     def test_x_graph_is_chordal(self):
         rng = random.Random(2)
@@ -136,7 +142,10 @@ class TestStripCovers:
         for trial in range(10):
             rects = random_rects(rng, 100)
             cov = strip_cover_rects(rects)
-            assert verify_clique_cover(cov)
+            # G1: vertical extents overlap
+            G1 = pairwise_graph(len(rects), lambda i, j:
+                                abs(rects[i].y_lo - rects[j].y_lo) <= SCALE)
+            assert verify_clique_cover(G1, cov)
             G = rect_intersection_graph(rects)
             assert cover_length(G, cov).value <= 1
 
@@ -146,11 +155,14 @@ class TestStripCovers:
             pts = random_points(rng, 60)
             frame = GridFrame.for_points(pts)
             cov = vertical_strip_cover_points(pts, frame)
-            assert verify_clique_cover(cov)
+            strip = [frame.strip_index(p.x) for p in pts]
+            # G1: strip indices differ by at most one
+            G1 = pairwise_graph(len(pts),
+                                lambda i, j: abs(strip[i] - strip[j]) <= 1)
+            assert verify_clique_cover(G1, cov)
             G = unit_distance_graph(pts)
             assert cover_length(G, cov).value <= 1
-            G1 = strip_adjacency_graph_points(pts, frame)
-            assert set(G.edges()) <= set(G1.edges())
+            assert all(abs(strip[u] - strip[v]) <= 1 for u, v in G.edges())
 
     def test_boundary_point_rejected(self):
         pts = [PointSite(0, 0)]
@@ -171,7 +183,7 @@ class TestGreedyCoverRects:
         for trial in range(10):
             rects = random_rects(rng, 60)
             cov, witness = greedy_cover_and_is_rects(rects)
-            assert verify_clique_cover(cov)
+            assert verify_clique_cover(rect_intersection_graph(rects), cov)
             for part in cov.parts:
                 helly_point([rects[i] for i in part])  # raises if not a clique
 

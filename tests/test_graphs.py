@@ -62,23 +62,23 @@ class TestGraph:
 class TestCliqueCover:
     def test_verify_accepts_partition_into_cliques(self):
         G = path(3)
-        cov = OrderedCliqueCover(G, (frozenset({0, 1}), frozenset({2})))
-        assert verify_clique_cover(cov)
+        cov = OrderedCliqueCover((frozenset({0, 1}), frozenset({2})))
+        assert verify_clique_cover(G, cov)
 
     def test_verify_rejects_non_clique_part(self):
         G = path(3)
-        cov = OrderedCliqueCover(G, (frozenset({0, 2}), frozenset({1})))
-        assert not verify_clique_cover(cov)
+        cov = OrderedCliqueCover((frozenset({0, 2}), frozenset({1})))
+        assert not verify_clique_cover(G, cov)
 
     def test_verify_rejects_missing_vertex(self):
         G = path(3)
-        cov = OrderedCliqueCover(G, (frozenset({0, 1}),))
-        ok, why = verify_clique_cover(cov, explain=True)
+        cov = OrderedCliqueCover((frozenset({0, 1}),))
+        ok, why = verify_clique_cover(G, cov, explain=True)
         assert not ok and "uncovered" in why
 
     def test_overlapping_parts_rejected(self):
         G = clique(3)
-        cov = OrderedCliqueCover(G, (frozenset({0, 1}), frozenset({1, 2})))
+        cov = OrderedCliqueCover((frozenset({0, 1}), frozenset({1, 2})))
         with pytest.raises(ValueError):
             cov.index_of
 
@@ -86,38 +86,36 @@ class TestCliqueCover:
 class TestCoverLength:
     def test_single_clique_single_part_is_zero(self):
         G = clique(4)
-        cov = OrderedCliqueCover(G, (frozenset(range(4)),))
+        cov = OrderedCliqueCover((frozenset(range(4)),))
         assert cover_length(G, cov).value == 0
 
     def test_path_pairs_cover_is_one(self):
         G = path(4)
-        cov = OrderedCliqueCover(G, (frozenset({0, 1}), frozenset({2, 3})))
+        cov = OrderedCliqueCover((frozenset({0, 1}), frozenset({2, 3})))
         rep = cover_length(G, cov)
         assert rep.value == 1
         assert rep.witness_edge == (1, 2)
 
     def test_edgeless_graph_has_length_zero(self):
         G = Graph(3)
-        cov = OrderedCliqueCover(G, tuple(frozenset({i}) for i in range(3)))
+        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(3)))
         assert cover_length(G, cov).value == 0
 
     def test_missing_vertex_raises(self):
         G = path(3)
-        host = Graph(2, [(0, 1)])
-        cov = OrderedCliqueCover(host, (frozenset({0, 1}),))
+        cov = OrderedCliqueCover((frozenset({0, 1}),))
         with pytest.raises(ValueError):
             cover_length(G, cov)
 
     def test_gap_counts_part_indices(self):
         G = Graph(5, [(0, 4)])
-        cov = OrderedCliqueCover(clique(5),
-                                 tuple(frozenset({i}) for i in range(5)))
+        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(5)))
         assert cover_length(G, cov).value == 4
 
 
 class TestRestrictionMeasure:
     def mu_for(self, G, parts):
-        return RestrictionMeasure(OrderedCliqueCover(G, parts))
+        return RestrictionMeasure(OrderedCliqueCover(parts))
 
     def test_counts_touched_parts(self):
         G = path(4)

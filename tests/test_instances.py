@@ -61,8 +61,10 @@ class TestParseErrors:
             parse("cliquesep-instance v1\nkind points\npoint 0.1234567 0\n")
 
     def test_inverted_rect(self):
-        with pytest.raises(FormatError):
-            parse("cliquesep-instance v1\nkind rects\nrect 2 1 0\n")
+        # inverted and zero-width rectangles get the same message
+        for line in ("rect 2 1 0", "rect 1 1 0"):
+            with pytest.raises(FormatError, match="rect needs x_lo < x_hi"):
+                parse(f"cliquesep-instance v1\nkind rects\n{line}\n")
 
     def test_bad_meta(self):
         with pytest.raises(FormatError):

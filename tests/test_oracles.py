@@ -146,8 +146,8 @@ class TestBruteLength:
                      if rng.random() < 0.5]
             G = Graph(n, edges)
             val, parts = brute_length(G, G, witness=True)
-            cov = OrderedCliqueCover(G, parts)
-            assert verify_clique_cover(cov)
+            cov = OrderedCliqueCover(parts)
+            assert verify_clique_cover(G, cov)
             assert cover_length(G, cov).value <= max(val, 0)
 
     def test_star_needs_length_of_one(self):
@@ -158,20 +158,20 @@ class TestBruteLength:
 class TestOrderFromCover:
     def test_single_clique_gives_empty_order(self):
         G = clique(3)
-        cov = OrderedCliqueCover(G, (frozenset({0, 1, 2}),))
+        cov = OrderedCliqueCover((frozenset({0, 1, 2}),))
         chk = order_from_length1_cover(G, cov)
         assert chk.ok and chk.order.relation == frozenset()
 
     def test_path_three(self):
         G = path(3)
-        cov = OrderedCliqueCover(G, (frozenset({0, 1}), frozenset({2})))
+        cov = OrderedCliqueCover((frozenset({0, 1}), frozenset({2})))
         chk = order_from_length1_cover(G, cov)
         assert chk.ok
         assert chk.order.relation == frozenset({(0, 2)})
 
     def test_rejects_long_cover(self):
         G = Graph(3, [(0, 2)])
-        cov = OrderedCliqueCover(G, tuple(frozenset({i}) for i in range(3)))
+        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(3)))
         with pytest.raises(ValueError):
             order_from_length1_cover(G, cov)
 
@@ -180,7 +180,7 @@ class TestOrderFromCover:
         val, parts = brute_length(G, G, witness=True)
         if val > 1:
             return
-        cov = OrderedCliqueCover(G, parts)
+        cov = OrderedCliqueCover(parts)
         assert order_from_length1_cover(G, cov).ok
 
 

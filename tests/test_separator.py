@@ -1,14 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
-from cliquesep.geometry import SCALE, Rect
+from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.graphs import (Graph, OrderedCliqueCover, RestrictionMeasure)
 from cliquesep.separator import (CHORDAL, G_CLIQUE, LENGTH_WINDOW,
-                                 MEASURE_PART, NoSeparatorFound,
+                                 MEASURE_PART, UNIT_BOX, CoverUnit,
+                                 NoSeparatorFound, SeparatorResult,
                                  chordal_route, check_separator,
                                  length_window_route, separate)
-from cliquesep.solvers import RectContext, check_separator_call
+from cliquesep.solvers import RectContext
 
 
 def path(n):
@@ -17,18 +19,18 @@ def path(n):
 
 def singleton_measure(G):
     parts = tuple(frozenset({v}) for v in range(G.n))
-    return RestrictionMeasure(OrderedCliqueCover(G, parts))
+    return RestrictionMeasure(OrderedCliqueCover(parts))
 
 
-def pair_cover(G, pairs):
-    return OrderedCliqueCover(G, tuple(frozenset(p) for p in pairs))
+def pair_cover(pairs):
+    return OrderedCliqueCover(tuple(frozenset(p) for p in pairs))
 
 
 class TestLengthWindowRoute:
     def test_balanced_window_of_singleton_parts(self):
         # five parts of measure one each: the middle window wins
         G = path(5)
-        cov = OrderedCliqueCover(G, tuple(frozenset({i}) for i in range(5)))
+        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(5)))
         mu = singleton_measure(G)
         res = length_window_route(G, cov, mu)
         assert res is not None
@@ -40,15 +42,15 @@ class TestLengthWindowRoute:
 
     def test_edgeless_graph_gets_free_separator(self):
         G = Graph(4)
-        cov = OrderedCliqueCover(G, tuple(frozenset({i}) for i in range(4)))
+        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(4)))
         res = length_window_route(G, cov, singleton_measure(G))
         assert res is not None
         assert res.s == frozenset() and res.cost == 0
 
     def test_units_are_measure_parts(self):
         G = path(6)
-        g1 = OrderedCliqueCover(G, tuple(frozenset({i}) for i in range(6)))
-        mu = RestrictionMeasure(pair_cover(G, [(0, 1), (2, 3), (4, 5)]))
+        g1 = OrderedCliqueCover(tuple(frozenset({i}) for i in range(6)))
+        mu = RestrictionMeasure(pair_cover([(0, 1), (2, 3), (4, 5)]))
         res = length_window_route(G, g1, mu)
         assert res is not None
         for unit in res.units:
@@ -58,7 +60,7 @@ class TestLengthWindowRoute:
     def test_always_succeeds_via_full_window(self):
         # a clique cannot be split, so the full-range window is the fallback
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        cov = OrderedCliqueCover(G, (frozenset({0, 1, 2}),))
+        cov = OrderedCliqueCover((frozenset({0, 1, 2}),))
         res = length_window_route(G, cov, singleton_measure(G))
         assert res is not None
         assert res.s == frozenset({0, 1, 2})
@@ -68,7 +70,7 @@ class TestLengthWindowRoute:
 class TestChordalRoute:
     def test_path_clique_separator_costs_one(self):
         G = path(9)
-        cov = OrderedCliqueCover(G, (frozenset(range(9)),))  # host ignored
+        cov = OrderedCliqueCover((frozenset(range(9)),))  # host ignored
         res = chordal_route(G, G, cov, singleton_measure(G))
         assert res is not None
         assert res.route == CHORDAL
@@ -78,7 +80,7 @@ class TestChordalRoute:
     def test_units_split_by_g1_part(self):
         # a triangle straddling two g1 parts yields two units
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        g1 = pair_cover(G, [(0, 1), (2,)])
+        g1 = pair_cover([(0, 1), (2,)])
         res = chordal_route(G, G, g1, singleton_measure(G))
         assert res is not None
         certs = sorted(len(u.members) for u in res.units)
@@ -98,28 +100,71 @@ class TestSeparate:
 
     def test_no_candidates_raises_with_diagnostic(self):
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        cov = OrderedCliqueCover(G, ())
+        cov = OrderedCliqueCover(())
         with pytest.raises(NoSeparatorFound) as err:
             separate(G, cov, None, singleton_measure(G))
         assert "n" in err.value.diagnostic
 
     def test_check_separator_passes_on_valid_results(self):
         G = path(7)
-        cov = OrderedCliqueCover(G, tuple(frozenset({i}) for i in range(7)))
+        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(7)))
         mu = singleton_measure(G)
         res = separate(G, cov, G, mu)
         assert check_separator(G, mu, res) == []
 
     def test_check_separator_flags_crossing_edge(self):
         G = path(3)
-        cov = OrderedCliqueCover(G, tuple(frozenset({i}) for i in range(3)))
+        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(3)))
         mu = singleton_measure(G)
         res = separate(G, cov, G, mu)
-        from cliquesep.separator import SeparatorResult
         bad = SeparatorResult(s=frozenset(), units=(),
                               side_a=frozenset({0, 1}), side_b=frozenset({2}),
                               route=res.route, cost=0)
         assert any("crosses" in p for p in check_separator(G, mu, bad))
+
+        # one bad result per other violation class, each a change to a valid
+        # result on the path 0-1-2-3-4-5 with measure parts {0,1} {2,3} {4,5}
+        G = path(6)
+        mu = RestrictionMeasure(pair_cover([(0, 1), (2, 3), (4, 5)]))
+        points = [PointSite(2 * i * SCALE, 0) for i in range(6)]  # 2 apart
+        good = SeparatorResult(s=frozenset({2, 3}),
+                               units=(CoverUnit(frozenset({2, 3}),
+                                                MEASURE_PART),),
+                               side_a=frozenset({0, 1}),
+                               side_b=frozenset({4, 5}),
+                               route=LENGTH_WINDOW, cost=1)
+        assert check_separator(G, mu, good, points=points) == []
+        cases = [
+            (dict(side_b=frozenset({4})), None, "do not partition F"),
+            ({}, frozenset(range(5)), "do not partition F"),
+            (dict(side_a=frozenset({0, 1, 2})), None, "overlap"),
+            (dict(s=frozenset({0}), side_a=frozenset(),
+                  side_b=frozenset(range(1, 6)),
+                  units=(CoverUnit(frozenset({0}), MEASURE_PART),)),
+             None, "side_b exceeds 2/3 of the measure"),
+            (dict(units=(CoverUnit(frozenset({2, 3}), MEASURE_PART),
+                         CoverUnit(frozenset({3}), MEASURE_PART)), cost=2),
+             None, "units overlap"),
+            (dict(s=frozenset({1, 2, 3}), side_a=frozenset({0}),
+                  units=(CoverUnit(frozenset({1, 3}), G_CLIQUE),
+                         CoverUnit(frozenset({2}), G_CLIQUE)), cost=2),
+             None, "G-CLIQUE unit not a clique"),
+            (dict(s=frozenset({1, 2}), side_a=frozenset({0}),
+                  side_b=frozenset({3, 4, 5}),
+                  units=(CoverUnit(frozenset({1, 2}), MEASURE_PART),)),
+             None, "MEASURE-PART unit spans two measure parts"),
+            (dict(units=(CoverUnit(frozenset({2, 3}), UNIT_BOX),)), None,
+             "UNIT-BOX unit exceeds a 1x1 box"),
+            (dict(units=(CoverUnit(frozenset({2, 3}), "MAGIC"),)), None,
+             "unknown certificate"),
+            (dict(units=(CoverUnit(frozenset({2}), MEASURE_PART),)), None,
+             "units do not exactly cover s"),
+            (dict(cost=2), None, "cost does not match the unit count"),
+        ]
+        for change, F, expected in cases:
+            bad = dataclasses.replace(good, **change)
+            problems = check_separator(G, mu, bad, F, points)
+            assert any(expected in p for p in problems), (expected, problems)
 
     def test_random_rect_instances_satisfy_contract(self):
         rng = random.Random(0)
@@ -136,4 +181,4 @@ class TestSeparate:
             if ctx.mu_of(F) < 2:
                 continue
             res = ctx.separate_subset(F, 0)
-            assert check_separator_call(ctx, F, res) == []
+            assert check_separator(ctx.G, ctx.mu, res, F) == []

@@ -135,6 +135,19 @@ class TestDiscCoverExact:
             assert verify_disc_cover(list(inst.items), sol.discs)
             assert sol.value == oracles.brute_disccover(inst.items)[0]
 
+    def test_duplicate_points(self):
+        inst = instances.parse("cliquesep-instance v1\nkind points\n"
+                               "point 0 0\npoint 0 0\npoint 0.7 0\n"
+                               "point 3 0\npoint 3 0\n")
+        opt = oracles.brute_disccover(inst.items)[0]
+        sol = disccover_exact(inst.items)
+        assert verify_disc_cover(list(inst.items), sol.discs)
+        assert sol.value == opt == 2
+        for eps in (0.3, 0.5):
+            sol = disccover_ptas(inst.items, SolveConfig(epsilon=eps))
+            assert verify_disc_cover(list(inst.items), sol.discs)
+            assert opt <= sol.value <= math.floor((1 + eps) * opt)
+
     def test_discs_come_from_candidate_set(self):
         inst = instances.generate("points", 9, 77)
         ctx = CoverContext(inst.items)
