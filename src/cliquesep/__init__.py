@@ -5,8 +5,8 @@ problems on unit-height rectangles and unit-diameter discs."""
 from .graphs import (Graph, OrderedCliqueCover, RestrictionMeasure,
                      check_measure_axioms, cover_length, induced_subgraph,
                      verify_clique_cover)
-from .chordal import (CliqueTree, NotChordalError, balanced_clique_separator,
-                      clique_tree, maximal_cliques_chordal, mcs_order)
+from .chordal import (NotChordalError, balanced_clique_separator,
+                      maximal_cliques_chordal, mcs_order)
 from .geometry import (SCALE, Disc, GridFrame, PointSite, Rect,
                        candidate_discs, candidate_pierce_points,
                        greedy_cover_and_is_rects, greedy_disc_cover,
@@ -27,8 +27,8 @@ __all__ = [
     "Graph", "OrderedCliqueCover", "RestrictionMeasure",
     "check_measure_axioms", "cover_length", "induced_subgraph",
     "verify_clique_cover",
-    "CliqueTree", "NotChordalError", "balanced_clique_separator",
-    "clique_tree", "maximal_cliques_chordal", "mcs_order",
+    "NotChordalError", "balanced_clique_separator",
+    "maximal_cliques_chordal", "mcs_order",
     "SCALE", "Disc", "GridFrame", "PointSite", "Rect", "candidate_discs",
     "candidate_pierce_points", "greedy_cover_and_is_rects",
     "greedy_disc_cover", "helly_point", "rect_intersection_graph",

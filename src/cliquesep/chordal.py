@@ -1,12 +1,21 @@
-"""Chordal-graph machinery: MCS orders, maximal cliques, clique trees, and
-measure-balanced maximal-clique separators."""
+"""Chordal-graph machinery: MCS orders and maximal cliques of chordal graphs,
+and measure-balanced maximal-clique separators of interval graphs.
+
+The separator engine's chordal supergraph G2 is an interval graph, and
+:func:`balanced_clique_separator` works on its intervals alone: one sweep of
+the endpoints lists the maximal cliques left to right (a clique path), and
+the components left after removing one are runs of intervals on either side
+of it.  G2 is never built.  :func:`mcs_order` and
+:func:`maximal_cliques_chordal` work on any graph and are the reference the
+sweep is tested against.
+"""
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .graphs import Graph, RestrictionMeasure, components_within
+from .graphs import Graph, RestrictionMeasure
 
 
 class NotChordalError(ValueError):
@@ -94,55 +103,6 @@ def maximal_cliques_chordal(H: Graph, ord: EliminationOrder) -> list[frozenset[i
 
 
 @dataclass(frozen=True)
-class CliqueTree:
-    """Tree over the maximal cliques satisfying the running-intersection
-    property: for every vertex, the nodes containing it form a subtree."""
-
-    nodes: tuple[frozenset[int], ...]
-    edges: tuple[tuple[int, int], ...]
-
-
-def clique_tree(H: Graph, cliques: list[frozenset[int]]) -> CliqueTree:
-    """Maximum-weight spanning tree on clique-intersection sizes.
-
-    Candidate edges only exist between cliques sharing a vertex; forests
-    arising from a disconnected H are joined by zero-weight edges, which
-    preserves running intersection because those cliques share nothing.
-    """
-    k = len(cliques)
-    by_vertex: dict[int, list[int]] = {}
-    for i, c in enumerate(cliques):
-        for v in c:
-            by_vertex.setdefault(v, []).append(i)
-    weights: dict[tuple[int, int], int] = {}
-    for ids in by_vertex.values():
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                key = (ids[a], ids[b]) if ids[a] < ids[b] else (ids[b], ids[a])
-                weights[key] = weights.get(key, 0) + 1
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for (i, j), w in sorted(weights.items(), key=lambda kv: (-kv[1], kv[0])):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
-    # connect leftover forest components
-    for i in range(1, k):
-        if find(i) != find(0):
-            parent[find(i)] = find(0)
-            edges.append((0, i))
-    return CliqueTree(tuple(cliques), tuple(edges))
-
-
-@dataclass(frozen=True)
 class CliqueSeparator:
     clique: frozenset[int]
     side_a: frozenset[int]
@@ -150,115 +110,152 @@ class CliqueSeparator:
     larger_measure: int
 
 
-def _pack_components(comps: list[frozenset[int]], comp_w: list[int]):
+def _pack_components(comps: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
     """Greedy largest-first packing of components into two sides.
 
-    Component weights are measure counts, which are additive here because
-    every measure part (a clique of G, hence of H) meets at most one
-    component of H minus the separator clique.
+    ``comps`` holds one (measure weight, smallest id, size) per component.
+    The weights are additive because every measure part (a clique of G,
+    hence of the interval graph) meets at most one component.  Returns the
+    larger side's weight and each component's side, 0 or 1.
     """
-    order = sorted(range(len(comps)), key=lambda i: (-comp_w[i], min(comps[i])))
-    side = [[], []]
+    order = sorted(range(len(comps)), key=lambda i: (-comps[i][0], comps[i][1]))
+    side = [0] * len(comps)
     w = [0, 0]
     size = [0, 0]
     for i in order:
         # lighter bin first, ties by vertex count, then bin 0
         t = 1 if (w[1], size[1]) < (w[0], size[0]) else 0
-        side[t].append(i)
-        w[t] += comp_w[i]
-        size[t] += len(comps[i])
-    a = frozenset().union(*(comps[i] for i in side[0])) if side[0] else frozenset()
-    b = frozenset().union(*(comps[i] for i in side[1])) if side[1] else frozenset()
-    return a, b, max(w[0], w[1])
+        side[i] = t
+        w[t] += comps[i][0]
+        size[t] += comps[i][2]
+    return max(w), side
 
 
-def _evaluate_clique(H: Graph, mu_part_of, clique: frozenset[int], all_vs: frozenset[int]):
-    rest = all_vs - clique
-    comps = components_within(H.adj, rest)
-    comp_w = [len({mu_part_of[v] for v in c}) for c in comps]
-    return _pack_components(comps, comp_w)
+def _prefix_components(intervals: Sequence[tuple[int, int]], part_of) -> list:
+    """The components of every prefix of the intervals in right-end order.
 
-
-def balanced_clique_separator(H: Graph, G: Graph, mu: RestrictionMeasure,
-                              max_evals: Optional[int] = None) -> Optional[CliqueSeparator]:
-    """Best 2/3-measure-balanced maximal-clique separator of H, or None.
-
-    Every maximal clique of H is evaluated: remove it, pack the components
-    of the remainder into two sides largest-first, and keep the clique whose
-    larger side is smallest.  A clique qualifies only when both sides have
-    measure at most 2/3 of the whole (exact rational comparison
-    3*mu(side) <= 2*mu(V)).  When ``max_evals`` caps the search on large
-    inputs, a clique-tree descent toward the heavy side is used instead of
-    the exhaustive scan; it returns a valid balanced clique when it finds
-    one, not necessarily the global minimizer.
+    ``tops[k]`` is the stack of components of the first k intervals, as
+    linked nodes (reach, measure weight, smallest id, size, node below) with
+    reach the largest right end.  Nodes are never changed, so every prefix
+    keeps its stack.  An interval whose right end is the largest so far
+    overlaps a component iff its left end is at most the component's reach,
+    and the components it overlaps are the top ones.
     """
-    if H.n != G.n:
-        raise ValueError("H and G must share the vertex set")
+    order = sorted(range(len(intervals)), key=lambda i: (intervals[i][1], i))
+    seen: set[int] = set()
+    top = None
+    tops = [top]
+    for i in order:
+        lo, hi = intervals[i]
+        weight = int(part_of[i] not in seen)
+        seen.add(part_of[i])
+        first, size = i, 1
+        while top is not None and top[0] >= lo:
+            _, w, f, s, top = top
+            weight += w
+            first = min(first, f)
+            size += s
+        top = (hi, weight, first, size, top)
+        tops.append(top)
+    return tops
+
+
+def _components(intervals: Sequence[tuple[int, int]], ids) -> list[list[int]]:
+    """Components of the interval graph on ``ids``: runs in left-end order."""
+    comps: list[list[int]] = []
+    reach = None
+    for i in sorted(ids, key=lambda i: intervals[i]):
+        lo, hi = intervals[i]
+        if comps and lo <= reach:
+            comps[-1].append(i)
+            reach = max(reach, hi)
+        else:
+            comps.append([i])
+            reach = hi
+    return comps
+
+
+def _clique_path(intervals: Sequence[tuple[int, int]]):
+    """The maximal cliques of the interval graph, left to right.
+
+    One sort of the endpoints, starts before ends at equal coordinates: the
+    intervals open when a right end follows a run of left ends form a
+    maximal clique.  Yields (clique, ends, starts) with the number of
+    intervals that end before the clique and the number that start at or
+    before it.  The clique is the sweep's live set: copy it to keep it.
+    """
+    events = sorted([(lo, 0, i) for i, (lo, _) in enumerate(intervals)]
+                    + [(hi, 1, i) for i, (_, hi) in enumerate(intervals)])
+    active: set[int] = set()
+    starts = ends = 0
+    after_start = False
+    for _, is_end, i in events:
+        if not is_end:
+            active.add(i)
+            starts += 1
+            after_start = True
+            continue
+        if after_start:
+            after_start = False
+            yield active, ends, starts
+        active.discard(i)
+        ends += 1
+
+
+def balanced_clique_separator(intervals: Sequence[tuple[int, int]], G: Graph,
+                              mu: RestrictionMeasure) -> Optional[CliqueSeparator]:
+    """Best 2/3-measure-balanced maximal clique of an interval graph, or None.
+
+    ``intervals[v]`` is the closed interval (lo, hi) of vertex v of G; every
+    edge of G must join overlapping intervals, and every measure part must
+    be a clique of the interval graph.  Every maximal clique is evaluated:
+    remove it, pack the components of the remainder into two sides
+    largest-first, and keep the clique whose larger side is smallest, ties
+    to the smaller clique, then the smaller sorted member list.  A clique
+    qualifies only when both sides have measure at most 2/3 of the whole
+    (exact rational comparison 3*mu(side) <= 2*mu(V)).
+
+    The cliques come from :func:`_clique_path`.  What is left of the clique
+    at x are the intervals ending before x, a prefix in right-end order, and
+    those starting after x, a suffix in left-end order; one stack pass each
+    way gives the components of every prefix and suffix.
+    """
+    n = len(intervals)
+    if n != G.n:
+        raise ValueError("need one interval per vertex of G")
     for u, v in G.edges():
-        if not H.has_edge(u, v):
-            raise ValueError(f"G edge ({u},{v}) missing from H")
-    ord_ = mcs_order(H)
-    if not ord_.chordal:
-        raise NotChordalError("balanced_clique_separator requires chordal H")
-    if H.n == 0:
+        if max(intervals[u][0], intervals[v][0]) > min(intervals[u][1], intervals[v][1]):
+            raise ValueError(f"G edge ({u},{v}) joins disjoint intervals")
+    for part in mu.cover.parts:
+        if part and max(intervals[v][0] for v in part) > min(intervals[v][1] for v in part):
+            raise ValueError(f"measure part {sorted(part)} is not an interval clique")
+    if n == 0:
         return None
-    cliques = maximal_cliques_chordal(H, ord_)
-    all_vs = frozenset(range(H.n))
     part_of = mu.part_of
-    total = mu.of(all_vs)
+    total = mu.of(range(n))
+    before = _prefix_components(intervals, part_of)
+    after = _prefix_components([(-hi, -lo) for lo, hi in intervals], part_of)
 
-    def qualifies(larger):
-        return 3 * larger <= 2 * total
+    best = None  # (larger, |K|, K)
+    for clique, ends, starts in _clique_path(intervals):
+        comps = []
+        for top in (before[ends], after[n - starts]):
+            while top is not None:
+                comps.append(top[1:4])
+                top = top[4]
+        larger, _ = _pack_components(comps)
+        if 3 * larger <= 2 * total:
+            key = (larger, len(clique))
+            if best is None or key < best[:2] or \
+                    (key == best[:2] and sorted(clique) < sorted(best[2])):
+                best = (larger, len(clique), frozenset(clique))
+    if best is None:
+        return None
 
-    best: Optional[CliqueSeparator] = None
-
-    def consider(K, a, b, larger):
-        nonlocal best
-        cand = CliqueSeparator(K, a, b, larger)
-        if best is None:
-            best = cand
-            return
-        key = (larger, len(K), sorted(K))
-        bkey = (best.larger_measure, len(best.clique), sorted(best.clique))
-        if key < bkey:
-            best = cand
-
-    if max_evals is None or len(cliques) <= max_evals:
-        for K in cliques:
-            a, b, larger = _evaluate_clique(H, part_of, K, all_vs)
-            if qualifies(larger):
-                consider(K, a, b, larger)
-        return best
-
-    # budgeted descent: walk the clique tree toward the heavy side
-    tree = clique_tree(H, cliques)
-    nbrs: dict[int, list[int]] = {i: [] for i in range(len(cliques))}
-    for i, j in tree.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    cur = max(range(len(cliques)), key=lambda i: (len(cliques[i]), sorted(cliques[i])))
-    visited = set()
-    for _ in range(max_evals):
-        if cur in visited:
-            break
-        visited.add(cur)
-        K = cliques[cur]
-        rest = all_vs - K
-        comps = components_within(H.adj, rest)
-        comp_w = [len({part_of[v] for v in c}) for c in comps]
-        a, b, larger = _pack_components(comps, comp_w)
-        if qualifies(larger):
-            consider(K, a, b, larger)
-            break
-        if not comps:
-            break
-        heavy = comps[max(range(len(comps)), key=lambda i: comp_w[i])]
-        step = None
-        for j in sorted(nbrs[cur]):
-            if j not in visited and cliques[j] & heavy:
-                step = j
-                break
-        if step is None:
-            break
-        cur = step
-    return best
+    larger, _, clique = best
+    comps = _components(intervals, (v for v in range(n) if v not in clique))
+    _, side = _pack_components([(len({part_of[v] for v in c}), min(c), len(c))
+                                for c in comps])
+    a = frozenset(v for c, t in zip(comps, side) if t == 0 for v in c)
+    b = frozenset(v for c, t in zip(comps, side) if t == 1 for v in c)
+    return CliqueSeparator(clique, a, b, larger)

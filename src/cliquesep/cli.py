@@ -197,16 +197,8 @@ def _cmd_bench(args) -> int:
         if not hits and os.path.exists(pat):
             hits = [pat]
         paths.extend(hits)
-    workers = int(os.environ.get("CLIQUESEP_WORKERS", "1"))
-    results = []
     try:
-        if workers > 1 and len(paths) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_profile_file, paths,
-                                        [args.t0] * len(paths)))
-        else:
-            results = [_profile_file(p, args.t0) for p in paths]
+        results = [_profile_file(p, args.t0) for p in paths]
     except (OSError, FormatError) as exc:
         print(f"cliquesep: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,10 +10,11 @@ r; coverage tests against them are still exact.
 All sets are closed: boundary contact counts as intersection/coverage, and a
 point pair at distance exactly one unit is adjacent.
 
-For each instance the separator engine needs the intersection graph G, a
-chordal supergraph G2 (an interval graph, built here), and the ordered strip
-cover of a second supergraph G1.  G1 is never built: the strip cover is all
-of it that anything reads.
+For each instance the separator engine needs the intersection graph G, the
+intervals of a chordal supergraph G2 (an interval graph), and the ordered
+strip cover of a second supergraph G1.  Neither supergraph is built: the
+intervals and the strip cover are all of them that the engine reads.
+:func:`interval_graph` builds G2 from its intervals for tests.
 """
 from __future__ import annotations
 
@@ -245,8 +246,9 @@ def unit_distance_graph(points: Sequence[PointSite]) -> Graph:
     return Graph(n, set(edges))
 
 
-def _interval_overlap_graph(n: int, intervals: list[tuple[int, int]]) -> Graph:
+def interval_graph(intervals: Sequence[tuple[int, int]]) -> Graph:
     """Closed-interval overlap graph via a sweep; output sensitive."""
+    n = len(intervals)
     order = sorted(range(n), key=lambda i: (intervals[i][0], i))
     active: list[int] = []
     edges = []
@@ -258,10 +260,10 @@ def _interval_overlap_graph(n: int, intervals: list[tuple[int, int]]) -> Graph:
     return Graph(n, edges)
 
 
-def x_chordal_graph(rects: Sequence[Rect]) -> Graph:
-    """G2 for rectangles: edge iff horizontal extents overlap (interval graph)."""
-    return _interval_overlap_graph(len(rects),
-                                   [(r.x_lo, r.x_hi) for r in rects])
+def x_chordal_graph(rects: Sequence[Rect]) -> list[tuple[int, int]]:
+    """The intervals of G2 for rectangles, their horizontal extents: two
+    rectangles are adjacent in G2 iff their extents overlap."""
+    return [(r.x_lo, r.x_hi) for r in rects]
 
 
 def strip_cover_rects(rects: Sequence[Rect]) -> OrderedCliqueCover:
@@ -297,10 +299,10 @@ def vertical_strip_cover_points(points: Sequence[PointSite],
                                     for s in sorted(by_strip)))
 
 
-def y_chordal_graph_points(points: Sequence[PointSite]) -> Graph:
-    """G2 for points: edge iff |dy| <= 1 unit (a unit-interval graph)."""
-    return _interval_overlap_graph(
-        len(points), [(p.y - SCALE // 2, p.y + SCALE - SCALE // 2) for p in points])
+def y_chordal_graph_points(points: Sequence[PointSite]) -> list[tuple[int, int]]:
+    """The intervals of G2 for points, y -/+ 1/2 unit: two points are
+    adjacent in G2 iff |dy| <= 1 unit (a unit-interval graph)."""
+    return [(p.y - SCALE // 2, p.y + SCALE - SCALE // 2) for p in points]
 
 
 # ---------------------------------------------------------------------------

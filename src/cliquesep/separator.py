@@ -2,11 +2,13 @@
 
 Given a graph G, an ordered clique cover with small edge-gap length (the
 strip cover, which is all the engine knows of the supergraph G1: G1 is never
-built), a chordal supergraph G2, and a restriction measure, produce a vertex
-separator whose removal leaves two sides of measure at most 2/3 of the whole,
-together with a cover of the separator by certified units.  The chordal route
-removes a maximal clique of G2; the length route removes a window of
-consecutive cover parts.  The cheaper valid candidate wins.
+built), the intervals of a chordal supergraph G2 (an interval graph, which is
+never built either), and a restriction measure, produce a vertex separator
+whose removal leaves two sides of measure at most 2/3 of the whole, together
+with a cover of the separator by certified units.  The chordal route removes
+a maximal clique of G2, found by sweeping its intervals; the length route
+removes a window of consecutive cover parts.  The cheaper valid candidate
+wins.
 """
 from __future__ import annotations
 
@@ -60,12 +62,12 @@ def unit_box_certifier(members: frozenset, part_index: int) -> CoverUnit:
     return CoverUnit(members, UNIT_BOX)
 
 
-def chordal_route(G: Graph, G2: Graph, g1_cover: OrderedCliqueCover,
-                  mu: RestrictionMeasure, certifier: Certifier = clique_certifier,
-                  max_clique_evals: Optional[int] = None) -> Optional[SeparatorResult]:
-    """Balanced maximal-clique separator of G2, covered by one unit per
-    g1-cover part the clique touches."""
-    found = chordal.balanced_clique_separator(G2, G, mu, max_evals=max_clique_evals)
+def chordal_route(G: Graph, intervals: Sequence[tuple[int, int]],
+                  g1_cover: OrderedCliqueCover, mu: RestrictionMeasure,
+                  certifier: Certifier = clique_certifier) -> Optional[SeparatorResult]:
+    """Balanced maximal-clique separator of G2, given by one interval per
+    vertex, covered by one unit per g1-cover part the clique touches."""
+    found = chordal.balanced_clique_separator(intervals, G, mu)
     if found is None:
         return None
     idx = g1_cover.index_of
@@ -156,17 +158,19 @@ def _measure_part_units(mu: RestrictionMeasure, s: frozenset) -> tuple[CoverUnit
                  for i in sorted(groups))
 
 
-def separate(G: Graph, g1_cover: OrderedCliqueCover, G2: Optional[Graph],
-             mu: RestrictionMeasure, certifier: Certifier = clique_certifier,
-             max_clique_evals: Optional[int] = None) -> SeparatorResult:
+def separate(G: Graph, g1_cover: OrderedCliqueCover,
+             intervals: Optional[Sequence[tuple[int, int]]],
+             mu: RestrictionMeasure,
+             certifier: Certifier = clique_certifier) -> SeparatorResult:
     """Best of both routes by unit count; CHORDAL wins ties.
 
-    G2 may be None to skip the chordal route (the length route alone always
-    succeeds for a nonempty cover, falling back to the full-range window).
+    ``intervals`` (the interval model of G2, one per vertex) may be None to
+    skip the chordal route (the length route alone always succeeds for a
+    nonempty cover, falling back to the full-range window).
     """
     candidates = []
-    if G2 is not None:
-        cand = chordal_route(G, G2, g1_cover, mu, certifier, max_clique_evals)
+    if intervals is not None:
+        cand = chordal_route(G, intervals, g1_cover, mu, certifier)
         if cand is not None:
             candidates.append(cand)
     cand = length_window_route(G, g1_cover, mu)

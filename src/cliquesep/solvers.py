@@ -30,8 +30,6 @@ from .separator import (MEASURE_PART, CoverUnit, SeparatorResult,
 
 TraceHook = Callable[[int, int, str, int], None]
 
-_CHORDAL_BUDGET_OPS = 2_000_000
-
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -157,15 +155,8 @@ class _BaseContext:
                         trace: Optional[TraceHook] = None) -> SeparatorResult:
         """Separator for the induced subproblem on F, in global ids."""
         vs, Gf, strip, mu_f = self.restrict(F)
-        G2f = induced_subgraph(self.G2, vs)
-        nf, m2f = len(vs), G2f.m
-        work = nf * (nf + m2f)
-        if work <= _CHORDAL_BUDGET_OPS:
-            max_evals = None
-        else:
-            max_evals = max(4, _CHORDAL_BUDGET_OPS // (5 * (nf + m2f)))
-        res = separate(Gf, strip, G2f, mu_f, certifier=self.certifier,
-                       max_clique_evals=max_evals)
+        res = separate(Gf, strip, [self.intervals[v] for v in vs], mu_f,
+                       certifier=self.certifier)
 
         def to_global(ids):
             return frozenset(vs[i] for i in ids)
@@ -191,7 +182,7 @@ class RectContext(_BaseContext):
     def __init__(self, rects: Sequence[Rect]):
         self.rects = list(rects)
         self.G = rect_intersection_graph(self.rects)
-        self.G2 = x_chordal_graph(self.rects)
+        self.intervals = x_chordal_graph(self.rects)
         self.strip_cover = strip_cover_rects(self.rects)
         self.measure_cover, self.witness = greedy_cover_and_is_rects(self.rects)
         self.mu = RestrictionMeasure(self.measure_cover)
@@ -206,7 +197,7 @@ class PointContext(_BaseContext):
         self.points = list(points)
         self.frame = GridFrame.for_points(self.points)
         self.G = unit_distance_graph(self.points)
-        self.G2 = y_chordal_graph_points(self.points)
+        self.intervals = y_chordal_graph_points(self.points)
         self.strip_cover = vertical_strip_cover_points(self.points, self.frame)
         self.quarters = quarter_cell_partition(self.points, self.frame)
         self.measure_cover = OrderedCliqueCover(

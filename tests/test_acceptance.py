@@ -90,6 +90,8 @@ def bench_profiles():
         sweep(PointContext(inst.items), f"points-{seed}")
     inst = instances.generate("rects", 2000, 42)
     sweep(RectContext(inst.items), "rects-2000")
+    inst = instances.generate("rects", 1200, 1, "chain")
+    sweep(RectContext(inst.items), "rects-chain-1200")
     inst = instances.generate("points", 1200, 7)
     sweep(PointContext(inst.items), "points-1200")
     return rows, violations
@@ -141,7 +143,7 @@ def test_criterion_3_separator_contract(bench_profiles):
     rows, violations = bench_profiles
     _report(3, len(violations) == 0 and len(rows) > 0,
             f"{len(rows)} separator calls, {len(violations)} contract "
-            f"violations (incl. n=2000)")
+            f"violations (incl. n=2000 and a chain of 1200)")
 
 
 def test_criterion_4_empirical_cost_bound(bench_profiles):

@@ -3,9 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cliquesep.chordal import (NotChordalError, balanced_clique_separator,
-                               clique_tree, maximal_cliques_chordal, mcs_order)
-from cliquesep.graphs import (Graph, OrderedCliqueCover, RestrictionMeasure)
+from cliquesep.chordal import (NotChordalError, _clique_path,
+                               balanced_clique_separator,
+                               maximal_cliques_chordal, mcs_order)
+from cliquesep.geometry import interval_graph
+from cliquesep.graphs import (Graph, OrderedCliqueCover, RestrictionMeasure,
+                              components_within)
 
 
 def clique(n):
@@ -104,38 +107,66 @@ class TestMaximalCliques:
                 assert i == j or not a <= b
 
 
-class TestCliqueTree:
-    def test_single_clique(self):
-        t = clique_tree(clique(3), [frozenset({0, 1, 2})])
-        assert t.nodes == (frozenset({0, 1, 2}),) and t.edges == ()
+def interval_measure(ivs, draw):
+    """A measure whose parts are runs of the intervals sorted by left end,
+    cut wherever the run would stop being a clique (or at random)."""
+    order = sorted(range(len(ivs)), key=lambda i: (ivs[i], i))
+    parts = []
+    for i in order:
+        if parts and draw(st.booleans()):
+            cur = parts[-1] + [i]
+            if max(ivs[v][0] for v in cur) <= min(ivs[v][1] for v in cur):
+                parts[-1] = cur
+                continue
+        parts.append([i])
+    return RestrictionMeasure(OrderedCliqueCover(tuple(frozenset(p)
+                                                       for p in parts)))
 
-    @given(random_interval_graphs())
-    def test_running_intersection(self, G):
-        cliques = maximal_cliques_chordal(G, mcs_order(G))
-        t = clique_tree(G, cliques)
-        assert len(t.edges) == len(t.nodes) - 1
-        nbrs = {i: set() for i in range(len(t.nodes))}
-        for i, j in t.edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        for v in range(G.n):
-            holders = [i for i, c in enumerate(t.nodes) if v in c]
-            # holders must induce a connected subtree
-            seen = {holders[0]}
-            frontier = [holders[0]]
-            while frontier:
-                x = frontier.pop()
-                for y in nbrs[x]:
-                    if y in holders and y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-            assert seen == set(holders)
+
+@st.composite
+def interval_inputs(draw, max_n=12):
+    """Small integer intervals with shared endpoints, nesting and duplicates,
+    plus a measure of interval cliques."""
+    n = draw(st.integers(1, max_n))
+    ivs = []
+    for _ in range(n):
+        if ivs and draw(st.integers(0, 4)) == 0:
+            ivs.append(draw(st.sampled_from(ivs)))
+            continue
+        a = draw(st.integers(0, 12))
+        ivs.append((a, a + draw(st.integers(0, 6))))
+    return ivs, interval_measure(ivs, draw)
+
+
+def reference_pick(ivs, mu):
+    """The least (larger, |K|, sorted K) over the maximal cliques of the
+    interval graph, packing the components of the rest largest-first into
+    the lighter side (ties to the one with fewer vertices, then side a);
+    returns that key and the two sides, or None."""
+    H = interval_graph(ivs)
+    total = mu.of(range(H.n))
+    best = None
+    for K in maximal_cliques_chordal(H, mcs_order(H)):
+        comps = components_within(H.adj, frozenset(range(H.n)) - K)
+        weights = [mu.of(c) for c in comps]
+        sides = [set(), set()]
+        w = [0, 0]
+        for i in sorted(range(len(comps)), key=lambda i: (-weights[i], min(comps[i]))):
+            t = 1 if (w[1], len(sides[1])) < (w[0], len(sides[0])) else 0
+            w[t] += weights[i]
+            sides[t] |= comps[i]
+        if 3 * max(w) <= 2 * total:
+            key = (max(w), len(K), sorted(K))
+            if best is None or key < best[0]:
+                best = (key, sides)
+    return best
 
 
 class TestBalancedCliqueSeparator:
     def test_path_nine_singleton_measure(self):
-        G = path(9)
-        found = balanced_clique_separator(G, G, singleton_measure(G))
+        ivs = [(i, i + 1) for i in range(9)]
+        G = interval_graph(ivs)
+        found = balanced_clique_separator(ivs, G, singleton_measure(G))
         assert found is not None
         sizes = sorted((len(found.side_a), len(found.side_b)))
         assert len(found.clique) == 2
@@ -143,16 +174,19 @@ class TestBalancedCliqueSeparator:
         assert found.larger_measure <= 6
 
     def test_star_removes_center_edge(self):
-        G = Graph(7, [(0, i) for i in range(1, 7)])
-        found = balanced_clique_separator(G, G, singleton_measure(G))
+        ivs = [(0, 100)] + [(10 * i, 10 * i + 1) for i in range(1, 7)]
+        G = interval_graph(ivs)
+        assert G.m == 6 and G.degree(0) == 6
+        found = balanced_clique_separator(ivs, G, singleton_measure(G))
         assert found is not None
         assert 0 in found.clique and len(found.clique) == 2
         sizes = sorted((len(found.side_a), len(found.side_b)))
         assert sizes == [2, 3]
 
     def test_complete_graph_degenerate(self):
-        G = clique(5)
-        found = balanced_clique_separator(G, G, singleton_measure(G))
+        ivs = [(0, 1)] * 5
+        G = interval_graph(ivs)
+        found = balanced_clique_separator(ivs, G, singleton_measure(G))
         assert found is not None
         assert found.clique == frozenset(range(5))
         assert found.side_a == found.side_b == frozenset()
@@ -163,10 +197,9 @@ class TestBalancedCliqueSeparator:
             n = rng.randint(2, 12)
             ivs = [(a := rng.randint(0, 20), a + rng.randint(0, 8))
                    for _ in range(n)]
-            G = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                          if ivs[i][0] <= ivs[j][1] and ivs[j][0] <= ivs[i][1]])
+            G = interval_graph(ivs)
             mu = singleton_measure(G)
-            found = balanced_clique_separator(G, G, mu)
+            found = balanced_clique_separator(ivs, G, mu)
             if found is None:
                 continue
             for u in found.side_a:
@@ -175,21 +208,31 @@ class TestBalancedCliqueSeparator:
             assert 3 * mu.of(found.side_a) <= 2 * total
             assert 3 * mu.of(found.side_b) <= 2 * total
 
-    def test_budgeted_descent_still_valid(self):
-        G = path(30)
-        mu = singleton_measure(G)
-        total = mu.of(range(30))
-        # enough budget to walk the clique tree to a balanced edge
-        found = balanced_clique_separator(G, G, mu, max_evals=20)
-        assert found is not None
-        assert 3 * found.larger_measure <= 2 * total
-        # an exhausted budget may fail, but must never return an invalid clique
-        tight = balanced_clique_separator(G, G, mu, max_evals=2)
-        if tight is not None:
-            assert 3 * tight.larger_measure <= 2 * total
-
     def test_rejects_g_edge_outside_h(self):
         G = path(3)
-        H = Graph(3, [(0, 1)])
+        ivs = [(0, 1), (1, 2), (3, 4)]  # 1 and 2 do not overlap
         with pytest.raises(ValueError):
-            balanced_clique_separator(H, G, singleton_measure(G))
+            balanced_clique_separator(ivs, G, singleton_measure(G))
+
+    def test_rejects_measure_part_outside_a_clique(self):
+        ivs = [(0, 1), (2, 3)]
+        mu = RestrictionMeasure(OrderedCliqueCover((frozenset({0, 1}),)))
+        with pytest.raises(ValueError):
+            balanced_clique_separator(ivs, Graph(2), mu)
+
+    @given(interval_inputs())
+    def test_sweep_matches_exhaustive_scan(self, case):
+        ivs, mu = case
+        G = interval_graph(ivs)
+        found = balanced_clique_separator(ivs, G, mu)
+        cliques = maximal_cliques_chordal(G, mcs_order(G))
+        swept = [frozenset(K) for K, _, _ in _clique_path(ivs)]
+        assert sorted(map(sorted, swept)) == sorted(map(sorted, cliques))
+        best = reference_pick(ivs, mu)
+        if best is None:
+            assert found is None
+            return
+        assert found is not None
+        assert (found.larger_measure, len(found.clique),
+                sorted(found.clique)) == best[0]
+        assert [found.side_a, found.side_b] == best[1]

@@ -13,8 +13,8 @@ from cliquesep.geometry import (SCALE, BoundaryPointError, Disc, GridFrame,
                                 quarter_cell_partition,
                                 rect_intersection_graph, sq_dist,
                                 strip_cover_rects, unit_distance_graph,
-                                vertical_strip_cover_points, x_chordal_graph,
-                                y_chordal_graph_points)
+                                interval_graph, vertical_strip_cover_points,
+                                x_chordal_graph, y_chordal_graph_points)
 from cliquesep.graphs import Graph, cover_length, verify_clique_cover
 from cliquesep.chordal import mcs_order
 
@@ -98,7 +98,7 @@ class TestIntersectionGraphs:
         for trial in range(10):
             rects = random_rects(rng, 40)
             G = rect_intersection_graph(rects)
-            G2 = x_chordal_graph(rects)
+            G2 = interval_graph(x_chordal_graph(rects))
             e = set(G.edges())
             for i in range(len(rects)):
                 for j in range(i + 1, len(rects)):
@@ -110,7 +110,8 @@ class TestIntersectionGraphs:
     def test_x_graph_is_chordal(self):
         rng = random.Random(2)
         for trial in range(10):
-            assert mcs_order(x_chordal_graph(random_rects(rng, 30))).chordal
+            G2 = interval_graph(x_chordal_graph(random_rects(rng, 30)))
+            assert mcs_order(G2).chordal
 
     def test_unit_distance_graph_exact(self):
         pts = [PointSite(0, 0), PointSite(SCALE, 0), PointSite(SCALE + 1, 0)]
@@ -131,7 +132,7 @@ class TestIntersectionGraphs:
         rng = random.Random(4)
         pts = random_points(rng, 35)
         G = unit_distance_graph(pts)
-        G2 = y_chordal_graph_points(pts)
+        G2 = interval_graph(y_chordal_graph_points(pts))
         assert mcs_order(G2).chordal
         assert set(G.edges()) <= set(G2.edges())
 

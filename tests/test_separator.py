@@ -17,6 +17,11 @@ def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def path_intervals(n):
+    """Touching unit intervals: their interval graph is path(n)."""
+    return [(i, i + 1) for i in range(n)]
+
+
 def singleton_measure(G):
     parts = tuple(frozenset({v}) for v in range(G.n))
     return RestrictionMeasure(OrderedCliqueCover(parts))
@@ -71,7 +76,7 @@ class TestChordalRoute:
     def test_path_clique_separator_costs_one(self):
         G = path(9)
         cov = OrderedCliqueCover((frozenset(range(9)),))  # host ignored
-        res = chordal_route(G, G, cov, singleton_measure(G))
+        res = chordal_route(G, path_intervals(9), cov, singleton_measure(G))
         assert res is not None
         assert res.route == CHORDAL
         assert res.cost == 1
@@ -81,7 +86,7 @@ class TestChordalRoute:
         # a triangle straddling two g1 parts yields two units
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
         g1 = pair_cover([(0, 1), (2,)])
-        res = chordal_route(G, G, g1, singleton_measure(G))
+        res = chordal_route(G, [(0, 1)] * 3, g1, singleton_measure(G))
         assert res is not None
         certs = sorted(len(u.members) for u in res.units)
         assert certs == [1, 2]
@@ -90,13 +95,14 @@ class TestChordalRoute:
 
 class TestSeparate:
     def test_picks_cheaper_route(self):
-        # long horizontal chain: chordal route costs 1, window route much more
-        rects = [Rect(i * SCALE // 2, i * SCALE // 2 + SCALE, 0)
-                 for i in range(12)]
-        ctx = RectContext(rects)
-        res = ctx.separate_subset(frozenset(range(12)), 0)
-        assert res.route == CHORDAL
-        assert res.cost == 1
+        # long horizontal chains: chordal route costs 1, window route much more
+        for n in (12, 1200):
+            rects = [Rect(i * SCALE // 2, i * SCALE // 2 + SCALE, 0)
+                     for i in range(n)]
+            ctx = RectContext(rects)
+            res = ctx.separate_subset(frozenset(range(n)), 0)
+            assert res.route == CHORDAL, n
+            assert res.cost == 1, n
 
     def test_no_candidates_raises_with_diagnostic(self):
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -109,14 +115,14 @@ class TestSeparate:
         G = path(7)
         cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(7)))
         mu = singleton_measure(G)
-        res = separate(G, cov, G, mu)
+        res = separate(G, cov, path_intervals(7), mu)
         assert check_separator(G, mu, res) == []
 
     def test_check_separator_flags_crossing_edge(self):
         G = path(3)
         cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(3)))
         mu = singleton_measure(G)
-        res = separate(G, cov, G, mu)
+        res = separate(G, cov, path_intervals(3), mu)
         bad = SeparatorResult(s=frozenset(), units=(),
                               side_a=frozenset({0, 1}), side_b=frozenset({2}),
                               route=res.route, cost=0)

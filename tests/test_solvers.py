@@ -51,6 +51,13 @@ class TestMisExact:
         b = mis_exact(inst.items)
         assert a.chosen == b.chosen
 
+    def test_long_chain(self):
+        # a path of 1,200 rectangles: each separator must be a single clique,
+        # or the separator-guided enumeration blows up
+        inst = instances.generate("rects", 1200, 1, "chain")
+        sol = mis_exact(inst.items)
+        assert sol.value == 600 and sol.certified_independent
+
 
 class TestMisPtas:
     def test_leaf_fires_on_disjoint_cliques(self):
