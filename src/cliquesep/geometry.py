@@ -2,10 +2,16 @@
 
 Coordinates are scaled integers: one geometric unit equals ``SCALE`` ticks, so
 decimal inputs with at most six fractional digits are represented exactly and
-every predicate (rectangle intersection, distance at most one, disc coverage)
-reduces to integer or rational comparisons.  Disc centers arising from
-two-point constructions are quadratic surds a + b*sqrt(r) with rational a, b,
-r; coverage tests against them are still exact.
+rectangle intersection, distance at most one and disc coverage reduce to
+integer comparisons.  Disc centers arising from two-point constructions are
+quadratic surds a + b*sqrt(r) with rational a, b, r; a disc clears their
+denominators once, so testing a point against it is exact and uses integers
+only.
+
+The candidate builders are output sensitive: a candidate disc is tested only
+against the unit-distance neighbourhood of a point that generated it, and the
+piercing grid is swept one right edge at a time, visiting only the grid
+points inside each rectangle that spans it.
 
 All sets are closed: boundary contact counts as intersection/coverage, and a
 point pair at distance exactly one unit is adjacent.
@@ -19,7 +25,8 @@ intervals and the strip cover are all of them that the engine reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -100,7 +107,8 @@ def sq_dist(p: PointSite, q: PointSite) -> int:
 class Disc:
     """Closed disc of unit diameter with center (ax + bx*sqrt(r), ay + by*sqrt(r)).
 
-    Rational-centered discs have bx = by = 0 and r = 0.
+    Rational-centered discs have bx = by = 0 and r = 0.  The fields stay
+    rational; :meth:`covers` reads integer constants derived from them once.
     """
 
     ax: Fraction
@@ -108,6 +116,21 @@ class Disc:
     bx: Fraction
     by: Fraction
     r: Fraction
+    _ints: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # With ax = x0/a, ay = y0/a, bx = u/b, by = v/b and r = rn/rd in
+        # lowest terms, multiplying |p - center|^2 <= S^2/4 by 4*a^2*b^2*rd
+        # turns it into  i*sqrt(m) <= k - c*(X^2 + Y^2)  for the integers
+        # X = a*p.x - x0, Y = a*p.y - y0, i = ix*X + iy*Y and m = rn*rd.
+        a = math.lcm(self.ax.denominator, self.ay.denominator)
+        b = math.lcm(self.bx.denominator, self.by.denominator)
+        u, v = int(self.bx * b), int(self.by * b)
+        rn, rd = self.r.numerator, self.r.denominator
+        k = a * a * (SCALE * SCALE * b * b * rd - 4 * rn * (u * u + v * v))
+        object.__setattr__(self, "_ints", (
+            a, int(self.ax * a), int(self.ay * a), 4 * b * b * rd, k,
+            -8 * a * b * u, -8 * a * b * v, rn * rd))
 
     @classmethod
     def rational(cls, cx, cy) -> "Disc":
@@ -117,21 +140,18 @@ class Disc:
         return (self.ax, self.ay, self.bx, self.by, self.r)
 
     def covers(self, p: PointSite) -> bool:
-        """Exact test |p - center|^2 <= (SCALE/2)^2 for a surd center."""
-        dxa = Fraction(p.x) - self.ax
-        dya = Fraction(p.y) - self.ay
-        dxb = -self.bx
-        dyb = -self.by
-        rat = dxa * dxa + dya * dya + (dxb * dxb + dyb * dyb) * self.r
-        irr = 2 * (dxa * dxb + dya * dyb)
-        # decide rat + irr*sqrt(r) <= SCALE^2/4
-        bound = Fraction(SCALE * SCALE, 4)
-        d = bound - rat
-        if irr == 0 or self.r == 0:
+        """Exact test |p - center|^2 <= (SCALE/2)^2, in integers."""
+        a, x0, y0, c, k, ix, iy, m = self._ints
+        X = a * p.x - x0
+        Y = a * p.y - y0
+        d = k - c * (X * X + Y * Y)
+        i = ix * X + iy * Y
+        # decide i*sqrt(m) <= d
+        if i == 0 or m == 0:
             return d >= 0
-        if irr > 0:
-            return d >= 0 and irr * irr * self.r <= d * d
-        return d >= 0 or irr * irr * self.r >= d * d
+        if i > 0:
+            return d >= 0 and i * i * m <= d * d
+        return d >= 0 or i * i * m >= d * d
 
     def center_float(self) -> tuple[float, float]:
         s = math.sqrt(float(self.r))
@@ -354,7 +374,8 @@ def greedy_cover_and_is_rects(rects: Sequence[Rect]):
     return cover, witness
 
 
-def candidate_discs(points: Sequence[PointSite], G: Graph) -> list[Disc]:
+def candidate_discs(points: Sequence[PointSite],
+                    G: Graph) -> tuple[list[Disc], list[frozenset[int]]]:
     """Unit-diameter discs through each adjacent point pair, plus one disc
     centered at every point; at most 2|E| + n after deduplication.
 
@@ -362,30 +383,47 @@ def candidate_discs(points: Sequence[PointSite], G: Graph) -> list[Disc]:
     circles about x and y; they coincide when the distance is exactly one.
     Duplicate points add no pair discs: the disc centered on a point already
     covers its copies.
+
+    Returns the discs in key order and, for each, the ids of the points it
+    covers.  A disc centered on or passing through a point u lies within one
+    unit of u, so it can cover only points of u's closed neighbourhood in G;
+    each mask tests just that neighbourhood, for the generator of least
+    degree.
     """
-    seen: dict[tuple, Disc] = {}
+    seen: dict[tuple, tuple[Disc, int]] = {}  # key -> (disc, generator)
+    adj = G.adj
 
-    def add(d: Disc):
-        seen.setdefault(d.key(), d)
+    def add(d: Disc, u: int):
+        key = d.key()
+        old = seen.get(key)
+        if old is None or len(adj[u]) < len(adj[old[1]]):
+            seen[key] = (d, u)
 
-    for p in points:
-        add(Disc.rational(p.x, p.y))
+    for i, p in enumerate(points):
+        add(Disc.rational(p.x, p.y), i)
     for u, v in G.edges():
         p, q = points[u], points[v]
-        mx = Fraction(p.x + q.x, 2)
-        my = Fraction(p.y + q.y, 2)
         ux = q.x - p.x
         uy = q.y - p.y
         d2 = ux * ux + uy * uy
         if d2 == 0:
             continue
+        gen = u if len(adj[u]) <= len(adj[v]) else v
+        mx = Fraction(p.x + q.x, 2)
+        my = Fraction(p.y + q.y, 2)
         k = Fraction(SCALE * SCALE - d2, 4 * d2)
         if k == 0:
-            add(Disc.rational(mx, my))
+            add(Disc.rational(mx, my), gen)
         else:
-            add(Disc(mx, my, Fraction(-uy), Fraction(ux), k))
-            add(Disc(mx, my, Fraction(uy), Fraction(-ux), k))
-    return sorted(seen.values(), key=lambda d: d.key())
+            add(Disc(mx, my, Fraction(-uy), Fraction(ux), k), gen)
+            add(Disc(mx, my, Fraction(uy), Fraction(-ux), k), gen)
+    discs, masks = [], []
+    for key in sorted(seen):
+        d, u = seen[key]
+        discs.append(d)
+        masks.append(frozenset(w for w in sorted(adj[u] | {u})
+                               if d.covers(points[w])))
+    return discs, masks
 
 
 def greedy_disc_cover(points: Sequence[PointSite], frame: GridFrame) -> list[Disc]:
@@ -411,21 +449,39 @@ def quarter_cell_partition(points: Sequence[PointSite], frame: GridFrame):
     return [(key, frozenset(ids)) for key, ids in sorted(groups.items())]
 
 
-def candidate_pierce_points(rects: Sequence[Rect]) -> list[PointSite]:
+def candidate_pierce_points(
+        rects: Sequence[Rect]) -> tuple[list[PointSite], list[frozenset[int]]]:
     """Corner grid (right edge x top edge) restricted to covered points.
 
     Any piercing point slides right to the nearest right edge among the
     rectangles it pierces and then up to the nearest top edge, so some
     minimum piercing set lives on this grid.
+
+    Returns the points x-major, then by y, and for each the ids of the
+    rectangles containing it.  A sweep over the right edges keeps the
+    rectangles spanning the current x; each lists the top edges inside its
+    own y-extent, so only covered grid points are visited, and only one
+    column of them is held at a time.
     """
-    xs = sorted({r.x_hi for r in rects})
     ys = sorted({r.y_hi for r in rects})
-    out = []
-    for x in xs:
-        for y in ys:
-            if any(r.contains_point(x, y) for r in rects):
-                out.append(PointSite(x, y))
-    return out
+    by_lo = sorted(range(len(rects)), key=lambda i: rects[i].x_lo)
+    points, masks = [], []
+    active: list[int] = []
+    nxt = 0
+    for x in sorted({r.x_hi for r in rects}):
+        while nxt < len(by_lo) and rects[by_lo[nxt]].x_lo <= x:
+            active.append(by_lo[nxt])
+            nxt += 1
+        active = [i for i in active if rects[i].x_hi >= x]
+        column: dict[int, list[int]] = {}
+        for i in sorted(active):
+            r = rects[i]
+            for y in ys[bisect_left(ys, r.y_lo):bisect_right(ys, r.y_hi)]:
+                column.setdefault(y, []).append(i)
+        for y in sorted(column):
+            points.append(PointSite(x, y))
+            masks.append(frozenset(column[y]))
+    return points, masks
 
 
 def helly_point(rects_clique: Sequence[Rect]) -> PointSite:

@@ -178,7 +178,7 @@ def brute_pierce(rects: Sequence[Rect]) -> tuple[int, list[PointSite]]:
     _require(len(rects), 14, "piercing")
     if not rects:
         return 0, []
-    cands = candidate_pierce_points(rects)
+    cands, _ = candidate_pierce_points(rects)
     masks = []
     for p in cands:
         m = 0
@@ -196,7 +196,7 @@ def brute_disccover(points: Sequence[PointSite]) -> tuple[int, list[Disc]]:
     if not points:
         return 0, []
     G = unit_distance_graph(points)
-    cands = candidate_discs(points, G)
+    cands, _ = candidate_discs(points, G)
     masks = []
     for d in cands:
         m = 0

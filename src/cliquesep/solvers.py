@@ -122,8 +122,18 @@ def _restricted_cover(index_of, vs, local) -> OrderedCliqueCover:
     return OrderedCliqueCover(tuple(frozenset(by_part[k]) for k in sorted(by_part)))
 
 
+def _holders(masks, n: int) -> list[tuple[int, ...]]:
+    """For each item 0..n-1, the ascending ids of the masks holding it."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for c, mask in enumerate(masks):
+        for i in mask:
+            out[i].append(c)
+    return [tuple(ids) for ids in out]
+
+
 class _BaseContext:
     kind = "?"
+    _restricted = (None, None)  # the F restricted last, and its restriction
 
     def mu_of(self, F) -> int:
         part_of = self.part_of
@@ -143,13 +153,20 @@ class _BaseContext:
 
         Returns (vs, G[F], strip cover, measure): ``vs`` maps local ids back
         to global ones; the strip cover keeps its part order, so its length
-        is at most the global one.
+        is at most the global one.  The last restriction is kept, and asking
+        again for the same F object (the separator profile does, right after
+        separating it) returns it without rebuilding.
         """
-        vs = sorted(F)
+        last_F, last = self._restricted
+        if F is last_F:
+            return last
+        vs = tuple(sorted(F))
         local = {v: i for i, v in enumerate(vs)}
         strip = _restricted_cover(self.strip_cover.index_of, vs, local)
         mu = RestrictionMeasure(_restricted_cover(self.part_of, vs, local))
-        return vs, induced_subgraph(self.G, vs), strip, mu
+        out = vs, induced_subgraph(self.G, vs), strip, mu
+        self._restricted = (F, out)
+        return out
 
     def separate_subset(self, F: frozenset, depth: int,
                         trace: Optional[TraceHook] = None) -> SeparatorResult:
@@ -491,13 +508,8 @@ def _cover_ptas(ctx, cfg: SolveConfig, trace) -> list:
 class PierceContext(RectContext):
     def __init__(self, rects: Sequence[Rect]):
         super().__init__(rects)
-        self.candidates = candidate_pierce_points(self.rects)
-        self.point_rects = [frozenset(i for i, r in enumerate(self.rects)
-                                      if r.contains_point(p.x, p.y))
-                            for p in self.candidates]
-        self.rect_points = [tuple(c for c, mask in enumerate(self.point_rects)
-                                  if i in mask)
-                            for i in range(len(self.rects))]
+        self.candidates, self.point_rects = candidate_pierce_points(self.rects)
+        self.rect_points = _holders(self.point_rects, len(self.rects))
 
     def disjoint_lower_bound(self, F: frozenset) -> int:
         """Pairwise-disjoint rectangles in F each need their own point."""
@@ -568,13 +580,8 @@ def _quarter_groups(ctx: CoverContext, members: frozenset):
 class CoverContext(PointContext):
     def __init__(self, points: Sequence[PointSite]):
         super().__init__(points)
-        self.candidates = candidate_discs(self.points, self.G)
-        self.disc_points = [frozenset(i for i, p in enumerate(self.points)
-                                      if d.covers(p))
-                            for d in self.candidates]
-        self.point_discs = [tuple(c for c, mask in enumerate(self.disc_points)
-                                  if i in mask)
-                            for i in range(len(self.points))]
+        self.candidates, self.disc_points = candidate_discs(self.points, self.G)
+        self.point_discs = _holders(self.disc_points, len(self.points))
 
     def scatter_lower_bound(self, F: frozenset) -> int:
         """Points pairwise farther than one unit each need their own disc."""
@@ -592,9 +599,11 @@ class CoverContext(PointContext):
 
     def candidate_covering(self, group: frozenset) -> int:
         """A candidate disc covering the whole group (must exist whenever the
-        group fits in some unit-diameter disc, by the replacement argument)."""
-        for c, mask in enumerate(self.disc_points):
-            if group <= mask:
+        group fits in some unit-diameter disc, by the replacement argument).
+        Such a disc covers min(group), so only its discs are scanned, in
+        ascending order: the pick is the first covering candidate overall."""
+        for c in self.point_discs[min(group)]:
+            if group <= self.disc_points[c]:
                 return c
         raise AssertionError("no candidate disc covers a coverable group")
 

@@ -171,7 +171,7 @@ def test_criterion_5_structural_constants(cover_suite):
         beta = oracles.brute_clique_cover(ctx.G)
         if len(greedy_disc_cover(pts, ctx.frame)) > 16 * beta:
             bad_cover += 1
-        if len(candidate_discs(pts, ctx.G)) > 2 * ctx.G.m + ctx.G.n:
+        if len(candidate_discs(pts, ctx.G)[0]) > 2 * ctx.G.m + ctx.G.n:
             bad_cand += 1
     ok = bad_len == bad_cover == bad_cand == 0
     _report(5, ok,

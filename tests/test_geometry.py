@@ -16,6 +16,7 @@ from cliquesep.geometry import (SCALE, BoundaryPointError, Disc, GridFrame,
                                 interval_graph, vertical_strip_cover_points,
                                 x_chordal_graph, y_chordal_graph_points)
 from cliquesep.graphs import Graph, cover_length, verify_clique_cover
+from cliquesep.solvers import CoverContext
 from cliquesep.chordal import mcs_order
 
 
@@ -208,7 +209,7 @@ class TestCandidateDiscs:
     def test_two_points_at_distance_one_share_one_disc(self):
         pts = [PointSite(0, 0), PointSite(SCALE, 0)]
         G = unit_distance_graph(pts)
-        cands = candidate_discs(pts, G)
+        cands, _ = candidate_discs(pts, G)
         both = [d for d in cands if d.covers(pts[0]) and d.covers(pts[1])]
         assert both  # the coincident pair-disc covers both
         mid = [d for d in both if d.r == 0 and d.ax == Fraction(SCALE, 2)]
@@ -219,7 +220,7 @@ class TestCandidateDiscs:
         for trial in range(10):
             pts = random_points(rng, 25)
             G = unit_distance_graph(pts)
-            cands = candidate_discs(pts, G)
+            cands, _ = candidate_discs(pts, G)
             assert len(cands) <= 2 * G.m + G.n
             # every point-centered candidate covers its point; every pair disc
             # covers both endpoints of its edge
@@ -231,14 +232,14 @@ class TestCandidateDiscs:
     def test_far_pair_has_no_shared_disc(self):
         pts = [PointSite(0, 0), PointSite(2 * SCALE, 0)]
         G = unit_distance_graph(pts)
-        for d in candidate_discs(pts, G):
+        for d in candidate_discs(pts, G)[0]:
             assert not (d.covers(pts[0]) and d.covers(pts[1]))
 
     def test_surd_cover_matches_float(self):
         rng = random.Random(11)
         pts = random_points(rng, 15)
         G = unit_distance_graph(pts)
-        for d in candidate_discs(pts, G):
+        for d in candidate_discs(pts, G)[0]:
             cx, cy = d.center_float()
             for p in pts:
                 exact = d.covers(p)
@@ -246,6 +247,216 @@ class TestCandidateDiscs:
                 margin = (SCALE / 2) ** 2
                 if abs(approx - margin) > 1e-3 * margin:
                     assert exact == (approx <= margin)
+
+
+def surd_covers(d: Disc, p: PointSite) -> bool:
+    """Reference coverage test in Fraction surd arithmetic."""
+    dxa = Fraction(p.x) - d.ax
+    dya = Fraction(p.y) - d.ay
+    dxb = -d.bx
+    dyb = -d.by
+    rat = dxa * dxa + dya * dya + (dxb * dxb + dyb * dyb) * d.r
+    irr = 2 * (dxa * dxb + dya * dyb)
+    # decide rat + irr*sqrt(r) <= SCALE^2/4
+    bound = Fraction(SCALE * SCALE, 4)
+    gap = bound - rat
+    if irr == 0 or d.r == 0:
+        return gap >= 0
+    if irr > 0:
+        return gap >= 0 and irr * irr * d.r <= gap * gap
+    return gap >= 0 or irr * irr * d.r >= gap * gap
+
+
+def brute_discs(points):
+    """Candidate discs by key, each with the points generating it: one
+    centered at every point, and the one or two through every pair at
+    distance in (0, 1], from all pairs rather than the graph's edges."""
+    out: dict[tuple, tuple[Disc, set]] = {}
+
+    def add(d, gens):
+        out.setdefault(d.key(), (d, set()))[1].update(gens)
+
+    for i, p in enumerate(points):
+        add(Disc.rational(p.x, p.y), {i})
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            q = points[j]
+            d2 = sq_dist(p, q)
+            if not 0 < d2 <= SCALE * SCALE:
+                continue
+            mx, my = Fraction(p.x + q.x, 2), Fraction(p.y + q.y, 2)
+            k = Fraction(SCALE * SCALE - d2, 4 * d2)
+            for sign in (1, -1):
+                bx = Fraction(sign * (p.y - q.y)) if k else Fraction(0)
+                by = Fraction(sign * (q.x - p.x)) if k else Fraction(0)
+                add(Disc(mx, my, bx, by, k), {i, j})
+    return out
+
+
+# offsets from the origin: zero, and far out in ticks and in units
+FAR = st.sampled_from([0, 10 ** 12, -10 ** 12, 10 ** 12 * SCALE,
+                       -10 ** 12 * SCALE])
+NEAR = st.integers(-2 * SCALE, 2 * SCALE)
+# pair offsets at distance exactly one, just under one and zero; with a
+# square k, so the centers are lattice points; and anywhere
+PAIR_STEP = st.one_of(
+    st.sampled_from([(SCALE, 0), (0, -SCALE), (600000, 800000),
+                     (-800000, 600000), (SCALE - 1, 0), (0, 1 - SCALE),
+                     (599999, 800000), (0, 0), (400000, 200000),
+                     (500000, -500000), (600000, 0), (0, 800000)]),
+    st.tuples(st.integers(-SCALE, SCALE), st.integers(-SCALE, SCALE)))
+# offsets at exactly half a unit, and one tick either side
+HALF_STEPS = [(dx * s, dy * t) for dx, dy in [(SCALE // 2, 0), (0, SCALE // 2),
+                                              (300000, 400000)]
+              for s in (1, -1) for t in (1, -1)]
+
+
+def near_center(d: Disc) -> tuple[int, int]:
+    """The lattice point nearest the disc's center (the center itself when
+    it is a lattice point: a square r has an exact float root)."""
+    s = Fraction(math.sqrt(d.r))
+    return round(d.ax + d.bx * s), round(d.ay + d.by * s)
+
+
+def probes(base, offsets):
+    """Points at the given offsets from base, and one tick off each."""
+    out = []
+    for dx, dy in offsets:
+        for ex, ey in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+            out.append(PointSite(base[0] + dx + ex, base[1] + dy + ey))
+    return out
+
+
+class TestDiscCovers:
+    """The integer coverage test against the Fraction surd formula."""
+
+    @given(FAR, NEAR, NEAR, PAIR_STEP, st.lists(st.tuples(NEAR, NEAR), max_size=8))
+    def test_pair_discs(self, far, x, y, step, extra):
+        p = PointSite(far + x, far - y)
+        q = PointSite(p.x + step[0], p.y + step[1])
+        pts = [p, q]
+        discs, _ = candidate_discs(pts, unit_distance_graph(pts))
+        for d in discs:
+            for r in pts + probes(near_center(d), extra + HALF_STEPS):
+                assert d.covers(r) == surd_covers(d, r)
+
+    @given(FAR, NEAR, NEAR, st.sampled_from([1, 2, 3, 7, 10 ** 6]),
+           st.lists(st.tuples(NEAR, NEAR), max_size=8))
+    def test_rational_centers(self, far, x, y, den, extra):
+        d = Disc.rational(Fraction(far * den + x, den), far + y)
+        base = (int(d.ax), int(d.ay))
+        for r in probes(base, extra + HALF_STEPS):
+            assert d.covers(r) == surd_covers(d, r)
+        # exactly half a unit from an integer center
+        c = Disc.rational(far + x, far + y)
+        for dx, dy in HALF_STEPS:
+            assert c.covers(PointSite(far + x + dx, far + y + dy))
+            assert not c.covers(PointSite(far + x + dx + (1 if dx > 0 else -1),
+                                          far + y + dy))
+
+    @given(FAR, st.lists(st.tuples(NEAR, NEAR), min_size=1, max_size=12))
+    def test_greedy_half_tick_centers(self, far, offsets):
+        pts = [PointSite(far + x, far + y) for x, y in offsets]
+        discs = greedy_disc_cover(pts, GridFrame.for_points(pts))
+        for d in discs:
+            assert d.ax.denominator == 2 and d.ay.denominator == 2
+            for r in pts + probes((int(d.ax), int(d.ay)), HALF_STEPS):
+                assert d.covers(r) == surd_covers(d, r)
+        for r in pts:
+            assert any(d.covers(r) for d in discs)
+
+    @given(FAR, st.fractions(-3 * SCALE, 3 * SCALE, max_denominator=12),
+           st.fractions(-3 * SCALE, 3 * SCALE, max_denominator=12),
+           st.fractions(-SCALE, SCALE, max_denominator=5),
+           st.fractions(-SCALE, SCALE, max_denominator=5),
+           st.fractions(0, 2, max_denominator=50),
+           st.lists(st.tuples(NEAR, NEAR), min_size=1, max_size=8))
+    def test_any_surd_center(self, far, ax, ay, bx, by, r, offsets):
+        d = Disc(far + ax, far + ay, bx, by, r)
+        for x, y in offsets:
+            p = PointSite(far + x, far + y)
+            assert d.covers(p) == surd_covers(d, p)
+
+    def test_duplicate_points(self):
+        p = PointSite(10 ** 12, -10 ** 12)
+        pts = [p, p, PointSite(p.x + SCALE, p.y)]
+        discs, masks = candidate_discs(pts, unit_distance_graph(pts))
+        for d, mask in zip(discs, masks):
+            assert mask == frozenset(i for i, q in enumerate(pts)
+                                     if surd_covers(d, q))
+        assert frozenset({0, 1, 2}) in masks  # the midpoint disc
+
+
+class TestCandidateMasks:
+    """Both builders against brute force: same candidates in the same
+    order, and every mask equal to a scan over all items."""
+
+    # coarse lattices make shared edges, touching corners, duplicates,
+    # collinear points and unit distances common
+    RECT = st.tuples(st.integers(0, 8), st.integers(1, 5), st.integers(0, 8),
+                     st.integers(0, 2))
+    POINT = st.one_of(
+        st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
+            lambda t: PointSite(t[0] * SCALE // 4, t[1] * SCALE // 4)),
+        st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
+            lambda t: PointSite(t[0] * SCALE // 10, t[1] * SCALE // 10)),
+        st.tuples(st.integers(0, 3 * SCALE), st.integers(0, 3 * SCALE)).map(
+            lambda t: PointSite(*t)))
+
+    @staticmethod
+    def rect_of(t):
+        x, w, y, jitter = t
+        # mostly half-unit lattice; a jitter of 2 gives a one-tick width
+        x_lo = x * SCALE // 2 + jitter
+        x_hi = x_lo + 1 if jitter == 2 else x_lo + w * SCALE // 2
+        return Rect(x_lo, x_hi, y * SCALE // 2 - jitter)
+
+    @given(st.lists(RECT, min_size=1, max_size=14), st.data())
+    def test_pierce_grid(self, raw, data):
+        rects = [self.rect_of(t) for t in raw]
+        rects += data.draw(st.lists(st.sampled_from(rects), max_size=3))
+        xs = sorted({r.x_hi for r in rects})
+        ys = sorted({r.y_hi for r in rects})
+        grid = [(PointSite(x, y),
+                 frozenset(i for i, r in enumerate(rects)
+                           if r.contains_point(x, y)))
+                for x in xs for y in ys]
+        grid = [(p, m) for p, m in grid if m]
+        points, masks = candidate_pierce_points(rects)
+        assert points == [p for p, _ in grid]
+        assert masks == [m for _, m in grid]
+
+    @given(st.lists(POINT, min_size=1, max_size=12), st.data())
+    def test_discs(self, pts, data):
+        pts += data.draw(st.lists(st.sampled_from(pts), max_size=3))
+        discs, masks = candidate_discs(pts, unit_distance_graph(pts))
+        brute = brute_discs(pts)
+        assert [d.key() for d in discs] == sorted(brute)
+        for d, mask in zip(discs, masks):
+            assert mask == frozenset(i for i, p in enumerate(pts)
+                                     if surd_covers(d, p))
+
+    def test_cover_context_tests_only_neighbourhoods(self, monkeypatch):
+        rng = random.Random(16)
+        pts = random_points(rng, 120)
+        pts += pts[:5]  # duplicates
+        pts += [PointSite(i * SCALE // 2, 0) for i in range(6)]  # collinear
+        calls = 0
+        covers = Disc.covers
+
+        def counting(self, p):
+            nonlocal calls
+            calls += 1
+            return covers(self, p)
+
+        monkeypatch.setattr(Disc, "covers", counting)
+        ctx = CoverContext(pts)
+        monkeypatch.undo()
+        deg = [len(a) for a in ctx.G.adj]
+        brute = brute_discs(pts)
+        bound = sum(min(deg[g] for g in brute[d.key()][1]) + 1
+                    for d in ctx.candidates)
+        assert calls <= bound < len(pts) * len(ctx.candidates) // 10
 
 
 class TestGreedyDiscCover:
@@ -281,14 +492,14 @@ class TestPierceCandidates:
         rng = random.Random(15)
         for trial in range(10):
             rects = random_rects(rng, 25)
-            cands = candidate_pierce_points(rects)
+            cands, _ = candidate_pierce_points(rects)
             for r in rects:
                 assert any(r.contains_point(p.x, p.y) for p in cands)
 
     def test_corner_point_optimality_preserved(self):
         # two overlapping rects: a single candidate pierces both
         rects = [Rect(0, 2 * SCALE, 0), Rect(SCALE, 3 * SCALE, SCALE // 2)]
-        cands = candidate_pierce_points(rects)
+        cands, _ = candidate_pierce_points(rects)
         assert any(all(r.contains_point(p.x, p.y) for r in rects)
                    for p in cands)
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cliquesep import instances, oracles
+from cliquesep import instances, oracles, solvers
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.solvers import (CoverContext, PierceContext, PointContext,
                                RectContext, SolveConfig, disccover_exact,
@@ -187,6 +187,27 @@ class TestDiscCoverPtas:
                 assert opt <= sol.value <= math.floor((1 + eps) * opt)
 
 
+class TestCandidateContexts:
+    def test_inverse_maps_and_covering_pick(self):
+        for seed, style in enumerate(["uniform", "clustered", "chain"]):
+            inst = instances.generate("points", 60, 700 + seed, style)
+            ctx = CoverContext(inst.items)
+            masks = ctx.disc_points
+            assert ctx.point_discs == [
+                tuple(c for c, m in enumerate(masks) if i in m)
+                for i in range(len(ctx.points))]
+            for mask in masks:
+                ids = sorted(mask)
+                for group in {mask, frozenset(ids[:1]), frozenset(ids[-2:])}:
+                    first = next(c for c, m in enumerate(masks) if group <= m)
+                    assert ctx.candidate_covering(group) == first
+            inst = instances.generate("rects", 60, 700 + seed, style)
+            ctx = PierceContext(inst.items)
+            assert ctx.rect_points == [
+                tuple(c for c, m in enumerate(ctx.point_rects) if i in m)
+                for i in range(len(ctx.rects))]
+
+
 class TestRecursionShape:
     def test_trace_reports_shrinking_measure(self):
         inst = instances.generate("rects", 300, 11)
@@ -215,6 +236,22 @@ class TestRecursionShape:
         rows = separation_profile(ctx)
         for r in rows:
             assert r.length <= 1
+
+    def test_profile_restricts_each_call_once(self, monkeypatch):
+        builds = 0
+        induced = solvers.induced_subgraph
+
+        def counting(G, vs):
+            nonlocal builds
+            builds += 1
+            return induced(G, vs)
+
+        monkeypatch.setattr(solvers, "induced_subgraph", counting)
+        for ctx in (RectContext(instances.generate("rects", 300, 14).items),
+                    PointContext(instances.generate("points", 300, 15).items)):
+            builds = 0
+            rows = separation_profile(ctx)
+            assert rows and builds == len(rows)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
