@@ -4,16 +4,18 @@ Run: python3 demos/demo_mis.py
 """
 import time
 
-from cliquesep import SolveConfig, instances, mis_exact, mis_ptas
+from cliquesep import (SolveConfig, greedy_cover_and_is_rects, instances,
+                       mis_exact, mis_ptas)
 from cliquesep.solvers import RectContext
 
 
 def main():
     inst = instances.generate("rects", 120, 5)
     ctx = RectContext(inst.items)
+    _, witness = greedy_cover_and_is_rects(inst.items)
     print(f"instance: {inst.n} rectangles, "
           f"{len(ctx.measure_cover.parts)} greedy cover parts, "
-          f"greedy independent witness {len(ctx.witness)}")
+          f"greedy independent witness {len(witness)}")
 
     t = time.perf_counter()
     exact = mis_exact(inst.items, ctx=ctx)

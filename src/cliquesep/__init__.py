@@ -7,7 +7,7 @@ from .graphs import (Graph, OrderedCliqueCover, RestrictionMeasure,
                      verify_clique_cover)
 from .chordal import (NotChordalError, balanced_clique_separator,
                       maximal_cliques_chordal, mcs_order)
-from .geometry import (SCALE, Disc, GridFrame, PointSite, Rect,
+from .geometry import (SCALE, Disc, PointSite, Rect,
                        candidate_discs, candidate_pierce_points,
                        greedy_cover_and_is_rects, greedy_disc_cover,
                        helly_point, rect_intersection_graph,
@@ -29,7 +29,7 @@ __all__ = [
     "verify_clique_cover",
     "NotChordalError", "balanced_clique_separator",
     "maximal_cliques_chordal", "mcs_order",
-    "SCALE", "Disc", "GridFrame", "PointSite", "Rect", "candidate_discs",
+    "SCALE", "Disc", "PointSite", "Rect", "candidate_discs",
     "candidate_pierce_points", "greedy_cover_and_is_rects",
     "greedy_disc_cover", "helly_point", "rect_intersection_graph",
     "strip_cover_rects", "unit_distance_graph", "vertical_strip_cover_points",

@@ -7,7 +7,7 @@ the endpoints lists the maximal cliques left to right (a clique path), and
 the components left after removing one are runs of intervals on either side
 of it.  G2 is never built.  :func:`mcs_order` and
 :func:`maximal_cliques_chordal` work on any graph and are the reference the
-sweep is tested against.
+sweep is tested against, on G2 built by :func:`cliquesep.oracles.interval_graph`.
 """
 from __future__ import annotations
 

@@ -16,11 +16,16 @@ points inside each rectangle that spans it.
 All sets are closed: boundary contact counts as intersection/coverage, and a
 point pair at distance exactly one unit is adjacent.
 
+The point grid is fixed half a tick off the integer coordinates: unit
+strips start at ``k*SCALE + 1/2`` and quarter cells at ``k*SCALE/2 + 1/2``,
+so no integer coordinate lies on a grid line.  Cells are half-open, so every
+point falls in exactly one of them, and cell indices are integer floor
+divisions.
+
 For each instance the separator engine needs the intersection graph G, the
 intervals of a chordal supergraph G2 (an interval graph), and the ordered
 strip cover of a second supergraph G1.  Neither supergraph is built: the
 intervals and the strip cover are all of them that the engine reads.
-:func:`interval_graph` builds G2 from its intervals for tests.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .graphs import Graph, OrderedCliqueCover
 
@@ -159,60 +164,6 @@ class Disc:
                 float(self.ay) + float(self.by) * s)
 
 
-@dataclass(frozen=True)
-class GridFrame:
-    """Unit grid with offset (ox, oy); no input point may lie on a cell line."""
-
-    ox: Fraction
-    oy: Fraction
-
-    @classmethod
-    def for_points(cls, points: Sequence[PointSite]) -> "GridFrame":
-        """Scan fractional offsets until no point sits on a cell boundary.
-
-        Integer point coordinates never coincide with a half-tick offset, so
-        the very first candidate works; the scan is kept for robustness.
-        """
-        for den in range(2, 2 * len(points) + 4):
-            off = Fraction(1, den)
-            frame = cls(off, off)
-            if frame.valid_for(points):
-                return frame
-        raise RuntimeError("no boundary-avoiding grid offset found")
-
-    def valid_for(self, points: Iterable[PointSite]) -> bool:
-        for p in points:
-            if (Fraction(p.x) - self.ox) % SCALE == 0:
-                return False
-            if (Fraction(p.y) - self.oy) % SCALE == 0:
-                return False
-        return True
-
-    def strip_index(self, x: int) -> int:
-        return math.floor((Fraction(x) - self.ox) / SCALE)
-
-    def row_index(self, y: int) -> int:
-        return math.floor((Fraction(y) - self.oy) / SCALE)
-
-    def cell_of(self, p: PointSite) -> tuple[int, int]:
-        return (self.strip_index(p.x), self.row_index(p.y))
-
-    def quarter_of(self, p: PointSite) -> tuple[int, int]:
-        half = Fraction(SCALE, 2)
-        qx = math.floor((Fraction(p.x) - self.ox) / half)
-        qy = math.floor((Fraction(p.y) - self.oy) / half)
-        return (qx, qy)
-
-    def quarter_center(self, qx: int, qy: int) -> tuple[Fraction, Fraction]:
-        half = Fraction(SCALE, 2)
-        return (self.ox + (qx + Fraction(1, 2)) * half,
-                self.oy + (qy + Fraction(1, 2)) * half)
-
-
-class BoundaryPointError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # intersection-graph builders
 
@@ -266,20 +217,6 @@ def unit_distance_graph(points: Sequence[PointSite]) -> Graph:
     return Graph(n, set(edges))
 
 
-def interval_graph(intervals: Sequence[tuple[int, int]]) -> Graph:
-    """Closed-interval overlap graph via a sweep; output sensitive."""
-    n = len(intervals)
-    order = sorted(range(n), key=lambda i: (intervals[i][0], i))
-    active: list[int] = []
-    edges = []
-    for i in order:
-        lo, hi = intervals[i]
-        active = [j for j in active if intervals[j][1] >= lo]
-        edges.extend((min(i, j), max(i, j)) for j in active)
-        active.append(i)
-    return Graph(n, edges)
-
-
 def x_chordal_graph(rects: Sequence[Rect]) -> list[tuple[int, int]]:
     """The intervals of G2 for rectangles, their horizontal extents: two
     rectangles are adjacent in G2 iff their extents overlap."""
@@ -301,20 +238,18 @@ def strip_cover_rects(rects: Sequence[Rect]) -> OrderedCliqueCover:
                                     for line in sorted(by_line)))
 
 
-def vertical_strip_cover_points(points: Sequence[PointSite],
-                                frame: GridFrame) -> OrderedCliqueCover:
+def vertical_strip_cover_points(points: Sequence[PointSite]) -> OrderedCliqueCover:
     """The ordered strip cover (G1) of points, by vertical unit strip.
 
-    Parts are the grid's strips, left to right.  Each is a clique of G1,
-    where points are adjacent iff their strip indices differ by at most one;
-    G1 itself is never built.  Points within one unit land at most one part
-    apart.
+    Strip s holds the x with ``s*SCALE + 1/2 <= x < (s+1)*SCALE + 1/2``, that
+    is ``(2x - 1) // (2*SCALE) == s``; parts are the nonempty strips, left to
+    right.  Each is a clique of G1, where points are adjacent iff their strip
+    indices differ by at most one; G1 itself is never built.  Points within
+    one unit land at most one part apart.
     """
-    if not frame.valid_for(points):
-        raise BoundaryPointError("a point lies on a grid boundary line")
     by_strip: dict[int, list[int]] = {}
     for i, p in enumerate(points):
-        by_strip.setdefault(frame.strip_index(p.x), []).append(i)
+        by_strip.setdefault((2 * p.x - 1) // (2 * SCALE), []).append(i)
     return OrderedCliqueCover(tuple(frozenset(by_strip[s])
                                     for s in sorted(by_strip)))
 
@@ -341,12 +276,10 @@ def greedy_cover_and_is_rects(rects: Sequence[Rect]):
     are cliques of the intersection graph and witness is a frozenset of rect
     indices.
     """
-    G = rect_intersection_graph(rects)
     by_line: dict[int, list[int]] = {}
     for i, r in enumerate(rects):
         by_line.setdefault(r.stab_line, []).append(i)
     parts: list[frozenset[int]] = []
-    line_of_part: list[int] = []
     witnesses: list[tuple[int, int]] = []  # (line, rect id)
     for line in sorted(by_line):
         ids = sorted(by_line[line], key=lambda i: (rects[i].x_hi, i))
@@ -356,7 +289,6 @@ def greedy_cover_and_is_rects(rects: Sequence[Rect]):
             if cut is None or rects[i].x_lo > cut:
                 if current:
                     parts.append(frozenset(current))
-                    line_of_part.append(line)
                 current = [i]
                 cut = rects[i].x_hi
                 witnesses.append((line, i))
@@ -364,7 +296,6 @@ def greedy_cover_and_is_rects(rects: Sequence[Rect]):
                 current.append(i)
         if current:
             parts.append(frozenset(current))
-            line_of_part.append(line)
     cover = OrderedCliqueCover(tuple(parts))
     odd = frozenset(i for line, i in witnesses if line % 2)
     even = frozenset(i for line, i in witnesses if not line % 2)
@@ -426,26 +357,30 @@ def candidate_discs(points: Sequence[PointSite],
     return discs, masks
 
 
-def greedy_disc_cover(points: Sequence[PointSite], frame: GridFrame) -> list[Disc]:
+def greedy_disc_cover(points: Sequence[PointSite]) -> list[Disc]:
     """Feasible cover: one disc per nonempty quarter cell, centered there.
 
-    A quarter cell has diagonal sqrt(1/2) < 1, so its centered unit-diameter
-    disc covers it; any clique of the distance graph fits a 1x1 box and hence
-    touches at most four unit cells, giving |C| <= 16 * cliquecover(G).
+    Quarter cell q spans ``[q*SCALE/2 + 1/2, (q+1)*SCALE/2 + 1/2)`` per axis,
+    so its center is ``((2q + 1)*SCALE + 2) / 4``.  A quarter cell has
+    diagonal sqrt(1/2) < 1, so its centered unit-diameter disc covers it; any
+    clique of the distance graph fits a 1x1 box and hence touches at most four
+    unit cells, giving |C| <= 16 * cliquecover(G).
     """
-    quarters = quarter_cell_partition(points, frame)
-    discs = []
-    for (qx, qy), _ in quarters:
-        cx, cy = frame.quarter_center(qx, qy)
-        discs.append(Disc.rational(cx, cy))
-    return discs
+    return [Disc.rational(Fraction((2 * qx + 1) * SCALE + 2, 4),
+                          Fraction((2 * qy + 1) * SCALE + 2, 4))
+            for (qx, qy), _ in quarter_cell_partition(points)]
 
 
-def quarter_cell_partition(points: Sequence[PointSite], frame: GridFrame):
-    """Nonempty quarter cells with their point-index groups, in key order."""
+def quarter_cell_partition(points: Sequence[PointSite]):
+    """Nonempty quarter cells with their point-index groups, in key order.
+
+    The quarter cell of (x, y) is ``((2x - 1) // SCALE, (2y - 1) // SCALE)``:
+    half-unit cells on the half-tick grid.
+    """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(points):
-        groups.setdefault(frame.quarter_of(p), []).append(i)
+        groups.setdefault(((2 * p.x - 1) // SCALE, (2 * p.y - 1) // SCALE),
+                          []).append(i)
     return [(key, frozenset(ids)) for key, ids in sorted(groups.items())]
 
 

@@ -20,13 +20,12 @@ class Graph:
     """Undirected simple graph on dense vertex ids 0..n-1.
 
     Immutable after construction; adjacency is a tuple of frozensets so
-    membership tests are O(1).  ``labels``, when present, maps local ids back
-    to the ids of a parent graph (set by :func:`induced_subgraph`).
+    membership tests are O(1).
     """
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), labels=None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adj = [set() for _ in range(n)]
@@ -39,7 +38,6 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj = tuple(frozenset(a) for a in adj)
-        self.labels = tuple(labels) if labels is not None else None
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -66,11 +64,7 @@ class Graph:
 
 
 def induced_subgraph(G: Graph, s: Iterable[int]) -> Graph:
-    """Induced subgraph on ``s`` with local ids 0..|s|-1.
-
-    The returned graph's ``labels`` gives the id of each local vertex in ``G``
-    (composed with ``G.labels`` if ``G`` is itself induced).
-    """
+    """Induced subgraph on ``s``; local id i is the i-th smallest of ``s``."""
     vs = sorted(set(s))
     for v in vs:
         if not (0 <= v < G.n):
@@ -82,11 +76,7 @@ def induced_subgraph(G: Graph, s: Iterable[int]) -> Graph:
             j = local.get(w)
             if j is not None and i < j:
                 edges.append((i, j))
-    if G.labels is not None:
-        labels = [G.labels[v] for v in vs]
-    else:
-        labels = vs
-    return Graph(len(vs), edges, labels=labels)
+    return Graph(len(vs), edges)
 
 
 def connected_components(G: Graph) -> list[frozenset[int]]:

@@ -89,9 +89,6 @@ def brute_clique_cover(G: Graph) -> int:
             return
         v = order[i]
         for c in range(len(color_masks)):
-            if not (color_masks[c] & (1 << v)) and not (color_masks[c] & ~0 & co[v] & color_masks[c]):
-                pass
-        for c in range(len(color_masks)):
             if color_masks[c] & co[v]:
                 continue
             color_masks[c] |= 1 << v
@@ -293,7 +290,7 @@ def poset_dimension(order: StrictOrder) -> int:
              if a != b and (a, b) not in order.relation
              and (b, a) not in order.relation]
     if not pairs:
-        return 1 if n > 0 else 1
+        return 1
 
     def closure_add(reach: list[int], b: int, a: int) -> Optional[list[int]]:
         """reach with edge b->a added, or None if that creates a cycle."""

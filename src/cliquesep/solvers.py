@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .geometry import (Disc, GridFrame, PointSite, Rect, SCALE,
+from .geometry import (Disc, PointSite, Rect, SCALE,
                        candidate_discs, candidate_pierce_points,
-                       greedy_cover_and_is_rects, greedy_disc_cover,
+                       greedy_cover_and_is_rects,
                        helly_point, quarter_cell_partition,
                        rect_intersection_graph, sq_dist, strip_cover_rects,
                        unit_distance_graph, vertical_strip_cover_points,
@@ -201,7 +201,7 @@ class RectContext(_BaseContext):
         self.G = rect_intersection_graph(self.rects)
         self.intervals = x_chordal_graph(self.rects)
         self.strip_cover = strip_cover_rects(self.rects)
-        self.measure_cover, self.witness = greedy_cover_and_is_rects(self.rects)
+        self.measure_cover, _ = greedy_cover_and_is_rects(self.rects)
         self.mu = RestrictionMeasure(self.measure_cover)
         self.part_of = dict(self.mu.part_of)
 
@@ -212,16 +212,13 @@ class PointContext(_BaseContext):
 
     def __init__(self, points: Sequence[PointSite]):
         self.points = list(points)
-        self.frame = GridFrame.for_points(self.points)
         self.G = unit_distance_graph(self.points)
         self.intervals = y_chordal_graph_points(self.points)
-        self.strip_cover = vertical_strip_cover_points(self.points, self.frame)
-        self.quarters = quarter_cell_partition(self.points, self.frame)
+        self.strip_cover = vertical_strip_cover_points(self.points)
         self.measure_cover = OrderedCliqueCover(
-            tuple(group for _, group in self.quarters))
+            tuple(group for _, group in quarter_cell_partition(self.points)))
         self.mu = RestrictionMeasure(self.measure_cover)
         self.part_of = dict(self.mu.part_of)
-        self.feasible_discs = greedy_disc_cover(self.points, self.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -410,38 +407,13 @@ class _CoverSearch:
             uncovered -= self.choice_items[best]
         return picked
 
-    def solve(self, items: frozenset) -> list[int]:
-        """Minimum choice set covering ``items``, as choice ids."""
-        best = self.greedy(items)
-
-        def rec(uncovered: frozenset, picked: list[int]):
-            nonlocal best
-            if not uncovered:
-                if len(picked) < len(best):
-                    best = list(picked)
-                return
-            if len(picked) + self.lower_bound(uncovered) >= len(best):
-                return
-            target = min(uncovered)
-            cands = sorted(self.item_choices[target],
-                           key=lambda c: (-len(self.choice_items[c] & uncovered), c))
-            seen_effects = set()
-            for c in cands:
-                effect = self.choice_items[c] & uncovered
-                if effect in seen_effects:
-                    continue
-                seen_effects.add(effect)
-                picked.append(c)
-                rec(uncovered - effect, picked)
-                picked.pop()
-
-        rec(items, [])
-        return best
-
 
 def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
                   solve_rest) -> list[int]:
-    """B&B over the mandatory items; leftovers go to the side recursion."""
+    """B&B over the mandatory items; leftovers go to the side recursion.
+
+    A leaf passes every item as mandatory and solves no rest.
+    """
     best = search.greedy(mandatory | rest)
 
     def rec(uncov_mand: frozenset, uncov_rest: frozenset, picked: list[int]):
@@ -451,12 +423,12 @@ def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
             if len(picked) + len(extra) < len(best):
                 best = picked + extra
             return
-        if len(picked) + search.lower_bound(uncov_mand | uncov_rest) >= len(best):
+        uncovered = uncov_mand | uncov_rest
+        if len(picked) + search.lower_bound(uncovered) >= len(best):
             return
         target = min(uncov_mand)
         cands = sorted(search.item_choices[target],
-                       key=lambda c: (-len(search.choice_items[c]
-                                          & (uncov_mand | uncov_rest)), c))
+                       key=lambda c: (-len(search.choice_items[c] & uncovered), c))
         seen_effects = set()
         for c in cands:
             eff_m = search.choice_items[c] & uncov_mand
@@ -478,8 +450,9 @@ def _cover_exact(ctx, F: frozenset, cfg: SolveConfig, trace, memo: dict,
     """Optimal cover of the items in F by ``ctx.candidates``, as their ids."""
     return _divide(
         ctx, F, cfg.base_threshold,
-        lambda F, depth: ctx.search(F).solve(F),
-        lambda F, res, recurse: _split_search(ctx.search(F), res.s,
+        lambda F, depth: _split_search(ctx.search(), F, frozenset(),
+                                       lambda rest: []),
+        lambda F, res, recurse: _split_search(ctx.search(), res.s,
                                               F - res.s, recurse),
         trace, memo, depth)
 
@@ -519,9 +492,8 @@ class PierceContext(RectContext):
                 kept.append(i)
         return len(kept)
 
-    def search(self, F: frozenset) -> _CoverSearch:
-        item_choices = {i: self.rect_points[i] for i in F}
-        return _CoverSearch(item_choices, self.point_rects,
+    def search(self) -> _CoverSearch:
+        return _CoverSearch(self.rect_points, self.point_rects,
                             self.disjoint_lower_bound)
 
     def retire(self, units, F: frozenset):
@@ -568,11 +540,11 @@ def _quarter_groups(ctx: CoverContext, members: frozenset):
     groups, each inside a half-unit square and hence candidate-coverable."""
     xs = [ctx.points[i].x for i in members]
     ys = [ctx.points[i].y for i in members]
-    mx = Fraction(min(xs) + max(xs), 2)
-    my = Fraction(min(ys) + max(ys), 2)
+    mx2 = min(xs) + max(xs)  # twice the midpoints
+    my2 = min(ys) + max(ys)
     groups: dict[tuple[bool, bool], set[int]] = {}
     for i in members:
-        key = (Fraction(ctx.points[i].x) > mx, Fraction(ctx.points[i].y) > my)
+        key = (2 * ctx.points[i].x > mx2, 2 * ctx.points[i].y > my2)
         groups.setdefault(key, set()).add(i)
     return [frozenset(g) for _, g in sorted(groups.items())]
 
@@ -592,9 +564,8 @@ class CoverContext(PointContext):
                 kept.append(i)
         return len(kept)
 
-    def search(self, F: frozenset) -> _CoverSearch:
-        item_choices = {i: self.point_discs[i] for i in F}
-        return _CoverSearch(item_choices, self.disc_points,
+    def search(self) -> _CoverSearch:
+        return _CoverSearch(self.point_discs, self.disc_points,
                             self.scatter_lower_bound)
 
     def candidate_covering(self, group: frozenset) -> int:

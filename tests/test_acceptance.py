@@ -11,8 +11,8 @@ import networkx as nx
 import pytest
 
 from cliquesep import instances, oracles
-from cliquesep.geometry import (GridFrame, candidate_discs, greedy_disc_cover,
-                                strip_cover_rects, vertical_strip_cover_points)
+from cliquesep.geometry import (candidate_discs, greedy_cover_and_is_rects,
+                                greedy_disc_cover)
 from cliquesep.graphs import (Graph, OrderedCliqueCover, check_measure_axioms,
                               cover_length)
 from cliquesep.separator import check_separator
@@ -169,7 +169,7 @@ def test_criterion_5_structural_constants(cover_suite):
         if cover_length(ctx.G, ctx.strip_cover).value > 1:
             bad_len += 1
         beta = oracles.brute_clique_cover(ctx.G)
-        if len(greedy_disc_cover(pts, ctx.frame)) > 16 * beta:
+        if len(greedy_disc_cover(pts)) > 16 * beta:
             bad_cover += 1
         if len(candidate_discs(pts, ctx.G)[0]) > 2 * ctx.G.m + ctx.G.n:
             bad_cand += 1
@@ -242,10 +242,11 @@ def test_criterion_8_scale_sanity():
     ctx = RectContext(inst.items)
     sol = mis_ptas(inst.items, SolveConfig(epsilon=0.5), ctx=ctx)
     elapsed = time.perf_counter() - start
+    _, witness = greedy_cover_and_is_rects(inst.items)
     independent = verify_independent_rects(list(inst.items), sol.chosen)
-    big_enough = 2 * sol.value >= len(ctx.witness)
+    big_enough = 2 * sol.value >= len(witness)
     ok = elapsed < 60 and independent and big_enough
     _report(8, ok,
             f"n=2000 mis_ptas(eps=0.5): value {sol.value} vs greedy witness "
-            f"{len(ctx.witness)}, independent={independent}, "
+            f"{len(witness)}, independent={independent}, "
             f"{elapsed:.1f}s (< 60s)")

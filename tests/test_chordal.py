@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from cliquesep.chordal import (NotChordalError, _clique_path,
                                balanced_clique_separator,
                                maximal_cliques_chordal, mcs_order)
-from cliquesep.geometry import interval_graph
 from cliquesep.graphs import (Graph, OrderedCliqueCover, RestrictionMeasure,
                               components_within)
+from cliquesep.oracles import interval_graph
 
 
 def clique(n):

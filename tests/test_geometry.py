@@ -5,17 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cliquesep.geometry import (SCALE, BoundaryPointError, Disc, GridFrame,
-                                PointSite, Rect, candidate_discs,
+from cliquesep.geometry import (SCALE, Disc, PointSite, Rect, candidate_discs,
                                 candidate_pierce_points,
                                 greedy_cover_and_is_rects, greedy_disc_cover,
                                 helly_point, parse_coord, format_coord,
                                 quarter_cell_partition,
                                 rect_intersection_graph, sq_dist,
                                 strip_cover_rects, unit_distance_graph,
-                                interval_graph, vertical_strip_cover_points,
+                                vertical_strip_cover_points,
                                 x_chordal_graph, y_chordal_graph_points)
 from cliquesep.graphs import Graph, cover_length, verify_clique_cover
+from cliquesep.oracles import interval_graph
 from cliquesep.solvers import CoverContext
 from cliquesep.chordal import mcs_order
 
@@ -36,6 +36,11 @@ def random_points(rng, n, box=None):
     return [PointSite(rng.randint(0, int(box * 1000)) * (SCALE // 1000),
                       rng.randint(0, int(box * 1000)) * (SCALE // 1000))
             for _ in range(n)]
+
+
+def grid_cell(v, width):
+    """Index of v between the point grid's lines at k*width + 1/2 tick."""
+    return math.floor((v - Fraction(1, 2)) / width)
 
 
 def pairwise_graph(n, adjacent):
@@ -155,9 +160,8 @@ class TestStripCovers:
         rng = random.Random(6)
         for trial in range(10):
             pts = random_points(rng, 60)
-            frame = GridFrame.for_points(pts)
-            cov = vertical_strip_cover_points(pts, frame)
-            strip = [frame.strip_index(p.x) for p in pts]
+            cov = vertical_strip_cover_points(pts)
+            strip = [grid_cell(p.x, SCALE) for p in pts]
             # G1: strip indices differ by at most one
             G1 = pairwise_graph(len(pts),
                                 lambda i, j: abs(strip[i] - strip[j]) <= 1)
@@ -166,17 +170,28 @@ class TestStripCovers:
             assert cover_length(G, cov).value <= 1
             assert all(abs(strip[u] - strip[v]) <= 1 for u, v in G.edges())
 
-    def test_boundary_point_rejected(self):
-        pts = [PointSite(0, 0)]
-        frame = GridFrame(Fraction(0), Fraction(0))
-        with pytest.raises(BoundaryPointError):
-            vertical_strip_cover_points(pts, frame)
-
-    def test_frame_offset_avoids_integer_points(self):
-        rng = random.Random(7)
-        pts = random_points(rng, 30)
-        frame = GridFrame.for_points(pts)
-        assert frame.valid_for(pts)
+    def test_half_tick_grid(self):
+        # whole and half units, and one tick either side, negatives included
+        coords = sorted({k * SCALE // 2 + e for k in range(-5, 6)
+                         for e in (-1, 0, 1)})
+        pts = [PointSite(x, y) for x in coords for y in coords[::3]]
+        cov = vertical_strip_cover_points(pts)
+        strips = sorted({grid_cell(p.x, SCALE) for p in pts})
+        assert cov.parts == tuple(
+            frozenset(i for i, p in enumerate(pts) if grid_cell(p.x, SCALE) == s)
+            for s in strips)
+        assert cover_length(unit_distance_graph(pts), cov).value <= 1
+        q, half = Fraction(SCALE, 2), Fraction(1, 2)
+        cells: dict = {}
+        for i, p in enumerate(pts):
+            cells.setdefault((grid_cell(p.x, q), grid_cell(p.y, q)), set()).add(i)
+        assert quarter_cell_partition(pts) == [
+            (key, frozenset(ids)) for key, ids in sorted(cells.items())]
+        discs = greedy_disc_cover(pts)
+        assert [d.key() for d in discs] == [
+            Disc.rational(half + (qx + half) * q, half + (qy + half) * q).key()
+            for qx, qy in sorted(cells)]
+        assert all(any(d.covers(p) for d in discs) for p in pts)
 
 
 class TestGreedyCoverRects:
@@ -357,7 +372,7 @@ class TestDiscCovers:
     @given(FAR, st.lists(st.tuples(NEAR, NEAR), min_size=1, max_size=12))
     def test_greedy_half_tick_centers(self, far, offsets):
         pts = [PointSite(far + x, far + y) for x, y in offsets]
-        discs = greedy_disc_cover(pts, GridFrame.for_points(pts))
+        discs = greedy_disc_cover(pts)
         for d in discs:
             assert d.ax.denominator == 2 and d.ay.denominator == 2
             for r in pts + probes((int(d.ax), int(d.ay)), HALF_STEPS):
@@ -464,24 +479,20 @@ class TestGreedyDiscCover:
         rng = random.Random(12)
         for trial in range(10):
             pts = random_points(rng, 30)
-            frame = GridFrame.for_points(pts)
-            discs = greedy_disc_cover(pts, frame)
+            discs = greedy_disc_cover(pts)
             for p in pts:
                 assert any(d.covers(p) for d in discs)
 
     def test_one_disc_per_nonempty_quarter(self):
         rng = random.Random(13)
         pts = random_points(rng, 30)
-        frame = GridFrame.for_points(pts)
-        assert len(greedy_disc_cover(pts, frame)) == \
-            len(quarter_cell_partition(pts, frame))
+        assert len(greedy_disc_cover(pts)) == len(quarter_cell_partition(pts))
 
     def test_quarter_partition_covers_indices(self):
         rng = random.Random(14)
         pts = random_points(rng, 30)
-        frame = GridFrame.for_points(pts)
         seen = set()
-        for _, group in quarter_cell_partition(pts, frame):
+        for _, group in quarter_cell_partition(pts):
             assert not (seen & group)
             seen |= group
         assert seen == set(range(len(pts)))

@@ -39,7 +39,6 @@ class TestGraph:
         H = induced_subgraph(G, [0, 1, 3, 4])
         assert H.n == 4
         assert sorted(H.edges()) == [(0, 1), (2, 3)]
-        assert H.labels == (0, 1, 3, 4)
 
     @given(graphs())
     def test_components_partition_vertices(self, G):

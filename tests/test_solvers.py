@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cliquesep import instances, oracles, solvers
+from cliquesep import geometry, instances, oracles, solvers
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.solvers import (CoverContext, PierceContext, PointContext,
                                RectContext, SolveConfig, disccover_exact,
@@ -206,6 +206,29 @@ class TestCandidateContexts:
             assert ctx.rect_points == [
                 tuple(c for c, m in enumerate(ctx.point_rects) if i in m)
                 for i in range(len(ctx.rects))]
+
+    def test_contexts_build_only_what_solvers_read(self, monkeypatch):
+        calls = {"rect_intersection_graph": 0, "greedy_disc_cover": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            fn = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, counting(name, fn))
+            # solvers looks builders up by name; it may not import this one
+            monkeypatch.setattr(solvers, name, counting(name, fn),
+                                raising=False)
+        for cls in (RectContext, PierceContext):
+            calls["rect_intersection_graph"] = 0
+            cls(instances.generate("rects", 80, 31).items)
+            assert calls["rect_intersection_graph"] == 1
+        for cls in (PointContext, CoverContext):
+            cls(instances.generate("points", 80, 32).items)
+        assert calls["greedy_disc_cover"] == 0
 
 
 class TestRecursionShape:
