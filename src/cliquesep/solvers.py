@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
-from .geometry import (Disc, PointSite, Rect, SCALE,
+from .geometry import (Disc, PointSite, Rect,
                        candidate_discs, candidate_pierce_points,
                        greedy_cover_and_is_rects,
                        helly_point, quarter_cell_partition,
-                       rect_intersection_graph, sq_dist, strip_cover_rects,
+                       rect_intersection_graph, strip_cover_rects,
                        unit_distance_graph, vertical_strip_cover_points,
                        x_chordal_graph, y_chordal_graph_points)
 from .graphs import (OrderedCliqueCover, RestrictionMeasure,
@@ -122,6 +123,17 @@ def _restricted_cover(index_of, vs, local) -> OrderedCliqueCover:
     return OrderedCliqueCover(tuple(frozenset(by_part[k]) for k in sorted(by_part)))
 
 
+def _distinct(cands, masks):
+    """The lowest-id candidate of each distinct mask, and the masks, in id
+    order.  Candidates with equal masks have equal effects everywhere, and
+    every search and pick below breaks ties towards the lowest id, so the
+    others are never chosen."""
+    first: dict[frozenset, int] = {}
+    for c, mask in enumerate(masks):
+        first.setdefault(mask, c)
+    return [cands[c] for c in first.values()], list(first)
+
+
 def _holders(masks, n: int) -> list[tuple[int, ...]]:
     """For each item 0..n-1, the ascending ids of the masks holding it."""
     out: list[list[int]] = [[] for _ in range(n)]
@@ -141,6 +153,56 @@ class _BaseContext:
 
     def components(self, F):
         return components_within(self.G.adj, F)
+
+    def _ordered_packing(self, order, need: int) -> int:
+        """Greedy independent set of G over ``order``, counted up to ``need``.
+
+        Two items share a candidate (a piercing point, a unit disc) only when
+        they are adjacent in G, so pairwise non-adjacent items each need a
+        candidate of their own: any independent set of G[F] is a lower bound
+        on a cover of F.
+        """
+        adj = self.G.adj
+        blocked: set[int] = set()
+        count = 0
+        for v in order:
+            if count >= need:
+                break
+            if v not in blocked:
+                count += 1
+                blocked |= adj[v]
+        return count
+
+    def independent_lower_bound(self, F: frozenset, need: int) -> int:
+        """A greedy independent set of G[F] that takes the item of least
+        degree among those left, counted up to ``need``.  A lazy heap keeps
+        it at O(|E(G[F])| log |F|)."""
+        adj = self.G.adj
+        alive = set(F)
+        deg = {v: len(adj[v] & F) for v in F}
+        heap = sorted((d, v) for v, d in deg.items())
+        count = 0
+        while heap and count < need:
+            d, v = heappop(heap)
+            if v not in alive or deg[v] != d:
+                continue  # taken, blocked, or a stale degree
+            count += 1
+            gone = adj[v] & alive
+            alive -= gone
+            alive.discard(v)
+            for u in gone:
+                for w in adj[u] & alive:
+                    deg[w] -= 1
+                    heappush(heap, (deg[w], w))
+        return count
+
+    def _lower_bound(self, order, F: frozenset, need: int) -> int:
+        """The cheap packing over ``order``; the least-degree one only when
+        the cheap one stays below ``need``."""
+        cheap = self._ordered_packing(order, need)
+        if cheap >= need:
+            return cheap
+        return max(cheap, self.independent_lower_bound(F, need))
 
     def neighbors_of_set(self, I, F):
         out = set()
@@ -386,15 +448,15 @@ def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
 #
 # Both minimizers share this shape: "items" must be hit/covered by
 # "choices"; a choice covers a set of items.  Branch on the lowest-id
-# uncovered item over the choices covering it; prune with an
-# instance-specific packing lower bound.
+# uncovered item over the choices covering it; prune with a packing lower
+# bound, an independent set of G[uncovered].
 
 
 class _CoverSearch:
     def __init__(self, item_choices, choice_items, lower_bound):
-        self.item_choices = item_choices  # item -> tuple of choice ids
+        self.item_choices = item_choices  # item -> ascending choice ids
         self.choice_items = choice_items  # choice id -> frozenset of items
-        self.lower_bound = lower_bound    # frozenset items -> int
+        self.lower_bound = lower_bound    # (frozenset items, need) -> int
 
     def greedy(self, items: frozenset) -> list[int]:
         picked = []
@@ -412,9 +474,19 @@ def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
                   solve_rest) -> list[int]:
     """B&B over the mandatory items; leftovers go to the side recursion.
 
-    A leaf passes every item as mandatory and solves no rest.
+    A leaf passes every item as mandatory and solves no rest.  A node is cut
+    when ``search.lower_bound(uncovered, need)`` reaches ``need``, the number
+    of picks still allowed below it for a strict improvement.  Any valid
+    lower bound returns the same answer: a cut subtree holds no cover smaller
+    than ``best`` at the time of the cut, ``best`` is replaced only by a
+    strictly smaller cover, and ``solve_rest`` is a function of its argument;
+    so the search meets the same sequence of strict improvements whichever
+    valid bound cuts it, and ends on the same ``best``.  The branches at a
+    node are the distinct effects on the uncovered items, each taken with its
+    lowest choice id, largest effect first.
     """
     best = search.greedy(mandatory | rest)
+    choice_items = search.choice_items
 
     def rec(uncov_mand: frozenset, uncov_rest: frozenset, picked: list[int]):
         nonlocal best
@@ -424,21 +496,15 @@ def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
                 best = picked + extra
             return
         uncovered = uncov_mand | uncov_rest
-        if len(picked) + search.lower_bound(uncovered) >= len(best):
+        need = len(best) - len(picked)
+        if search.lower_bound(uncovered, need) >= need:
             return
-        target = min(uncov_mand)
-        cands = sorted(search.item_choices[target],
-                       key=lambda c: (-len(search.choice_items[c] & uncovered), c))
-        seen_effects = set()
-        for c in cands:
-            eff_m = search.choice_items[c] & uncov_mand
-            eff_r = search.choice_items[c] & uncov_rest
-            key = (eff_m, eff_r)
-            if key in seen_effects:
-                continue
-            seen_effects.add(key)
+        effects: dict[frozenset, int] = {}
+        for c in search.item_choices[min(uncov_mand)]:
+            effects.setdefault(choice_items[c] & uncovered, c)
+        for eff, c in sorted(effects.items(), key=lambda e: (-len(e[0]), e[1])):
             picked.append(c)
-            rec(uncov_mand - eff_m, uncov_rest - eff_r, picked)
+            rec(uncov_mand - eff, uncov_rest - eff, picked)
             picked.pop()
 
     rec(mandatory, rest, [])
@@ -481,16 +547,19 @@ def _cover_ptas(ctx, cfg: SolveConfig, trace) -> list:
 class PierceContext(RectContext):
     def __init__(self, rects: Sequence[Rect]):
         super().__init__(rects)
-        self.candidates, self.point_rects = candidate_pierce_points(self.rects)
+        self.candidates, self.point_rects = _distinct(
+            *candidate_pierce_points(self.rects))
         self.rect_points = _holders(self.point_rects, len(self.rects))
+        by_right = sorted(range(len(self.rects)), key=lambda i: (
+            self.rects[i].x_hi, self.rects[i].y_lo, i))
+        self._right_rank = {i: rank for rank, i in enumerate(by_right)}
 
-    def disjoint_lower_bound(self, F: frozenset) -> int:
-        """Pairwise-disjoint rectangles in F each need their own point."""
-        kept: list[int] = []
-        for i in sorted(F, key=lambda i: (self.rects[i].x_hi, self.rects[i].y_lo, i)):
-            if all(i not in self.G.adj[j] for j in kept):
-                kept.append(i)
-        return len(kept)
+    def disjoint_lower_bound(self, F: frozenset, need: int) -> int:
+        """Pairwise-disjoint rectangles in F each need their own point: the
+        packing by right edge first, then by least degree if short of
+        ``need``."""
+        return self._lower_bound(sorted(F, key=self._right_rank.__getitem__),
+                                 F, need)
 
     def search(self) -> _CoverSearch:
         return _CoverSearch(self.rect_points, self.point_rects,
@@ -552,17 +621,14 @@ def _quarter_groups(ctx: CoverContext, members: frozenset):
 class CoverContext(PointContext):
     def __init__(self, points: Sequence[PointSite]):
         super().__init__(points)
-        self.candidates, self.disc_points = candidate_discs(self.points, self.G)
+        self.candidates, self.disc_points = _distinct(
+            *candidate_discs(self.points, self.G))
         self.point_discs = _holders(self.disc_points, len(self.points))
 
-    def scatter_lower_bound(self, F: frozenset) -> int:
-        """Points pairwise farther than one unit each need their own disc."""
-        limit = SCALE * SCALE
-        kept: list[int] = []
-        for i in sorted(F):
-            if all(sq_dist(self.points[i], self.points[j]) > limit for j in kept):
-                kept.append(i)
-        return len(kept)
+    def scatter_lower_bound(self, F: frozenset, need: int) -> int:
+        """Points pairwise farther than one unit each need their own disc:
+        the packing by id first, then by least degree if short of ``need``."""
+        return self._lower_bound(sorted(F), F, need)
 
     def search(self) -> _CoverSearch:
         return _CoverSearch(self.point_discs, self.disc_points,

@@ -469,9 +469,11 @@ class TestCandidateMasks:
         monkeypatch.undo()
         deg = [len(a) for a in ctx.G.adj]
         brute = brute_discs(pts)
-        bound = sum(min(deg[g] for g in brute[d.key()][1]) + 1
-                    for d in ctx.candidates)
-        assert calls <= bound < len(pts) * len(ctx.candidates) // 10
+        # the context keeps one disc per distinct mask; the builder tests
+        # the neighbourhoods of every disc it lists
+        built = candidate_discs(pts, ctx.G)[0]
+        bound = sum(min(deg[g] for g in brute[d.key()][1]) + 1 for d in built)
+        assert calls <= bound < len(pts) * len(built) // 10
 
 
 class TestGreedyDiscCover:

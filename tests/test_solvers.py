@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquesep import geometry, instances, oracles, solvers
-from cliquesep.geometry import SCALE, PointSite, Rect
+from cliquesep.geometry import (SCALE, PointSite, Rect, candidate_discs,
+                                candidate_pierce_points)
 from cliquesep.solvers import (CoverContext, PierceContext, PointContext,
                                RectContext, SolveConfig, disccover_exact,
                                disccover_ptas, mis_exact, mis_ptas,
@@ -229,6 +231,111 @@ class TestCandidateContexts:
         for cls in (PointContext, CoverContext):
             cls(instances.generate("points", 80, 32).items)
         assert calls["greedy_disc_cover"] == 0
+
+
+def full_list_context(cls, items):
+    """A context searching the builder's whole candidate list, equal masks
+    and all, as the reference for the deduplicated one."""
+    ctx = cls(items)
+    if cls is CoverContext:
+        ctx.candidates, ctx.disc_points = candidate_discs(ctx.points, ctx.G)
+        masks, n = ctx.disc_points, len(ctx.points)
+    else:
+        ctx.candidates, ctx.point_rects = candidate_pierce_points(ctx.rects)
+        masks, n = ctx.point_rects, len(ctx.rects)
+    holders = [tuple(c for c, m in enumerate(masks) if i in m) for i in range(n)]
+    if cls is CoverContext:
+        ctx.point_discs = holders
+    else:
+        ctx.rect_points = holders
+    return ctx
+
+
+def first_of_each_mask(cands, masks):
+    first = {}
+    for c, mask in zip(cands, masks):
+        first.setdefault(mask, c)
+    return first
+
+
+# small coordinates in quarter units, so that items overlap, touch and repeat
+QUARTER = st.integers(0, 12).map(lambda k: k * SCALE // 4)
+SMALL_RECT = st.builds(lambda x, w, y: Rect(x, x + w, y), QUARTER,
+                       st.integers(1, 8).map(lambda k: k * SCALE // 4), QUARTER)
+SMALL_POINT = st.builds(PointSite, QUARTER, QUARTER)
+LINE_POINT = st.builds(PointSite, QUARTER, st.just(0))  # collinear
+
+
+class TestCoveringSearch:
+    def test_clustered_disc_cover_ptas_finishes(self):
+        # measure 24 in two components, below the leaf threshold 32 at
+        # eps 0.5: the whole instance goes to the exact branch-and-bound,
+        # which a weak packing bound cannot cut (it ran for minutes)
+        inst = instances.generate("points", 60, 5, "clustered")
+        ctx = CoverContext(inst.items)
+        evaluations = 0
+        bound = ctx.scatter_lower_bound
+
+        def counting(*args):
+            nonlocal evaluations
+            evaluations += 1
+            assert evaluations <= 15_000, "branch-and-bound is not being cut"
+            return bound(*args)
+
+        ctx.scatter_lower_bound = counting
+        sol = disccover_ptas(inst.items, SolveConfig(epsilon=0.5), ctx=ctx)
+        assert sol.value == 8
+        assert verify_disc_cover(list(inst.items), sol.discs)
+
+    def test_one_candidate_per_mask_side_by_side(self):
+        for seed in range(3):
+            for style in ("uniform", "clustered", "chain"):
+                pts = instances.generate("points", 40, 800 + seed, style).items
+                ctx, ref = CoverContext(pts), full_list_context(CoverContext, pts)
+                first = first_of_each_mask(ref.candidates, ref.disc_points)
+                assert ctx.disc_points == list(first)
+                assert ctx.candidates == list(first.values())
+                for mask in ref.disc_points:
+                    ids = sorted(mask)
+                    for group in {mask, frozenset(ids[:1]), frozenset(ids[-2:])}:
+                        assert ctx.candidates[ctx.candidate_covering(group)] == \
+                            ref.candidates[ref.candidate_covering(group)]
+                assert disccover_exact(pts, ctx=ctx) == disccover_exact(pts, ctx=ref)
+                cfg = SolveConfig(epsilon=0.3)
+                assert disccover_ptas(pts, cfg, ctx=ctx) == \
+                    disccover_ptas(pts, cfg, ctx=ref)
+
+                rects = instances.generate("rects", 40, 800 + seed, style).items
+                ctx, ref = PierceContext(rects), full_list_context(PierceContext, rects)
+                first = first_of_each_mask(ref.candidates, ref.point_rects)
+                assert ctx.point_rects == list(first)
+                assert ctx.candidates == list(first.values())
+                assert pierce_exact(rects, ctx=ctx) == pierce_exact(rects, ctx=ref)
+                assert pierce_ptas(rects, cfg, ctx=ctx) == \
+                    pierce_ptas(rects, cfg, ctx=ref)
+
+    @settings(deadline=None)
+    @given(st.lists(SMALL_RECT, min_size=1, max_size=10), st.data())
+    def test_packing_bound_below_piercing_optimum(self, rects, data):
+        rects += data.draw(st.lists(st.sampled_from(rects), max_size=3))
+        ctx = PierceContext(rects)
+        F = frozenset(data.draw(st.sets(st.sampled_from(range(len(rects))),
+                                        min_size=1)))
+        opt = oracles.brute_pierce([rects[i] for i in sorted(F)])[0]
+        assert ctx.independent_lower_bound(F, len(F) + 1) <= opt
+        assert ctx.disjoint_lower_bound(F, len(F) + 1) <= opt
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(SMALL_POINT, LINE_POINT), min_size=1, max_size=7),
+           st.data())
+    def test_packing_bound_below_disc_cover_optimum(self, pts, data):
+        pts += data.draw(st.lists(st.sampled_from(pts), max_size=3))
+        ctx = CoverContext(pts)
+        F = frozenset(data.draw(st.sets(st.sampled_from(range(len(pts))),
+                                        min_size=1)))
+        opt = oracles.brute_disccover([pts[i] for i in sorted(F)])[0]
+        assert ctx.independent_lower_bound(F, len(F) + 1) <= opt
+        assert ctx.scatter_lower_bound(F, len(F) + 1) <= opt
 
 
 class TestRecursionShape:
