@@ -5,8 +5,7 @@ problems on unit-height rectangles and unit-diameter discs."""
 from .graphs import (Graph, OrderedCliqueCover, RestrictionMeasure,
                      check_measure_axioms, cover_length, induced_subgraph,
                      verify_clique_cover)
-from .chordal import (NotChordalError, balanced_clique_separator,
-                      maximal_cliques_chordal, mcs_order)
+from .chordal import balanced_clique_separator
 from .geometry import (SCALE, Disc, PointSite, Rect,
                        candidate_discs, candidate_pierce_points,
                        greedy_cover_and_is_rects, greedy_disc_cover,
@@ -27,8 +26,7 @@ __all__ = [
     "Graph", "OrderedCliqueCover", "RestrictionMeasure",
     "check_measure_axioms", "cover_length", "induced_subgraph",
     "verify_clique_cover",
-    "NotChordalError", "balanced_clique_separator",
-    "maximal_cliques_chordal", "mcs_order",
+    "balanced_clique_separator",
     "SCALE", "Disc", "PointSite", "Rect", "candidate_discs",
     "candidate_pierce_points", "greedy_cover_and_is_rects",
     "greedy_disc_cover", "helly_point", "rect_intersection_graph",

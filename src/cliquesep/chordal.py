@@ -1,105 +1,19 @@
-"""Chordal-graph machinery: MCS orders and maximal cliques of chordal graphs,
-and measure-balanced maximal-clique separators of interval graphs.
+"""Measure-balanced maximal-clique separators of interval graphs.
 
 The separator engine's chordal supergraph G2 is an interval graph, and
 :func:`balanced_clique_separator` works on its intervals alone: one sweep of
 the endpoints lists the maximal cliques left to right (a clique path), and
 the components left after removing one are runs of intervals on either side
-of it.  G2 is never built.  :func:`mcs_order` and
-:func:`maximal_cliques_chordal` work on any graph and are the reference the
-sweep is tested against, on G2 built by :func:`cliquesep.oracles.interval_graph`.
+of it.  G2 is never built.  The tests check the sweep against
+:func:`cliquesep.oracles.maximal_cliques_chordal` on G2 built by
+:func:`cliquesep.oracles.interval_graph`.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import Graph, RestrictionMeasure
-
-
-class NotChordalError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class EliminationOrder:
-    """A vertex order together with the chordality verdict.
-
-    When ``chordal`` is true, ``order`` is a perfect elimination ordering:
-    each vertex's later neighbors form a clique.
-    """
-
-    order: tuple[int, ...]
-    chordal: bool
-
-
-def mcs_order(H: Graph) -> EliminationOrder:
-    """Maximum cardinality search.
-
-    The reversed visit order is a perfect elimination ordering iff H is
-    chordal; the verdict is verified with the standard parent check.
-    Ties are broken by lowest vertex id for determinism.
-    """
-    n = H.n
-    weight = [0] * n
-    visited = [False] * n
-    visit: list[int] = []
-    # lazy-deletion heap keyed by (-weight, vertex)
-    heap = [(0, v) for v in range(n)]
-    heapq.heapify(heap)
-    while len(visit) < n:
-        w, v = heapq.heappop(heap)
-        if visited[v] or -w != weight[v]:
-            continue
-        visited[v] = True
-        visit.append(v)
-        for u in H.adj[v]:
-            if not visited[u]:
-                weight[u] += 1
-                heapq.heappush(heap, (-weight[u], u))
-    order = tuple(reversed(visit))
-    pos = {v: i for i, v in enumerate(order)}
-    chordal = True
-    for v in order:
-        later = [u for u in H.adj[v] if pos[u] > pos[v]]
-        if not later:
-            continue
-        u0 = min(later, key=lambda u: pos[u])
-        if any(u != u0 and u not in H.adj[u0] for u in later):
-            chordal = False
-            break
-    return EliminationOrder(order, chordal)
-
-
-def maximal_cliques_chordal(H: Graph, ord: EliminationOrder) -> list[frozenset[int]]:
-    """All maximal cliques of a chordal graph, from its elimination order.
-
-    There are at most n of them.  Output is sorted by (smallest member,
-    members) for determinism.
-    """
-    if not ord.chordal:
-        raise NotChordalError("maximal_cliques_chordal requires a chordal graph")
-    pos = {v: i for i, v in enumerate(ord.order)}
-    candidates = []
-    for v in ord.order:
-        later = frozenset(u for u in H.adj[v] if pos[u] > pos[v])
-        candidates.append(later | {v})
-    # drop candidates contained in another; scanning larger ones first means
-    # every container is already kept when a contained candidate is tested
-    candidates.sort(key=lambda c: (-len(c), sorted(c)))
-    kept: list[frozenset[int]] = []
-    by_vertex: dict[int, list[int]] = {}
-    for c in candidates:
-        x = min(c)
-        if any(c <= kept[i] for i in by_vertex.get(x, ())):
-            continue
-        idx = len(kept)
-        kept.append(c)
-        for v in c:
-            by_vertex.setdefault(v, []).append(idx)
-    kept.sort(key=lambda c: (min(c), sorted(c)))
-    return kept
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,11 @@ def _cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"cliquesep: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _write_text(args.out, instances.serialize(inst))
+    try:
+        _write_text(args.out, instances.serialize(inst))
+    except OSError as exc:
+        print(f"cliquesep: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_OK
 
 
@@ -100,8 +104,15 @@ def _context_for(inst: Instance, solver: str):
     return CoverContext(inst.items)
 
 
-def _oracle_verdict(inst: Instance, solver: str, value: int) -> Optional[dict]:
-    """Compare against the matching oracle; None when the instance is too big."""
+def _oracle_verdict(inst: Instance, solver: str, value: int,
+                    cfg: SolveConfig) -> Optional[dict]:
+    """Compare against the matching oracle; None when the instance is too big.
+
+    An exact value must equal the optimum; a PTAS value must meet its
+    guarantee, ceil((1-eps)*opt) <= value <= opt for the independent set and
+    opt <= value <= floor((1+eps)*opt) for the minimizers, in exact
+    arithmetic on eps.
+    """
     try:
         if solver.startswith("mis"):
             G = RectContext(inst.items).G
@@ -115,9 +126,9 @@ def _oracle_verdict(inst: Instance, solver: str, value: int) -> Optional[dict]:
     if solver.endswith("exact"):
         ok = value == opt
     elif solver == "mis-ptas":
-        ok = value <= opt
+        ok = math.ceil((1 - cfg.eps_exact()) * opt) <= value <= opt
     else:
-        ok = value >= opt
+        ok = opt <= value <= math.floor((1 + cfg.eps_exact()) * opt)
     return {"optimum": opt, "ok": ok}
 
 
@@ -172,7 +183,7 @@ def _cmd_solve(args) -> int:
         report["trace"] = rows
     code = EXIT_OK if feasible else EXIT_INFEASIBLE
     if args.oracle_check:
-        verdict = _oracle_verdict(inst, args.solver, sol.value)
+        verdict = _oracle_verdict(inst, args.solver, sol.value, cfg)
         report["oracle"] = verdict
         if verdict is not None and not verdict["ok"]:
             code = EXIT_INFEASIBLE
@@ -207,8 +218,12 @@ def _cmd_bench(args) -> int:
         sys.stderr.write("\n")
         return EXIT_NO_SEPARATOR
 
-    out = sys.stdout if args.out == "-" else open(args.out, "w",
-                                                  encoding="utf-8", newline="")
+    try:
+        out = sys.stdout if args.out == "-" else open(args.out, "w",
+                                                      encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"cliquesep: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         w = csv.writer(out)
         w.writerow(["file", "n", "mu", "length", "cost", "route"])

@@ -7,8 +7,15 @@ balanced separator.  The problems differ only in their leaf and in how they
 combine a separator with the solutions of what it leaves behind.  The exact
 minimizers (piercing and disc cover) run a separator-guided branch-and-bound
 with certified pruning; the maximizer (independent set) enumerates independent
-selections inside the separator.  Every public solver re-verifies feasibility
-of its answer with a geometry-only scan before returning.
+selections inside the separator and solves the two sides of each apart.
+
+The exact independent set separates each node of one separator tree once:
+a subproblem strictly inside a node reuses the node's separator restricted
+to it.  That is sound because a separator of F leaves no edge between
+``side_a & F'`` and ``side_b & F'`` for any F' inside F; only the 2/3
+balance can be lost, and exactness does not need it (see :func:`_divide`).
+Every public solver re-verifies feasibility of its answer with a
+geometry-only scan before returning.
 """
 from __future__ import annotations
 
@@ -296,9 +303,18 @@ class PointContext(_BaseContext):
 # the divide-and-conquer skeleton
 
 
+def _restricted_separator(res: SeparatorResult, F: frozenset) -> SeparatorResult:
+    """A node's separator inside F: every set cut to F, empty units dropped,
+    and the cost recounted."""
+    units = tuple(CoverUnit(members, u.certificate) for u in res.units
+                  if (members := u.members & F))
+    return SeparatorResult(res.s & F, units, res.side_a & F, res.side_b & F,
+                           res.route, len(units))
+
+
 def _divide(ctx, F: frozenset, threshold, leaf, split,
             trace: Optional[TraceHook] = None, memo: Optional[dict] = None,
-            depth: int = 0) -> list:
+            depth: int = 0, tree: Optional[dict] = None) -> list:
     """Solve F by components, leaves and balanced separators.
 
     A connected F of measure at most ``threshold`` goes to ``leaf(F, depth)``;
@@ -308,8 +324,24 @@ def _divide(ctx, F: frozenset, threshold, leaf, split,
     are cached per connected vertex set (callers must not mutate returned
     lists); unions of components are not stored, as the branch-and-bound
     and the selection enumeration produce far too many of them.
+
+    Without ``tree`` every connected F is separated afresh.  With ``tree``
+    (an empty dict per solve) the separated sets are the nodes of one
+    separator tree, the one :func:`separation_profile` walks: a node's
+    children are the components of its separator's ``side_a | side_b``.
+    Each node is separated once, when first reached; a connected F strictly
+    inside a node gets that node's separator restricted to F, and each
+    component of what ``split`` recurses on lies inside one child and
+    recurses there.  ``split`` must then recurse only on subsets of
+    ``res.side_a | res.side_b``.  Restriction is sound for an exact solver:
+    no edge of G joins ``side_a`` and ``side_b``, so none joins
+    ``side_a & F`` and ``side_b & F``, and the restricted units are still
+    certified.  Only the 2/3 balance may be lost, and exactness does not need
+    it; the depth stays logarithmic because every child carries at most 2/3
+    of its parent's measure, and F is a leaf once its node's measure is at
+    most ``threshold``.
     """
-    def rec(F: frozenset, depth: int) -> list:
+    def rec(F: frozenset, depth: int, parent) -> list:
         if not F:
             return []
         if memo is not None:
@@ -318,17 +350,35 @@ def _divide(ctx, F: frozenset, threshold, leaf, split,
                 return hit
         comps = ctx.components(F)
         if len(comps) > 1:
-            return [x for c in comps for x in rec(c, depth)]
+            return [x for c in comps for x in rec(c, depth, parent)]
         if ctx.mu_of(F) <= threshold:
             out = leaf(F, depth)
         else:
-            res = ctx.separate_subset(F, depth, trace)
-            out = split(F, res, lambda sub: rec(sub, depth + 1))
+            res, node = separator(F, depth, parent)
+            out = split(F, res, lambda sub: rec(sub, depth + 1, node))
         if memo is not None:
             memo[F] = out
         return out
 
-    return rec(F, depth)
+    def separator(F: frozenset, depth: int, parent):
+        """The separator ``split`` gets for a connected F, and the tree node
+        it came from (None without a tree)."""
+        if tree is None:
+            return ctx.separate_subset(F, depth, trace), None
+        node = F if parent is None else tree[parent][1][next(iter(F))]
+        entry = tree.get(node)
+        if entry is None:
+            res = ctx.separate_subset(node, depth, trace)
+            child_of = {v: child
+                        for child in ctx.components(res.side_a | res.side_b)
+                        for v in child}
+            entry = tree[node] = (res, child_of)
+        res = entry[0]
+        if len(F) < len(node):  # F is a subset of node
+            res = _restricted_separator(res, F)
+        return res, node
+
+    return rec(F, depth, None)
 
 
 def _everything(ctx) -> frozenset:
@@ -407,17 +457,34 @@ def _mis_leaf(ctx, F: frozenset) -> list[int]:
 
 def _mis_exact(ctx, F: frozenset, cfg: SolveConfig, trace, memo: dict,
                depth: int = 0) -> list[int]:
+    """Optimal independent set of F, on one separator tree rooted at F.
+
+    A selection I of the separator leaves ``side_a - N(I)`` and
+    ``side_b - N(I)``, which share no edge, so each is solved on its own;
+    the selections of one separator leave few distinct sides, and each is
+    solved once per call.
+    """
     def split(F, res, recurse):
+        solved: dict[frozenset, list[int]] = {}
+
+        def side(X: frozenset) -> list[int]:
+            out = solved.get(X)
+            if out is None:
+                out = solved[X] = recurse(X)
+            return out
+
         best: Optional[list[int]] = None
         for I in _independent_selections(ctx, res.units, F):
-            cand = list(I) + recurse(F - res.s - ctx.neighbors_of_set(I, F))
+            gone = ctx.neighbors_of_set(I, F)
+            cand = list(I) + side(res.side_a - gone) + side(res.side_b - gone)
             if best is None or len(cand) > len(best) or \
                     (len(cand) == len(best) and sorted(cand) < sorted(best)):
                 best = cand
         return best
 
     return _divide(ctx, F, cfg.base_threshold,
-                   lambda F, depth: _mis_leaf(ctx, F), split, trace, memo, depth)
+                   lambda F, depth: _mis_leaf(ctx, F), split, trace, memo,
+                   depth, tree={})
 
 
 def mis_exact(rects: Sequence[Rect], cfg: Optional[SolveConfig] = None,

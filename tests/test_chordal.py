@@ -3,12 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cliquesep.chordal import (NotChordalError, _clique_path,
-                               balanced_clique_separator,
-                               maximal_cliques_chordal, mcs_order)
+from cliquesep.chordal import _clique_path, balanced_clique_separator
 from cliquesep.graphs import (Graph, OrderedCliqueCover, RestrictionMeasure,
                               components_within)
-from cliquesep.oracles import interval_graph
+from cliquesep.oracles import (NotChordalError, interval_graph,
+                               maximal_cliques_chordal, mcs_order)
 
 
 def clique(n):

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from cliquesep import cli, instances
+from cliquesep.geometry import SCALE, PointSite, Rect
+from cliquesep.instances import Instance
+from cliquesep.solvers import SolveConfig
 
 
 def run(argv, capsys):
@@ -32,6 +35,12 @@ class TestGenerate:
         with pytest.raises(SystemExit) as err:
             cli.main(["generate", "rects", "--n", "5", "--style", "bogus"])
         assert err.value.code == cli.EXIT_INPUT
+
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        code, out, err = run(["generate", "rects", "--n", "5", "--out",
+                              str(tmp_path / "missing" / "x")], capsys)
+        assert code == cli.EXIT_INPUT
+        assert err.startswith("cliquesep: ") and err.count("\n") == 1
 
 
 class TestSolve:
@@ -120,6 +129,30 @@ class TestSolve:
         b.pop("wall_time_s")
         assert a == b
 
+    def test_oracle_verdict_checks_ptas_guarantee(self):
+        # k pairwise disjoint rectangles, and k points pairwise far apart:
+        # every optimum is k
+        def rects(k):
+            return Instance("rects", tuple(
+                Rect(3 * i * SCALE, 3 * i * SCALE + SCALE, 0) for i in range(k)))
+
+        points = Instance("points", tuple(PointSite(3 * i * SCALE, 0)
+                                          for i in range(4)))
+        half = SolveConfig(epsilon=0.5)
+        for inst, solver, cfg, inside, outside in [
+                (rects(4), "mis-ptas", half, (2, 4), (1, 5)),
+                (rects(4), "pierce-ptas", half, (4, 6), (3, 7)),
+                (points, "cover-ptas", half, (4, 6), (3, 7)),
+                # ceil((1 - 0.7) * 10) is 3; in floats it reads 4
+                (rects(10), "mis-ptas", SolveConfig(epsilon=0.7), (3, 10),
+                 (2, 11))]:
+            for value in inside:
+                verdict = cli._oracle_verdict(inst, solver, value, cfg)
+                assert verdict == {"optimum": inst.n, "ok": True}, (solver, value)
+            for value in outside:
+                verdict = cli._oracle_verdict(inst, solver, value, cfg)
+                assert verdict == {"optimum": inst.n, "ok": False}, (solver, value)
+
 
 class TestBench:
     def test_empty_glob_writes_header_only(self, tmp_path, capsys):
@@ -148,3 +181,11 @@ class TestBench:
         rows = list(csv.reader((tmp_path / "o.csv").open()))
         assert rows[-1][0] == "SUMMARY"
         assert float(rows[-1][-1]) <= 8.0
+
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "u.inst"
+        instances.save(instances.generate("rects", 10, 1), p)
+        code, out, err = run(["bench-separator", str(p), "--out",
+                              str(tmp_path / "missing" / "x")], capsys)
+        assert code == cli.EXIT_INPUT
+        assert err.startswith("cliquesep: ") and err.count("\n") == 1

@@ -15,9 +15,8 @@ from cliquesep.geometry import (SCALE, Disc, PointSite, Rect, candidate_discs,
                                 vertical_strip_cover_points,
                                 x_chordal_graph, y_chordal_graph_points)
 from cliquesep.graphs import Graph, cover_length, verify_clique_cover
-from cliquesep.oracles import interval_graph
+from cliquesep.oracles import interval_graph, mcs_order
 from cliquesep.solvers import CoverContext
-from cliquesep.chordal import mcs_order
 
 
 def random_rects(rng, n, box=None):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cliquesep import geometry, instances, oracles, solvers
 from cliquesep.geometry import (SCALE, PointSite, Rect, candidate_discs,
                                 candidate_pierce_points)
+from cliquesep.separator import check_separator
 from cliquesep.solvers import (CoverContext, PierceContext, PointContext,
                                RectContext, SolveConfig, disccover_exact,
                                disccover_ptas, mis_exact, mis_ptas,
@@ -336,6 +337,79 @@ class TestCoveringSearch:
         opt = oracles.brute_disccover([pts[i] for i in sorted(F)])[0]
         assert ctx.independent_lower_bound(F, len(F) + 1) <= opt
         assert ctx.scatter_lower_bound(F, len(F) + 1) <= opt
+
+
+def staircase(k, step, width, rise):
+    return [Rect(i * step, i * step + width, i * rise) for i in range(k)]
+
+
+QUARTERS = st.integers(1, 8).map(lambda k: k * SCALE // 4)
+MIS_INPUTS = st.one_of(
+    st.lists(SMALL_RECT, min_size=1, max_size=20),               # lattice
+    st.builds(lambda r, k: [r] * k, SMALL_RECT, st.integers(1, 12)),  # identical
+    st.builds(staircase, st.integers(1, 16), QUARTERS, QUARTERS,
+              st.integers(0, 4).map(lambda k: k * SCALE // 4)))
+
+
+def tree_nodes(ctx, t0=1):
+    """Every (node, separator) pair of the separator tree of ``ctx``."""
+    nodes = []
+    separation_profile(ctx, t0, validator=lambda F, res: nodes.append((F, res)))
+    return nodes
+
+
+class TestSeparatorTree:
+    def test_mis_exact_separates_each_tree_node_once(self, monkeypatch):
+        calls = 0
+        separate_subset = RectContext.separate_subset
+
+        def counting(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return separate_subset(self, *args, **kwargs)
+
+        monkeypatch.setattr(RectContext, "separate_subset", counting)
+        cfg = SolveConfig()
+        for seed in (1, 2, 3):
+            ctx = RectContext(instances.generate("rects", 120, seed).items)
+            nodes = len(separation_profile(ctx, cfg.base_threshold))
+            calls = 0
+            mis_exact(ctx.rects, cfg, ctx=ctx)
+            assert 0 < calls <= nodes, seed
+
+    @settings(deadline=None)
+    @given(st.sampled_from(["rects", "points"]), st.data())
+    def test_restricted_separator_meets_the_contract(self, kind, data):
+        if kind == "rects":
+            items = data.draw(st.lists(SMALL_RECT, min_size=2, max_size=16))
+        else:
+            items = data.draw(st.lists(st.one_of(SMALL_POINT, LINE_POINT),
+                                       min_size=2, max_size=16))
+        items += data.draw(st.lists(st.sampled_from(items), max_size=4))
+        ctx = RectContext(items) if kind == "rects" else PointContext(items)
+        nodes = tree_nodes(ctx)
+        if not nodes:
+            return
+        node, res = data.draw(st.sampled_from(nodes))
+        sub = data.draw(st.sets(st.sampled_from(sorted(node)), min_size=1))
+        F = data.draw(st.sampled_from(ctx.components(frozenset(sub))))
+        r = solvers._restricted_separator(res, F)
+        problems = check_separator(ctx.G, ctx.mu, r, F,
+                                   points=getattr(ctx, "points", None))
+        assert [p for p in problems if "2/3" not in p] == []
+        assert all(u.members for u in r.units)
+
+    @settings(deadline=None)
+    @given(MIS_INPUTS, st.data())
+    def test_mis_exact_matches_brute_force(self, rects, data):
+        rects += data.draw(st.lists(st.sampled_from(rects), max_size=4))
+        rects = rects[:24]
+        ctx = RectContext(rects)
+        opt = oracles.brute_mis(ctx.G)[0]
+        for t0 in (1, 4):
+            sol = mis_exact(rects, SolveConfig(base_threshold=t0), ctx=ctx)
+            assert sol.certified_independent
+            assert sol.value == opt, t0
 
 
 class TestRecursionShape:
