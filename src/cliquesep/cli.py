@@ -139,16 +139,16 @@ def _cmd_solve(args) -> int:
               file=sys.stderr)
         return EXIT_INPUT
     try:
+        cfg = SolveConfig(epsilon=args.epsilon, base_threshold=args.t0,
+                          ptas_leaf_constant=args.c0)
         inst = instances.load(args.file)
-    except (OSError, FormatError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cliquesep: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if inst.kind != kind_wanted:
         print(f"cliquesep: solver {args.solver} needs a {kind_wanted} "
               f"instance, got {inst.kind}", file=sys.stderr)
         return EXIT_INPUT
-    cfg = SolveConfig(epsilon=args.epsilon, base_threshold=args.t0,
-                      ptas_leaf_constant=args.c0)
     rows: list[dict] = []
 
     def hook(depth, mu, route, cost):

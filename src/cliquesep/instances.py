@@ -191,6 +191,8 @@ def generate_points(n: int, seed: int, style: str = "uniform") -> Instance:
 
 
 def generate(kind: str, n: int, seed: int, style: str = "uniform") -> Instance:
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if kind == KIND_RECTS:
         return generate_rects(n, seed, style)
     if kind == KIND_POINTS:

@@ -9,13 +9,13 @@ minimizers (piercing and disc cover) run a separator-guided branch-and-bound
 with certified pruning; the maximizer (independent set) enumerates independent
 selections inside the separator and solves the two sides of each apart.
 
-The exact independent set separates each node of one separator tree once:
-a subproblem strictly inside a node reuses the node's separator restricted
-to it.  That is sound because a separator of F leaves no edge between
-``side_a & F'`` and ``side_b & F'`` for any F' inside F; only the 2/3
-balance can be lost, and exactness does not need it (see :func:`_divide`).
-Every public solver re-verifies feasibility of its answer with a
-geometry-only scan before returning.
+Every solver separates each node of one separator tree once: a subproblem
+strictly inside a node reuses the node's separator restricted to it.  That
+is sound because a separator of F leaves no edge between ``side_a & F'`` and
+``side_b & F'`` for any F' inside F; only the 2/3 balance can be lost, and
+neither exactness nor the PTAS charging needs it (see :func:`_divide` and
+:func:`_cover_ptas`).  Every public solver re-verifies feasibility of its
+answer with a geometry-only scan before returning.
 """
 from __future__ import annotations
 
@@ -232,11 +232,11 @@ class _BaseContext:
         Returns (vs, G[F], strip cover, measure): ``vs`` maps local ids back
         to global ones; the strip cover keeps its part order, so its length
         is at most the global one.  The last restriction is kept, and asking
-        again for the same F object (the separator profile does, right after
+        again for an equal F (the separator profile does, right after
         separating it) returns it without rebuilding.
         """
         last_F, last = self._restricted
-        if F is last_F:
+        if F == last_F:
             return last
         vs = tuple(sorted(F))
         local = {v: i for i, v in enumerate(vs)}
@@ -313,70 +313,58 @@ def _restricted_separator(res: SeparatorResult, F: frozenset) -> SeparatorResult
 
 
 def _divide(ctx, F: frozenset, threshold, leaf, split,
-            trace: Optional[TraceHook] = None, memo: Optional[dict] = None,
-            depth: int = 0, tree: Optional[dict] = None) -> list:
+            trace: Optional[TraceHook] = None, depth: int = 0) -> list:
     """Solve F by components, leaves and balanced separators.
 
     A connected F of measure at most ``threshold`` goes to ``leaf(F, depth)``;
     a larger one to ``split(F, res, recurse)``, where ``res`` is the
-    separator of F and ``recurse(F')`` solves a subproblem one level deeper.
-    Solutions are lists, concatenated across components.  With ``memo`` they
-    are cached per connected vertex set (callers must not mutate returned
-    lists); unions of components are not stored, as the branch-and-bound
-    and the selection enumeration produce far too many of them.
+    separator of F and ``recurse(F')`` solves a subproblem one level deeper;
+    ``split`` must recurse only on subsets of ``res.side_a | res.side_b``.
+    Solutions are lists, concatenated across components, and cached per
+    connected vertex set for the length of the call (callers must not mutate
+    returned lists); unions of components are not stored, as the
+    branch-and-bound and the selection enumeration produce far too many of
+    them.
 
-    Without ``tree`` every connected F is separated afresh.  With ``tree``
-    (an empty dict per solve) the separated sets are the nodes of one
-    separator tree, the one :func:`separation_profile` walks: a node's
-    children are the components of its separator's ``side_a | side_b``.
-    Each node is separated once, when first reached; a connected F strictly
-    inside a node gets that node's separator restricted to F, and each
-    component of what ``split`` recurses on lies inside one child and
-    recurses there.  ``split`` must then recurse only on subsets of
-    ``res.side_a | res.side_b``.  Restriction is sound for an exact solver:
-    no edge of G joins ``side_a`` and ``side_b``, so none joins
-    ``side_a & F`` and ``side_b & F``, and the restricted units are still
-    certified.  Only the 2/3 balance may be lost, and exactness does not need
-    it; the depth stays logarithmic because every child carries at most 2/3
-    of its parent's measure, and F is a leaf once its node's measure is at
-    most ``threshold``.
+    The separated sets are the nodes of one separator tree, the one
+    :func:`separation_profile` walks: a node's children are the components
+    of its separator's ``side_a | side_b``.  Each node is separated once,
+    when first reached; a connected F strictly inside a node gets that
+    node's separator restricted to F, and each component of what ``split``
+    recurses on lies inside one child and recurses there.  Restriction keeps
+    the separator valid: no edge of G joins ``side_a`` and ``side_b``, so
+    none joins ``side_a & F`` and ``side_b & F``, and the restricted units
+    are still certified.  Only the 2/3 balance may be lost; the depth stays
+    logarithmic because every child carries at most 2/3 of its parent's
+    measure, and F is a leaf once its node's measure is at most
+    ``threshold``.
     """
+    tree: dict = {}  # node -> (separator, vertex -> child component)
+    memo: dict = {}
+
     def rec(F: frozenset, depth: int, parent) -> list:
         if not F:
             return []
-        if memo is not None:
-            hit = memo.get(F)
-            if hit is not None:
-                return hit
+        out = memo.get(F)
+        if out is not None:
+            return out
         comps = ctx.components(F)
         if len(comps) > 1:
             return [x for c in comps for x in rec(c, depth, parent)]
         if ctx.mu_of(F) <= threshold:
             out = leaf(F, depth)
         else:
-            res, node = separator(F, depth, parent)
+            node = F if parent is None else tree[parent][1][next(iter(F))]
+            if node not in tree:
+                res = ctx.separate_subset(node, depth, trace)
+                children = ctx.components(res.side_a | res.side_b)
+                tree[node] = res, {v: c for c in children for v in c}
+            res = tree[node][0]
+            if len(F) < len(node):  # F is a subset of node
+                res = _restricted_separator(res, F)
             out = split(F, res, lambda sub: rec(sub, depth + 1, node))
-        if memo is not None:
-            memo[F] = out
+        memo[F] = out
         return out
-
-    def separator(F: frozenset, depth: int, parent):
-        """The separator ``split`` gets for a connected F, and the tree node
-        it came from (None without a tree)."""
-        if tree is None:
-            return ctx.separate_subset(F, depth, trace), None
-        node = F if parent is None else tree[parent][1][next(iter(F))]
-        entry = tree.get(node)
-        if entry is None:
-            res = ctx.separate_subset(node, depth, trace)
-            child_of = {v: child
-                        for child in ctx.components(res.side_a | res.side_b)
-                        for v in child}
-            entry = tree[node] = (res, child_of)
-        res = entry[0]
-        if len(F) < len(node):  # F is a subset of node
-            res = _restricted_separator(res, F)
-        return res, node
 
     return rec(F, depth, None)
 
@@ -455,7 +443,7 @@ def _mis_leaf(ctx, F: frozenset) -> list[int]:
     return best
 
 
-def _mis_exact(ctx, F: frozenset, cfg: SolveConfig, trace, memo: dict,
+def _mis_exact(ctx, F: frozenset, cfg: SolveConfig, trace,
                depth: int = 0) -> list[int]:
     """Optimal independent set of F, on one separator tree rooted at F.
 
@@ -483,8 +471,7 @@ def _mis_exact(ctx, F: frozenset, cfg: SolveConfig, trace, memo: dict,
         return best
 
     return _divide(ctx, F, cfg.base_threshold,
-                   lambda F, depth: _mis_leaf(ctx, F), split, trace, memo,
-                   depth, tree={})
+                   lambda F, depth: _mis_leaf(ctx, F), split, trace, depth)
 
 
 def mis_exact(rects: Sequence[Rect], cfg: Optional[SolveConfig] = None,
@@ -493,7 +480,7 @@ def mis_exact(rects: Sequence[Rect], cfg: Optional[SolveConfig] = None,
     """Optimal independent set of unit-height rectangles."""
     cfg = cfg or SolveConfig()
     ctx = ctx or RectContext(rects)
-    chosen = frozenset(_mis_exact(ctx, _everything(ctx), cfg, trace, {}))
+    chosen = frozenset(_mis_exact(ctx, _everything(ctx), cfg, trace))
     return MisSolution(chosen, verify_independent_rects(ctx.rects, chosen))
 
 
@@ -502,7 +489,6 @@ def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
              ctx: Optional[RectContext] = None) -> MisSolution:
     """(1-eps)-approximate independent set; exact below the measure leaf."""
     ctx = ctx or RectContext(rects)
-    memo: dict = {}
 
     def split(F, res, recurse):
         sol = set(recurse(res.side_a)) | set(recurse(res.side_b))
@@ -514,7 +500,7 @@ def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
 
     chosen = frozenset(_divide(
         ctx, _everything(ctx), cfg.ptas_leaf_threshold(),
-        lambda F, depth: _mis_exact(ctx, F, cfg, trace, memo, depth),
+        lambda F, depth: _mis_exact(ctx, F, cfg, trace, depth),
         split, trace))
     return MisSolution(chosen, verify_independent_rects(ctx.rects, chosen))
 
@@ -587,7 +573,7 @@ def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
     return best
 
 
-def _cover_exact(ctx, F: frozenset, cfg: SolveConfig, trace, memo: dict,
+def _cover_exact(ctx, F: frozenset, cfg: SolveConfig, trace,
                  depth: int = 0) -> list[int]:
     """Optimal cover of the items in F by ``ctx.candidates``, as their ids."""
     return _divide(
@@ -596,17 +582,24 @@ def _cover_exact(ctx, F: frozenset, cfg: SolveConfig, trace, memo: dict,
                                        lambda rest: []),
         lambda F, res, recurse: _split_search(ctx.search(), res.s,
                                               F - res.s, recurse),
-        trace, memo, depth)
+        trace, depth)
 
 
 def _cover_ptas(ctx, cfg: SolveConfig, trace) -> list:
     """(1+eps)-approximate cover, as candidate objects: each separator is
-    retired by ``ctx.retire`` and the sides recurse on what it leaves."""
-    memo: dict = {}
+    retired by ``ctx.retire`` and the sides recurse on what it leaves.
 
+    What a retirement leaves can lie strictly inside a tree node, and then
+    gets the node's separator restricted to it (see :func:`_divide`).  The
+    charging still holds: each restricted unit is a subset of one of the
+    node's cliques, so ``retire`` pays at most what the node's separator
+    would, and ``side_a & F - hit`` and ``side_b & F - hit`` share no edge
+    of G, so no candidate covers items on both sides and their optima add
+    up to at most OPT(F).
+    """
     def leaf(F, depth):
         return [ctx.candidates[c]
-                for c in _cover_exact(ctx, F, cfg, trace, memo, depth)]
+                for c in _cover_exact(ctx, F, cfg, trace, depth)]
 
     def split(F, res, recurse):
         picks, hit = ctx.retire(res.units, res.side_a | res.side_b)
@@ -658,7 +651,7 @@ def pierce_exact(rects: Sequence[Rect], cfg: Optional[SolveConfig] = None,
     """Minimum piercing set, drawn from the corner candidate grid."""
     cfg = cfg or SolveConfig()
     ctx = ctx or PierceContext(rects)
-    ids = _cover_exact(ctx, _everything(ctx), cfg, trace, {})
+    ids = _cover_exact(ctx, _everything(ctx), cfg, trace)
     pts = tuple(ctx.candidates[i] for i in sorted(set(ids)))
     if not verify_piercing(ctx.rects, pts):
         raise AssertionError("pierce_exact produced an infeasible solution")
@@ -741,7 +734,7 @@ def disccover_exact(points: Sequence[PointSite],
     """Minimum unit-diameter disc cover, drawn from the candidate set."""
     cfg = cfg or SolveConfig()
     ctx = ctx or CoverContext(points)
-    ids = _cover_exact(ctx, _everything(ctx), cfg, trace, {})
+    ids = _cover_exact(ctx, _everything(ctx), cfg, trace)
     discs = tuple(ctx.candidates[i] for i in sorted(set(ids)))
     if not verify_disc_cover(ctx.points, discs):
         raise AssertionError("disccover_exact produced an infeasible solution")

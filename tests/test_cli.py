@@ -31,6 +31,13 @@ class TestGenerate:
         inst = instances.parse(out)
         assert inst.kind == "points" and inst.n == 1
 
+    def test_negative_n_is_input_error(self, capsys):
+        code, out, err = run(["generate", "rects", "--n", "-5"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert err == "cliquesep: n must be non-negative\n"
+        code, out, err = run(["generate", "rects", "--n", "0"], capsys)
+        assert code == 0 and instances.parse(out).n == 0
+
     def test_bad_style_is_input_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["generate", "rects", "--n", "5", "--style", "bogus"])
@@ -84,6 +91,18 @@ class TestSolve:
         code, out, err = run(["solve", rect_file, "--solver", "mis-ptas"],
                              capsys)
         assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("options", [
+        ["--solver", "mis-ptas", "--epsilon", "1.5"],
+        ["--solver", "mis-ptas", "--epsilon", "nan"],
+        ["--solver", "mis-exact", "--t0", "0"],
+        ["--solver", "pierce-ptas", "--epsilon", "0.5", "--c0", "0"],
+    ])
+    def test_bad_config_is_input_error(self, rect_file, options, capsys):
+        code, out, err = run(["solve", rect_file] + options, capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith("cliquesep: ") and err.count("\n") == 1
 
     def test_kind_mismatch_is_input_error(self, point_file, capsys):
         code, out, err = run(["solve", point_file, "--solver", "mis-exact"],

@@ -98,6 +98,12 @@ class TestGenerators:
         inst = generate("points", 50, 9, "clustered")
         assert len(set(inst.items)) == 50
 
+    def test_negative_n_rejected(self):
+        for kind in ("rects", "points"):
+            with pytest.raises(ValueError, match="n must be non-negative"):
+                generate(kind, -5, 0)
+            assert generate(kind, 0, 0).n == 0
+
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):
             generate("rects", 5, 0, "spiral")

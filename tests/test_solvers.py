@@ -359,22 +359,29 @@ def tree_nodes(ctx, t0=1):
 
 
 class TestSeparatorTree:
-    def test_mis_exact_separates_each_tree_node_once(self, monkeypatch):
+    @pytest.mark.parametrize("solve, context", [
+        (mis_exact, RectContext),
+        (pierce_exact, PierceContext),
+        (disccover_exact, CoverContext),
+    ])
+    def test_exact_solvers_separate_each_tree_node_once(self, solve, context,
+                                                         monkeypatch):
         calls = 0
-        separate_subset = RectContext.separate_subset
+        separate_subset = context.separate_subset
 
         def counting(self, *args, **kwargs):
             nonlocal calls
             calls += 1
             return separate_subset(self, *args, **kwargs)
 
-        monkeypatch.setattr(RectContext, "separate_subset", counting)
+        monkeypatch.setattr(context, "separate_subset", counting)
         cfg = SolveConfig()
         for seed in (1, 2, 3):
-            ctx = RectContext(instances.generate("rects", 120, seed).items)
+            items = instances.generate(context.kind, 120, seed).items
+            ctx = context(items)
             nodes = len(separation_profile(ctx, cfg.base_threshold))
             calls = 0
-            mis_exact(ctx.rects, cfg, ctx=ctx)
+            solve(items, cfg, ctx=ctx)
             assert 0 < calls <= nodes, seed
 
     @settings(deadline=None)
