@@ -202,6 +202,9 @@ def _profile_file(path: str, t0: int):
 
 
 def _cmd_bench(args) -> int:
+    if args.t0 < 1:
+        print("cliquesep: --t0 must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     paths: list[str] = []
     for pat in args.glob:
         hits = sorted(globlib.glob(pat))

@@ -16,13 +16,22 @@ is sound because a separator of F leaves no edge between ``side_a & F'`` and
 neither exactness nor the PTAS charging needs it (see :func:`_divide` and
 :func:`_cover_ptas`).  Every public solver re-verifies feasibility of its
 answer with a geometry-only scan before returning.
+
+Inside :func:`_divide` every vertex set is an int bitmask, bit v for item v,
+and the exact independent set runs on masks end to end.  The separator
+engine, :class:`SeparatorResult`, the candidate masks of the covering
+contexts and the covering branch-and-bound keep frozensets; ``_divide``
+converts each tree node once when it separates it, and the callbacks of the
+covering solvers and of :func:`separation_profile` convert what they hand
+to frozenset code.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .geometry import (Disc, PointSite, Rect,
                        candidate_discs, candidate_pierce_points,
@@ -31,8 +40,8 @@ from .geometry import (Disc, PointSite, Rect,
                        rect_intersection_graph, strip_cover_rects,
                        unit_distance_graph, vertical_strip_cover_points,
                        x_chordal_graph, y_chordal_graph_points)
-from .graphs import (OrderedCliqueCover, RestrictionMeasure,
-                     components_within, cover_length, induced_subgraph)
+from .graphs import (OrderedCliqueCover, RestrictionMeasure, cover_length,
+                     induced_subgraph)
 from .separator import (MEASURE_PART, CoverUnit, SeparatorResult,
                         clique_certifier, separate, unit_box_certifier)
 
@@ -102,11 +111,15 @@ class CoverSolution:
 
 
 def verify_independent_rects(rects: Sequence[Rect], chosen) -> bool:
-    ids = sorted(chosen)
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            if rects[ids[a]].intersects(rects[ids[b]]):
-                return False
+    """No two chosen rectangles intersect.  A sweep by left edge tests each
+    only against the earlier ones whose x-range still reaches its left edge;
+    every other earlier one lies wholly to its left."""
+    active: list[Rect] = []
+    for r in sorted((rects[i] for i in chosen), key=lambda r: r.x_lo):
+        active = [a for a in active if a.x_hi >= r.x_lo]
+        if any(a.intersects(r) for a in active):
+            return False
+        active.append(r)
     return True
 
 
@@ -116,6 +129,31 @@ def verify_piercing(rects: Sequence[Rect], points: Sequence[PointSite]) -> bool:
 
 def verify_disc_cover(points: Sequence[PointSite], discs: Sequence[Disc]) -> bool:
     return all(any(d.covers(p) for d in discs) for p in points)
+
+
+# ---------------------------------------------------------------------------
+# vertex sets as bitmasks: bit v of an int is item v (see :func:`_divide`)
+
+
+def _mask(vs) -> int:
+    m = 0
+    for v in vs:
+        m |= 1 << v
+    return m
+
+
+def _ids(mask: int) -> list[int]:
+    """The items of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _members(mask: int) -> frozenset:
+    return frozenset(_ids(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +192,45 @@ class _BaseContext:
     kind = "?"
     _restricted = (None, None)  # the F restricted last, and its restriction
 
-    def mu_of(self, F) -> int:
-        part_of = self.part_of
-        return len({part_of[v] for v in F})
+    @cached_property
+    def adj_mask(self) -> list[int]:
+        """The neighbourhood in G of each item, as a mask."""
+        return [_mask(a) for a in self.G.adj]
 
-    def components(self, F):
-        return components_within(self.G.adj, F)
+    @cached_property
+    def part_mask(self) -> list[int]:
+        """The members of each measure part, as a mask."""
+        return [_mask(p) for p in self.measure_cover.parts]
+
+    def mu_of(self, F: int) -> int:
+        """The number of measure parts that meet the mask F."""
+        part_of, part_mask = self.part_of, self.part_mask
+        count = 0
+        while F:
+            F &= ~part_mask[part_of[(F & -F).bit_length() - 1]]
+            count += 1
+        return count
+
+    def components(self, F: int) -> list[int]:
+        """The components of G[F] for a mask F, as masks ordered by lowest
+        member: a breadth-first search that grows each one a layer at a
+        time."""
+        adj = self.adj_mask
+        comps = []
+        while F:
+            comp = frontier = F & -F
+            F ^= frontier
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & F
+                F ^= frontier
+                comp |= frontier
+            comps.append(comp)
+        return comps
 
     def _ordered_packing(self, order, need: int) -> int:
         """Greedy independent set of G over ``order``, counted up to ``need``.
@@ -219,12 +290,6 @@ class _BaseContext:
         if cheap >= need:
             return cheap
         return max(cheap, self.independent_lower_bound(F, need))
-
-    def neighbors_of_set(self, I, F):
-        out = set()
-        for v in I:
-            out |= self.G.adj[v] & F
-        return frozenset(out - set(I))
 
     def restrict(self, F: frozenset):
         """The subproblem on F in local ids 0..|F|-1.
@@ -303,28 +368,66 @@ class PointContext(_BaseContext):
 # the divide-and-conquer skeleton
 
 
-def _restricted_separator(res: SeparatorResult, F: frozenset) -> SeparatorResult:
-    """A node's separator inside F: every set cut to F, empty units dropped,
-    and the cost recounted."""
-    units = tuple(CoverUnit(members, u.certificate) for u in res.units
-                  if (members := u.members & F))
-    return SeparatorResult(res.s & F, units, res.side_a & F, res.side_b & F,
-                           res.route, len(units))
+class _Cut(NamedTuple):
+    """A separator as :func:`_divide` holds it: ``s``, the sides and the
+    members of each unit are masks, and ``units`` pairs each members mask
+    with its certificate."""
+
+    s: int
+    units: tuple[tuple[int, str], ...]
+    side_a: int
+    side_b: int
+    route: str
+    cost: int
 
 
-def _divide(ctx, F: frozenset, threshold, leaf, split,
+def _as_cut(res: SeparatorResult) -> _Cut:
+    return _Cut(_mask(res.s),
+                tuple((_mask(u.members), u.certificate) for u in res.units),
+                _mask(res.side_a), _mask(res.side_b), res.route, res.cost)
+
+
+def _as_result(cut: _Cut) -> SeparatorResult:
+    return SeparatorResult(
+        _members(cut.s),
+        tuple(CoverUnit(_members(m), certificate) for m, certificate in cut.units),
+        _members(cut.side_a), _members(cut.side_b), cut.route, cut.cost)
+
+
+def _restricted_separator(cut: _Cut, F: int) -> _Cut:
+    """A node's separator inside the mask F: every set cut to F, empty units
+    dropped, and the cost recounted."""
+    units = tuple((members, certificate) for m, certificate in cut.units
+                  if (members := m & F))
+    return _Cut(cut.s & F, units, cut.side_a & F, cut.side_b & F, cut.route,
+                len(units))
+
+
+def _divide(ctx, F: int, threshold, leaf, split,
             trace: Optional[TraceHook] = None, depth: int = 0) -> list:
-    """Solve F by components, leaves and balanced separators.
+    """Solve the mask F by components, leaves and balanced separators.
 
     A connected F of measure at most ``threshold`` goes to ``leaf(F, depth)``;
-    a larger one to ``split(F, res, recurse)``, where ``res`` is the
+    a larger one to ``split(F, cut, recurse)``, where ``cut`` is the
     separator of F and ``recurse(F')`` solves a subproblem one level deeper;
-    ``split`` must recurse only on subsets of ``res.side_a | res.side_b``.
+    ``split`` must recurse only on subsets of ``cut.side_a | cut.side_b``.
     Solutions are lists, concatenated across components, and cached per
     connected vertex set for the length of the call (callers must not mutate
-    returned lists); unions of components are not stored, as the
-    branch-and-bound and the selection enumeration produce far too many of
-    them.
+    returned lists).  The solution of a disconnected set is not stored, only
+    its components: the selection enumeration meets the same few unions
+    over and over (``mis_exact`` on uniform rects n=400, generator seed 42,
+    asks for 513 k sets outside the memo, 25.6 k of them distinct), and
+    storing their solutions too would copy every list again.
+
+    Every vertex set in here is an int bitmask, bit v for item v: F, the
+    memo keys, the tree nodes, the sets ``leaf`` and ``split`` receive and
+    hand to ``recurse``, and the separator, a :class:`_Cut`.  A union,
+    intersection or difference is then one integer operation, and a set is
+    hashed without building a set object.  Frozensets appear only at the
+    edges: each tree node is converted once to call ``ctx.separate_subset``,
+    and the callbacks of the covering solvers and of
+    :func:`separation_profile` convert what they pass to code that takes
+    frozensets.
 
     The separated sets are the nodes of one separator tree, the one
     :func:`separation_profile` walks: a node's children are the components
@@ -341,90 +444,107 @@ def _divide(ctx, F: frozenset, threshold, leaf, split,
     """
     tree: dict = {}  # node -> (separator, vertex -> child component)
     memo: dict = {}
+    parts: dict = {}  # a disconnected set -> its components
 
-    def rec(F: frozenset, depth: int, parent) -> list:
+    def rec(F: int, depth: int, parent) -> list:
         if not F:
             return []
         out = memo.get(F)
         if out is not None:
             return out
-        comps = ctx.components(F)
-        if len(comps) > 1:
-            return [x for c in comps for x in rec(c, depth, parent)]
+        comps = parts.get(F)
+        if comps is None:
+            comps = ctx.components(F)
+            if len(comps) == 1:
+                return solve(F, depth, parent)
+            parts[F] = comps
+        out = []
+        for c in comps:  # connected: look each up, but search it no further
+            sol = memo.get(c)
+            out += sol if sol is not None else solve(c, depth, parent)
+        return out
+
+    def solve(F: int, depth: int, parent) -> list:
+        """Solve a connected F that is not in the memo."""
         if ctx.mu_of(F) <= threshold:
             out = leaf(F, depth)
         else:
-            node = F if parent is None else tree[parent][1][next(iter(F))]
+            node = F if parent is None else \
+                tree[parent][1][(F & -F).bit_length() - 1]
             if node not in tree:
-                res = ctx.separate_subset(node, depth, trace)
-                children = ctx.components(res.side_a | res.side_b)
-                tree[node] = res, {v: c for c in children for v in c}
-            res = tree[node][0]
-            if len(F) < len(node):  # F is a subset of node
-                res = _restricted_separator(res, F)
-            out = split(F, res, lambda sub: rec(sub, depth + 1, node))
+                cut = _as_cut(ctx.separate_subset(_members(node), depth, trace))
+                children = ctx.components(cut.side_a | cut.side_b)
+                tree[node] = cut, {v: c for c in children for v in _ids(c)}
+            cut = tree[node][0]
+            if F != node:  # F is a subset of node
+                cut = _restricted_separator(cut, F)
+            out = split(F, cut, lambda sub: rec(sub, depth + 1, node))
         memo[F] = out
         return out
 
     return rec(F, depth, None)
 
 
-def _everything(ctx) -> frozenset:
-    return frozenset(range(ctx.G.n))
+def _everything(ctx) -> int:
+    return (1 << ctx.G.n) - 1
 
 
 # ---------------------------------------------------------------------------
 # maximum independent set (rectangles)
 
 
-def _class_reps(ctx, members, F, exclude):
-    """Deduplicate clique members by their adjacency outside ``exclude``.
+def _class_reps(ctx, members: int, F: int) -> list[int]:
+    """Deduplicate the members of a clique by their adjacency in F outside it.
 
     Members of one clique with identical neighborhoods in F (ignoring the
     clique itself) are interchangeable for independent-set purposes; the
-    lowest id represents each class.
+    lowest id represents each class.  Returns the representatives ascending.
     """
-    classes: dict[frozenset, int] = {}
-    for v in sorted(members):
-        sig = frozenset(ctx.G.adj[v] & F) - exclude
-        if sig not in classes:
-            classes[sig] = v
-    return sorted(classes.values())
+    adj = ctx.adj_mask
+    outside = F & ~members
+    classes: dict[int, int] = {}
+    for v in _ids(members):
+        classes.setdefault(adj[v] & outside, v)
+    return list(classes.values())
 
 
-def _independent_selections(ctx, units, F):
+def _independent_selections(ctx, units, F: int) -> list[tuple[list[int], int]]:
     """All independent subsets of the separator picking at most one vertex per
-    clique unit, up to neighborhood-equivalence inside each unit."""
-    options = []
-    for unit in units:
-        options.append(_class_reps(ctx, unit.members, F, unit.members))
-    chosen: list[int] = []
+    clique unit, up to neighborhood-equivalence inside each unit.
 
-    def rec(i):
-        if i == len(options):
-            yield frozenset(chosen)
-            return
-        yield from rec(i + 1)  # skip this unit
-        for v in options[i]:
-            if all(v not in ctx.G.adj[u] for u in chosen):
-                chosen.append(v)
-                yield from rec(i + 1)
-                chosen.pop()
+    Each comes as ``(chosen, blocked)``: the picks, and the mask of their
+    neighbours in G.  The order is that of a depth-first search that skips
+    a unit before trying its members: each unit extends every selection so
+    far in place, by nothing first.
+    """
+    adj = ctx.adj_mask
+    selections = [([], 0)]
+    for members, _ in units:
+        options = _class_reps(ctx, members, F)
+        grown = []
+        for chosen, blocked in selections:
+            grown.append((chosen, blocked))
+            for v in options:
+                if not blocked >> v & 1:
+                    grown.append((chosen + [v], blocked | adj[v]))
+        selections = grown
+    return selections
 
-    yield from rec(0)
 
-
-def _mis_leaf(ctx, F: frozenset) -> list[int]:
+def _mis_leaf(ctx, F: int) -> list[int]:
     """Exact MIS when few measure parts touch F: one pick per clique part."""
-    by_part: dict[int, list[int]] = {}
-    for v in F:
-        by_part.setdefault(ctx.part_of[v], []).append(v)
-    groups = [frozenset(by_part[k]) for k in sorted(by_part)]
-    reps = [_class_reps(ctx, g, F, g) for g in groups]
+    part_of, part_mask, adj = ctx.part_of, ctx.part_mask, ctx.adj_mask
+    groups: dict[int, int] = {}
+    rest = F
+    while rest:
+        k = part_of[(rest & -rest).bit_length() - 1]
+        groups[k] = g = rest & part_mask[k]
+        rest ^= g
+    reps = [_class_reps(ctx, groups[k], F) for k in sorted(groups)]
     best: list[int] = []
     chosen: list[int] = []
 
-    def rec(i):
+    def rec(i, blocked):
         nonlocal best
         if len(chosen) + (len(reps) - i) <= len(best):
             return
@@ -433,41 +553,46 @@ def _mis_leaf(ctx, F: frozenset) -> list[int]:
                 best = list(chosen)
             return
         for v in reps[i]:
-            if all(v not in ctx.G.adj[u] for u in chosen):
+            if not blocked >> v & 1:
                 chosen.append(v)
-                rec(i + 1)
+                rec(i + 1, blocked | adj[v])
                 chosen.pop()
-        rec(i + 1)
+        rec(i + 1, blocked)
 
-    rec(0)
+    rec(0, 0)
     return best
 
 
-def _mis_exact(ctx, F: frozenset, cfg: SolveConfig, trace,
+def _mis_exact(ctx, F: int, cfg: SolveConfig, trace,
                depth: int = 0) -> list[int]:
-    """Optimal independent set of F, on one separator tree rooted at F.
+    """Optimal independent set of the mask F, on one separator tree rooted
+    at F.
 
     A selection I of the separator leaves ``side_a - N(I)`` and
     ``side_b - N(I)``, which share no edge, so each is solved on its own;
     the selections of one separator leave few distinct sides, and each is
-    solved once per call.
+    solved once per call.  The largest candidate wins, and among equal sizes
+    the one whose sorted list is least, so the chosen set does not depend on
+    the order in which the selections come.
     """
-    def split(F, res, recurse):
-        solved: dict[frozenset, list[int]] = {}
-
-        def side(X: frozenset) -> list[int]:
-            out = solved.get(X)
-            if out is None:
-                out = solved[X] = recurse(X)
-            return out
-
-        best: Optional[list[int]] = None
-        for I in _independent_selections(ctx, res.units, F):
-            gone = ctx.neighbors_of_set(I, F)
-            cand = list(I) + side(res.side_a - gone) + side(res.side_b - gone)
-            if best is None or len(cand) > len(best) or \
-                    (len(cand) == len(best) and sorted(cand) < sorted(best)):
-                best = cand
+    def split(F, cut, recurse):
+        side_a, side_b = cut.side_a, cut.side_b
+        solved: dict[int, list[int]] = {}
+        best: list[int] = []  # sorted
+        size = -1
+        for I, blocked in _independent_selections(ctx, cut.units, F):
+            left = ~blocked
+            A = solved.get(a := side_a & left)
+            if A is None:
+                A = solved[a] = recurse(a)
+            B = solved.get(b := side_b & left)
+            if B is None:
+                B = solved[b] = recurse(b)
+            n = len(I) + len(A) + len(B)
+            if n >= size:
+                cand = sorted(I + A + B)
+                if n > size or cand < best:
+                    best, size = cand, n
         return best
 
     return _divide(ctx, F, cfg.base_threshold,
@@ -490,10 +615,10 @@ def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
     """(1-eps)-approximate independent set; exact below the measure leaf."""
     ctx = ctx or RectContext(rects)
 
-    def split(F, res, recurse):
-        sol = set(recurse(res.side_a)) | set(recurse(res.side_b))
+    def split(F, cut, recurse):
+        sol = set(recurse(cut.side_a)) | set(recurse(cut.side_b))
         # the separator was discarded; greedily re-admit what still fits
-        for v in sorted(res.s):
+        for v in _ids(cut.s):
             if not (ctx.G.adj[v] & sol):
                 sol.add(v)
         return list(sol)
@@ -573,16 +698,20 @@ def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
     return best
 
 
-def _cover_exact(ctx, F: frozenset, cfg: SolveConfig, trace,
+def _cover_exact(ctx, F: int, cfg: SolveConfig, trace,
                  depth: int = 0) -> list[int]:
-    """Optimal cover of the items in F by ``ctx.candidates``, as their ids."""
-    return _divide(
-        ctx, F, cfg.base_threshold,
-        lambda F, depth: _split_search(ctx.search(), F, frozenset(),
-                                       lambda rest: []),
-        lambda F, res, recurse: _split_search(ctx.search(), res.s,
-                                              F - res.s, recurse),
-        trace, depth)
+    """Optimal cover of the items in the mask F by ``ctx.candidates``, as
+    their ids.  The branch-and-bound runs on frozensets."""
+    def leaf(F, depth):
+        return _split_search(ctx.search(), _members(F), frozenset(),
+                             lambda rest: [])
+
+    def split(F, cut, recurse):
+        return _split_search(ctx.search(), _members(cut.s),
+                             _members(F & ~cut.s),
+                             lambda rest: recurse(_mask(rest)))
+
+    return _divide(ctx, F, cfg.base_threshold, leaf, split, trace, depth)
 
 
 def _cover_ptas(ctx, cfg: SolveConfig, trace) -> list:
@@ -601,9 +730,12 @@ def _cover_ptas(ctx, cfg: SolveConfig, trace) -> list:
         return [ctx.candidates[c]
                 for c in _cover_exact(ctx, F, cfg, trace, depth)]
 
-    def split(F, res, recurse):
-        picks, hit = ctx.retire(res.units, res.side_a | res.side_b)
-        return picks + recurse(res.side_a - hit) + recurse(res.side_b - hit)
+    def split(F, cut, recurse):
+        units = [CoverUnit(_members(m), certificate)
+                 for m, certificate in cut.units]
+        picks, hit = ctx.retire(units, _members(cut.side_a | cut.side_b))
+        left = ~_mask(hit)
+        return picks + recurse(cut.side_a & left) + recurse(cut.side_b & left)
 
     return _divide(ctx, _everything(ctx), cfg.ptas_leaf_threshold(), leaf,
                    split, trace)
@@ -771,12 +903,13 @@ def separation_profile(ctx, t0: int = 4, validator=None) -> list[SeparatorCall]:
 
     ``validator(F, res)`` is invoked per call when given (contract sweeps).
     """
-    def split(F, res, recurse):
+    def split(F, cut, recurse):
+        F = _members(F)
         _, Gf, strip, mu_f = ctx.restrict(F)
         if validator is not None:
-            validator(F, res)
+            validator(F, _as_result(cut))
         row = SeparatorCall(len(F), mu_f.total, cover_length(Gf, strip).value,
-                            res.cost, res.route)
-        return [row] + recurse(res.side_a) + recurse(res.side_b)
+                            cut.cost, cut.route)
+        return [row] + recurse(cut.side_a) + recurse(cut.side_b)
 
     return _divide(ctx, _everything(ctx), t0, lambda F, depth: [], split)

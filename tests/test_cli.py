@@ -201,6 +201,15 @@ class TestBench:
         assert rows[-1][0] == "SUMMARY"
         assert float(rows[-1][-1]) <= 8.0
 
+    @pytest.mark.parametrize("t0", ["0", "-3"])
+    def test_bad_t0_is_input_error(self, tmp_path, t0, capsys):
+        p = tmp_path / "u.inst"
+        instances.save(instances.generate("rects", 20, 1), p)
+        code, out, err = run(["bench-separator", str(p), "--t0", t0], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith("cliquesep: ") and err.count("\n") == 1
+
     def test_unwritable_out_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "u.inst"
         instances.save(instances.generate("rects", 10, 1), p)

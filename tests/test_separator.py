@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cliquesep import solvers
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.graphs import (Graph, OrderedCliqueCover, RestrictionMeasure)
 from cliquesep.separator import (CHORDAL, G_CLIQUE, LENGTH_WINDOW,
@@ -184,7 +185,7 @@ class TestSeparate:
                 rects.append(Rect(x, x + w, y))
             ctx = RectContext(rects)
             F = frozenset(range(n))
-            if ctx.mu_of(F) < 2:
+            if ctx.mu_of(solvers._mask(F)) < 2:
                 continue
             res = ctx.separate_subset(F, 0)
             assert check_separator(ctx.G, ctx.mu, res, F) == []

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cliquesep import geometry, instances, oracles, solvers
 from cliquesep.geometry import (SCALE, PointSite, Rect, candidate_discs,
                                 candidate_pierce_points)
+from cliquesep.graphs import components_within
 from cliquesep.separator import check_separator
 from cliquesep.solvers import (CoverContext, PierceContext, PointContext,
                                RectContext, SolveConfig, disccover_exact,
@@ -399,8 +401,10 @@ class TestSeparatorTree:
             return
         node, res = data.draw(st.sampled_from(nodes))
         sub = data.draw(st.sets(st.sampled_from(sorted(node)), min_size=1))
-        F = data.draw(st.sampled_from(ctx.components(frozenset(sub))))
-        r = solvers._restricted_separator(res, F)
+        F = data.draw(st.sampled_from(ctx.components(solvers._mask(sub))))
+        r = solvers._as_result(
+            solvers._restricted_separator(solvers._as_cut(res), F))
+        F = solvers._members(F)
         problems = check_separator(ctx.G, ctx.mu, r, F,
                                    points=getattr(ctx, "points", None))
         assert [p for p in problems if "2/3" not in p] == []
@@ -417,6 +421,63 @@ class TestSeparatorTree:
             sol = mis_exact(rects, SolveConfig(base_threshold=t0), ctx=ctx)
             assert sol.certified_independent
             assert sol.value == opt, t0
+
+
+class TestBitmaskSets:
+    """``_divide`` holds vertex sets as int bitmasks (bit v is item v)."""
+
+    @settings(deadline=None)
+    @given(st.sampled_from(["rects", "points"]), st.data())
+    def test_components_match_components_within(self, kind, data):
+        if kind == "rects":
+            items = data.draw(st.lists(SMALL_RECT, min_size=1, max_size=24))
+        else:
+            items = data.draw(st.lists(st.one_of(SMALL_POINT, LINE_POINT),
+                                       min_size=1, max_size=24))
+        ctx = RectContext(items) if kind == "rects" else PointContext(items)
+        sub = data.draw(st.sets(st.integers(0, len(items) - 1)))
+        comps = ctx.components(solvers._mask(sub))
+        assert [solvers._members(c) for c in comps] == \
+            components_within(ctx.G.adj, frozenset(sub))
+        assert ctx.mu_of(solvers._mask(sub)) == ctx.mu.of(sub)
+
+    # sha256 of the sorted chosen sets of the sweep below, recorded while the
+    # recursion still held its vertex sets as frozensets
+    MIS_SWEEP_SHA256 = ("cb31d0430a5c52faa4931aa0450ccf58"
+                        "f179eec7831f3f937cd97f6ff63360d3")
+
+    def test_mis_chosen_sets_are_pinned(self):
+        h = hashlib.sha256()
+        for style in ("uniform", "clustered", "chain"):
+            for n in (40, 90, 150):
+                for seed in range(3):
+                    items = instances.generate("rects", n, seed, style).items
+                    ctx = RectContext(items)
+                    sols = [mis_exact(items, ctx=ctx)]
+                    sols += [mis_ptas(items, SolveConfig(epsilon=e), ctx=ctx)
+                             for e in (0.3, 0.5)]
+                    for sol in sols:
+                        h.update(repr(sorted(sol.chosen)).encode())
+        assert h.hexdigest() == self.MIS_SWEEP_SHA256
+
+
+class TestVerifyIndependentRects:
+    def test_touching_rects_intersect(self):
+        a = Rect(0, SCALE, 0)
+        assert not verify_independent_rects([a, Rect(SCALE, 2 * SCALE, 0)], {0, 1})
+        assert not verify_independent_rects([a, Rect(0, SCALE, SCALE)], {0, 1})
+        assert not verify_independent_rects([a, Rect(0, SCALE, -SCALE)], {0, 1})
+        assert verify_independent_rects([a, Rect(0, SCALE, SCALE + 1)], {0, 1})
+        assert verify_independent_rects([a, Rect(SCALE + 1, 3 * SCALE, 0)], {0, 1})
+
+    @settings(deadline=None)
+    @given(st.lists(SMALL_RECT, min_size=1, max_size=30), st.data())
+    def test_matches_pairwise_definition(self, rects, data):
+        chosen = data.draw(st.sets(st.integers(0, len(rects) - 1)))
+        ids = sorted(chosen)
+        pairwise = not any(rects[a].intersects(rects[b])
+                           for i, a in enumerate(ids) for b in ids[i + 1:])
+        assert verify_independent_rects(rects, chosen) == pairwise
 
 
 class TestRecursionShape:
