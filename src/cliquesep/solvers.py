@@ -513,9 +513,10 @@ def _independent_selections(ctx, units, F: int) -> list[tuple[list[int], int]]:
     clique unit, up to neighborhood-equivalence inside each unit.
 
     Each comes as ``(chosen, blocked)``: the picks, and the mask of their
-    neighbours in G.  The order is that of a depth-first search that skips
-    a unit before trying its members: each unit extends every selection so
-    far in place, by nothing first.
+    neighbours in G.  Each unit extends every selection so far in place, by
+    nothing first, which gives the order of a depth-first search that skips
+    a unit before trying its members; the answer does not depend on it, but
+    the order in which tree nodes are separated and traced does.
     """
     adj = ctx.adj_mask
     selections = [([], 0)]
