@@ -1,10 +1,15 @@
 """Measure-balanced maximal-clique separators of interval graphs.
 
 The separator engine's chordal supergraph G2 is an interval graph, and
-:func:`balanced_clique_separator` works on its intervals alone: one sweep of
-the endpoints lists the maximal cliques left to right (a clique path), and
-the components left after removing one are runs of intervals on either side
-of it.  G2 is never built.  The tests check the sweep against
+:func:`clique_cut` works on its intervals alone: one sweep of the endpoints
+of a subproblem's members lists the maximal cliques left to right (a clique
+path), and the components left after removing one are runs of intervals on
+either side of it.  G2 is never built.  The subproblem is a vertex mask F
+over a :class:`~cliquesep.graphs.Frame`, in global ids; every order and
+tie-break of the sweep is by coordinate and then by id, so it picks the same
+clique as a sweep of G[F] relabelled to 0..|F|-1 would.  The same sweep
+checks its input: a G-edge or a measure part inside F whose intervals share
+no point raises ``ValueError``.  The tests check the sweep against
 :func:`cliquesep.oracles.maximal_cliques_chordal` on G2 built by
 :func:`cliquesep.oracles.interval_graph`.
 """
@@ -13,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Graph, RestrictionMeasure
+from .graphs import (Frame, Graph, OrderedCliqueCover, RestrictionMeasure,
+                     _ids, _members)
 
 
 @dataclass(frozen=True)
@@ -45,22 +51,21 @@ def _pack_components(comps: list[tuple[int, int, int]]) -> tuple[int, list[int]]
     return max(w), side
 
 
-def _prefix_components(intervals: Sequence[tuple[int, int]], part_of) -> list:
-    """The components of every prefix of the intervals in right-end order.
+def _prefix_components(spans, part_of) -> list:
+    """The components of every prefix of ``spans`` in right-end order.
 
-    ``tops[k]`` is the stack of components of the first k intervals, as
-    linked nodes (reach, measure weight, smallest id, size, node below) with
-    reach the largest right end.  Nodes are never changed, so every prefix
-    keeps its stack.  An interval whose right end is the largest so far
-    overlaps a component iff its left end is at most the component's reach,
-    and the components it overlaps are the top ones.
+    ``spans`` holds one (right end, id, left end) per interval.  ``tops[k]``
+    is the stack of components of the first k intervals, as linked nodes
+    (reach, measure weight, smallest id, size, node below) with reach the
+    largest right end.  Nodes are never changed, so every prefix keeps its
+    stack.  An interval whose right end is the largest so far overlaps a
+    component iff its left end is at most the component's reach, and the
+    components it overlaps are the top ones.
     """
-    order = sorted(range(len(intervals)), key=lambda i: (intervals[i][1], i))
     seen: set[int] = set()
     top = None
     tops = [top]
-    for i in order:
-        lo, hi = intervals[i]
+    for hi, i, lo in sorted(spans):
         weight = int(part_of[i] not in seen)
         seen.add(part_of[i])
         first, size = i, 1
@@ -75,7 +80,8 @@ def _prefix_components(intervals: Sequence[tuple[int, int]], part_of) -> list:
 
 
 def _components(intervals: Sequence[tuple[int, int]], ids) -> list[list[int]]:
-    """Components of the interval graph on ``ids``: runs in left-end order."""
+    """Components of the interval graph on ``ids`` (ascending): runs in
+    left-end order."""
     comps: list[list[int]] = []
     reach = None
     for i in sorted(ids, key=lambda i: intervals[i]):
@@ -89,69 +95,79 @@ def _components(intervals: Sequence[tuple[int, int]], ids) -> list[list[int]]:
     return comps
 
 
-def _clique_path(intervals: Sequence[tuple[int, int]]):
-    """The maximal cliques of the interval graph, left to right.
+def _clique_path(frame: Frame, ids: list[int]):
+    """The maximal cliques of the interval graph on ``ids``, left to right.
 
     One sort of the endpoints, starts before ends at equal coordinates: the
     intervals open when a right end follows a run of left ends form a
-    maximal clique.  Yields (clique, ends, starts) with the number of
+    maximal clique.  Yields (clique mask, ends, starts) with the number of
     intervals that end before the clique and the number that start at or
-    before it.  The clique is the sweep's live set: copy it to keep it.
+    before it; the clique has starts - ends members.
+
+    Each interval is checked as it starts against the mask of those already
+    ended, which lie wholly to its left: a G-neighbour or a member of its
+    measure part among them raises ``ValueError``.  Every pair of disjoint
+    intervals meets this test once, when the later one starts.
     """
-    events = sorted([(lo, 0, i) for i, (lo, _) in enumerate(intervals)]
-                    + [(hi, 1, i) for i, (_, hi) in enumerate(intervals)])
-    active: set[int] = set()
+    intervals, adj = frame.intervals, frame.adj_mask
+    part_of, part_mask = frame.part_of, frame.part_mask
+    events = sorted([(intervals[i][0], 0, i) for i in ids]
+                    + [(intervals[i][1], 1, i) for i in ids])
+    active = ended = 0
     starts = ends = 0
     after_start = False
     for _, is_end, i in events:
         if not is_end:
-            active.add(i)
+            if adj[i] & ended:
+                u = _ids(adj[i] & ended)[0]
+                raise ValueError(f"G edge ({u},{i}) joins disjoint intervals")
+            if part_mask[part_of[i]] & ended:
+                raise ValueError(f"measure part {part_of[i]} is not an "
+                                 "interval clique")
+            active |= 1 << i
             starts += 1
             after_start = True
             continue
         if after_start:
             after_start = False
             yield active, ends, starts
-        active.discard(i)
+        active ^= 1 << i
+        ended |= 1 << i
         ends += 1
 
 
-def balanced_clique_separator(intervals: Sequence[tuple[int, int]], G: Graph,
-                              mu: RestrictionMeasure) -> Optional[CliqueSeparator]:
-    """Best 2/3-measure-balanced maximal clique of an interval graph, or None.
+def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int, int]]:
+    """Best 2/3-measure-balanced maximal clique of the interval graph on the
+    mask F, or None when F is empty or no clique balances.
 
-    ``intervals[v]`` is the closed interval (lo, hi) of vertex v of G; every
-    edge of G must join overlapping intervals, and every measure part must
-    be a clique of the interval graph.  Every maximal clique is evaluated:
-    remove it, pack the components of the remainder into two sides
-    largest-first, and keep the clique whose larger side is smallest, ties
-    to the smaller clique, then the smaller sorted member list.  A clique
-    qualifies only when both sides have measure at most 2/3 of the whole
-    (exact rational comparison 3*mu(side) <= 2*mu(V)).
+    Returns (clique, side_a, side_b, larger measure), the sets as masks.
+    Every edge of G inside F must join overlapping intervals, and every
+    measure part must be an interval clique inside F; :func:`_clique_path`
+    checks both.  Every maximal clique is evaluated: remove it, pack the
+    components of the remainder into two sides largest-first, and keep the
+    clique whose larger side is smallest, ties to the smaller clique, then
+    the smaller sorted member list.  A clique qualifies only when both sides
+    have measure at most 2/3 of F's (exact rational comparison
+    3*mu(side) <= 2*mu(F)).
 
-    The cliques come from :func:`_clique_path`.  What is left of the clique
-    at x are the intervals ending before x, a prefix in right-end order, and
-    those starting after x, a suffix in left-end order; one stack pass each
-    way gives the components of every prefix and suffix.
+    What is left of the clique at x are the intervals ending before x, a
+    prefix in right-end order, and those starting after x, a suffix in
+    left-end order; one stack pass each way gives the components of every
+    prefix and suffix.
     """
-    n = len(intervals)
-    if n != G.n:
-        raise ValueError("need one interval per vertex of G")
-    for u, v in G.edges():
-        if max(intervals[u][0], intervals[v][0]) > min(intervals[u][1], intervals[v][1]):
-            raise ValueError(f"G edge ({u},{v}) joins disjoint intervals")
-    for part in mu.cover.parts:
-        if part and max(intervals[v][0] for v in part) > min(intervals[v][1] for v in part):
-            raise ValueError(f"measure part {sorted(part)} is not an interval clique")
-    if n == 0:
+    ids = _ids(F)
+    if not ids:
         return None
-    part_of = mu.part_of
-    total = mu.of(range(n))
-    before = _prefix_components(intervals, part_of)
-    after = _prefix_components([(-hi, -lo) for lo, hi in intervals], part_of)
+    intervals, part_of = frame.intervals, frame.part_of
+    n = len(ids)
+    total = frame.mu_of(F)
+    before = _prefix_components(
+        [(intervals[i][1], i, intervals[i][0]) for i in ids], part_of)
+    after = _prefix_components(
+        [(-intervals[i][0], i, -intervals[i][1]) for i in ids], part_of)
 
     best = None  # (larger, |K|, K)
-    for clique, ends, starts in _clique_path(intervals):
+    for clique, ends, starts in _clique_path(frame, ids):
         comps = []
         for top in (before[ends], after[n - starts]):
             while top is not None:
@@ -159,17 +175,33 @@ def balanced_clique_separator(intervals: Sequence[tuple[int, int]], G: Graph,
                 top = top[4]
         larger, _ = _pack_components(comps)
         if 3 * larger <= 2 * total:
-            key = (larger, len(clique))
-            if best is None or key < best[:2] or \
-                    (key == best[:2] and sorted(clique) < sorted(best[2])):
-                best = (larger, len(clique), frozenset(clique))
+            key = (larger, starts - ends)
+            # of two equal-size cliques, the one holding the lowest id that
+            # is not in both has the smaller sorted member list
+            if best is None or key < best[:2] or (
+                    key == best[:2] and clique & (d := clique ^ best[2]) & -d):
+                best = (larger, starts - ends, clique)
     if best is None:
         return None
 
     larger, _, clique = best
-    comps = _components(intervals, (v for v in range(n) if v not in clique))
+    comps = _components(intervals, _ids(F & ~clique))
     _, side = _pack_components([(len({part_of[v] for v in c}), min(c), len(c))
                                 for c in comps])
-    a = frozenset(v for c, t in zip(comps, side) if t == 0 for v in c)
-    b = frozenset(v for c, t in zip(comps, side) if t == 1 for v in c)
-    return CliqueSeparator(clique, a, b, larger)
+    sides = [0, 0]
+    for c, t in zip(comps, side):
+        for v in c:
+            sides[t] |= 1 << v
+    return clique, sides[0], sides[1], larger
+
+
+def balanced_clique_separator(intervals: Sequence[tuple[int, int]], G: Graph,
+                              mu: RestrictionMeasure) -> Optional[CliqueSeparator]:
+    """:func:`clique_cut` on all of G, with ``intervals[v]`` the closed
+    interval (lo, hi) of vertex v; the sets come back as frozensets."""
+    frame = Frame(G, intervals, OrderedCliqueCover(()), mu)
+    found = clique_cut(frame, (1 << G.n) - 1)
+    if found is None:
+        return None
+    clique, a, b, larger = found
+    return CliqueSeparator(_members(clique), _members(a), _members(b), larger)

@@ -175,9 +175,10 @@ def rect_intersection_graph(rects: Sequence[Rect]) -> Graph:
     adjacent stab lines can interact, so the sweep runs per line pair.
     """
     n = len(rects)
+    line_of = [r.stab_line for r in rects]
     by_line: dict[int, list[int]] = {}
-    for i, r in enumerate(rects):
-        by_line.setdefault(r.stab_line, []).append(i)
+    for i, line in enumerate(line_of):
+        by_line.setdefault(line, []).append(i)
     edges = []
     for line, ids in by_line.items():
         for other in (ids, by_line.get(line + 1, [])):
@@ -189,7 +190,7 @@ def rect_intersection_graph(rects: Sequence[Rect]) -> Graph:
                 ri = rects[i]
                 active = [j for j in active if rects[j].x_hi >= ri.x_lo]
                 for j in active:
-                    if same or (rects[j].stab_line != ri.stab_line):
+                    if same or line_of[j] != line_of[i]:
                         if abs(rects[j].y_lo - ri.y_lo) <= SCALE:
                             edges.append((min(i, j), max(i, j)))
                 active.append(i)

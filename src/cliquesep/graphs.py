@@ -8,6 +8,11 @@ reach across its parts, and no G1 graph is ever built.
 A restriction measure counts how many parts of a fixed clique partition touch a
 vertex set.  It is monotone, subadditive, and exactly additive across edgeless
 splits, which is what the separator engine relies on.
+
+A :class:`Frame` holds one instance as the separator engine reads it: vertex
+sets are int bitmasks (bit v is vertex v), and the graph, the strip cover and
+the measure are held as masks over the same ids, so a subproblem is a mask
+and nothing is relabelled or rebuilt for it.
 """
 from __future__ import annotations
 
@@ -228,6 +233,87 @@ class RestrictionMeasure:
     @property
     def total(self) -> int:
         return len(self.cover.parts)
+
+
+# ---------------------------------------------------------------------------
+# vertex sets as int bitmasks: bit v is vertex v
+
+
+def _mask(vs) -> int:
+    m = 0
+    for v in vs:
+        m |= 1 << v
+    return m
+
+
+def _ids(mask: int) -> list[int]:
+    """The vertices of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _members(mask: int) -> frozenset:
+    return frozenset(_ids(mask))
+
+
+def _indexed(cover: OrderedCliqueCover, n: int) -> tuple[list, list[int]]:
+    """Each vertex's part index (None when uncovered) and each part's mask."""
+    index_of = cover.index_of
+    return [index_of.get(v) for v in range(n)], [_mask(p) for p in cover.parts]
+
+
+class Frame:
+    """What the separator engine reads of one instance, over global ids.
+
+    Holds each vertex's interval (of the chordal supergraph G2; None to skip
+    the chordal route), its strip-cover part and its measure part, and as
+    int bitmasks the neighbourhood in G of each vertex, the members of each
+    strip and measure part, and the vertices outside the strip cover.  A
+    subproblem is then just a mask F of vertices: the engine reads the parts
+    that meet F off these masks, and no subgraph or relabelled cover is
+    built per call.
+    """
+
+    __slots__ = ("adj_mask", "intervals", "strip_of", "strip_mask",
+                 "unstripped", "part_of", "part_mask")
+
+    def __init__(self, G: Graph, intervals, strip_cover: OrderedCliqueCover,
+                 mu: RestrictionMeasure):
+        if intervals is not None and len(intervals) != G.n:
+            raise ValueError("need one interval per vertex of G")
+        self.adj_mask = [_mask(a) for a in G.adj]
+        self.intervals = intervals
+        self.strip_of, self.strip_mask = _indexed(strip_cover, G.n)
+        self.unstripped = _mask(v for v, k in enumerate(self.strip_of)
+                                if k is None)
+        self.part_of, self.part_mask = _indexed(mu.cover, G.n)
+
+    def mu_of(self, F: int) -> int:
+        """The number of measure parts that meet the mask F."""
+        part_of, part_mask = self.part_of, self.part_mask
+        count = 0
+        while F:
+            F &= ~part_mask[part_of[(F & -F).bit_length() - 1]]
+            count += 1
+        return count
+
+    @staticmethod
+    def split(F: int, index_of, masks) -> list[int]:
+        """F cut by disjoint parts (``index_of`` and ``masks`` as held for
+        the strips or the measure parts): the nonempty pieces, in part
+        order."""
+        pieces = []
+        while F:
+            k = index_of[(F & -F).bit_length() - 1]
+            piece = F & masks[k]
+            pieces.append((k, piece))
+            F ^= piece
+        pieces.sort()
+        return [piece for _, piece in pieces]
 
 
 @dataclass(frozen=True)

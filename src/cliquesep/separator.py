@@ -9,15 +9,25 @@ with a cover of the separator by certified units.  The chordal route removes
 a maximal clique of G2, found by sweeping its intervals; the length route
 removes a window of consecutive cover parts.  The cheaper valid candidate
 wins.
+
+The engine, :func:`separate_mask`, runs on a :class:`~cliquesep.graphs.Frame`
+built once per instance, and a subproblem is a vertex mask F over it in
+global ids: the strip and measure parts that meet F, the sides and the
+units are read off the frame's masks, so no subgraph, relabelled cover or id
+map is built per call.  It returns a :class:`Cut` of masks.  The whole-graph
+entry points (:func:`separate`, :func:`chordal_route`,
+:func:`length_window_route`) build a frame, run the engine on every vertex,
+and return a :class:`SeparatorResult` of frozensets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import chordal
 from .geometry import SCALE
-from .graphs import Graph, OrderedCliqueCover, RestrictionMeasure, cover_length
+from .graphs import (Frame, Graph, OrderedCliqueCover, RestrictionMeasure,
+                     _ids, _members)
 
 G_CLIQUE = "G-CLIQUE"
 UNIT_BOX = "UNIT-BOX"
@@ -43,6 +53,27 @@ class SeparatorResult:
     cost: int
 
 
+class Cut(NamedTuple):
+    """A separator as the engine returns it: ``s``, the sides and the
+    members of each unit are masks, and ``units`` pairs each members mask
+    with its certificate."""
+
+    s: int
+    units: tuple[tuple[int, str], ...]
+    side_a: int
+    side_b: int
+    route: str
+    cost: int
+
+    def as_result(self) -> SeparatorResult:
+        return SeparatorResult(
+            _members(self.s),
+            tuple(CoverUnit(_members(m), certificate)
+                  for m, certificate in self.units),
+            _members(self.side_a), _members(self.side_b), self.route,
+            self.cost)
+
+
 class NoSeparatorFound(RuntimeError):
     """Neither route produced a balanced candidate; carries a diagnostic dump."""
 
@@ -51,64 +82,80 @@ class NoSeparatorFound(RuntimeError):
         self.diagnostic = diagnostic
 
 
-Certifier = Callable[[frozenset, int], CoverUnit]
-
-
-def clique_certifier(members: frozenset, part_index: int) -> CoverUnit:
-    return CoverUnit(members, G_CLIQUE)
-
-
-def unit_box_certifier(members: frozenset, part_index: int) -> CoverUnit:
-    return CoverUnit(members, UNIT_BOX)
-
-
-def chordal_route(G: Graph, intervals: Sequence[tuple[int, int]],
-                  g1_cover: OrderedCliqueCover, mu: RestrictionMeasure,
-                  certifier: Certifier = clique_certifier) -> Optional[SeparatorResult]:
-    """Balanced maximal-clique separator of G2, given by one interval per
-    vertex, covered by one unit per g1-cover part the clique touches."""
-    found = chordal.balanced_clique_separator(intervals, G, mu)
+def _chordal_cut(frame: Frame, F: int, certificate: str) -> Optional[Cut]:
+    """Balanced maximal-clique separator of G2[F], covered by one unit per
+    strip the clique meets, each carrying ``certificate``."""
+    found = chordal.clique_cut(frame, F)
     if found is None:
         return None
-    idx = g1_cover.index_of
-    groups: dict[int, set[int]] = {}
-    for v in found.clique:
-        groups.setdefault(idx[v], set()).add(v)
-    units = tuple(certifier(frozenset(groups[i]), i) for i in sorted(groups))
-    return SeparatorResult(found.clique, units, found.side_a, found.side_b,
-                           CHORDAL, len(units))
+    clique, a, b, _ = found
+    units = tuple((m, certificate) for m in
+                  Frame.split(clique, frame.strip_of, frame.strip_mask))
+    return Cut(clique, units, a, b, CHORDAL, len(units))
 
 
-def length_window_route(G: Graph, g1_cover: OrderedCliqueCover,
-                        mu: RestrictionMeasure) -> Optional[SeparatorResult]:
-    """Remove a window of consecutive g1-cover parts.
+def _strips(frame: Frame, F: int) -> tuple[list[int], list[int]]:
+    """The strips that meet F, in order, cut to F, and for each the members
+    of F in the strips after it.  Raises ``ValueError`` when some but not
+    all of F lies outside the strip cover."""
+    stray = F & frame.unstripped
+    if stray and stray != F:
+        raise ValueError(f"vertex {_ids(stray)[0]} of G missing from cover")
+    parts = Frame.split(F & ~stray, frame.strip_of, frame.strip_mask)
+    after = []
+    rest = F
+    for p in parts:
+        rest ^= p
+        after.append(rest)
+    return parts, after
 
-    Edges of G span at most l part indices, so the parts before and after a
-    window of l parts cannot interact.  Among balanced windows the one of
-    minimum measure wins; if no window of width l balances, the width grows
-    until the (always balanced) full-range window is reached.
+
+def _length(frame: Frame, parts: list[int], after: list[int]) -> int:
+    """The largest gap between the strip indices of an edge's ends, in a
+    list of strips from :func:`_strips`: the neighbours of each strip are
+    walked forward through ``after`` to the last strip they meet."""
+    adj = frame.adj_mask
+    length = 0
+    for j, part in enumerate(parts):
+        reach = 0
+        for v in _ids(part):
+            reach |= adj[v]
+        i = j
+        while reach & after[i]:
+            i += 1
+        length = max(length, i - j)
+    return length
+
+
+def strip_length(frame: Frame, F: int) -> int:
+    """The edge-gap length of the strip cover restricted to G[F]: the
+    largest gap between the indices, among the strips that meet F, of the
+    ends of an edge inside F; 0 when F is edgeless."""
+    return _length(frame, *_strips(frame, F))
+
+
+def _window_cut(frame: Frame, F: int) -> Optional[Cut]:
+    """Remove a window of consecutive strips that meet F.
+
+    Edges of G[F] span at most l of those strips, so the strips before and
+    after a window of l strips cannot interact.  Among balanced windows the
+    one of minimum measure wins; if no window of width l balances, the width
+    grows until the (always balanced) full-range window is reached.
     """
-    parts = g1_cover.parts
+    parts, after = _strips(frame, F)
     k = len(parts)
     if k == 0:
         return None
-    length = cover_length(G, g1_cover).value
-    all_vs = frozenset().union(*parts)
-    total = mu.of(all_vs)
-    prefix = []
-    acc: set[int] = set()
-    for p in parts:
-        acc |= p
-        prefix.append(frozenset(acc))
+    length = _length(frame, parts, after)
+    mu_of = frame.mu_of
+    total = mu_of(F)
+    before = [0] + [F ^ rest for rest in after]  # the strips before each
+    mu_before = [mu_of(a) for a in before]
+    mu_after = [mu_of(b) for b in after]
 
-    def side_sets(i, j):
-        """Vertices in parts < i and parts > j."""
-        a = prefix[i - 1] if i > 0 else frozenset()
-        b = all_vs - prefix[j]
-        return a, b
-
-    def side_measures(a, b):
-        wa, wb = mu.of(a), mu.of(b)
+    def larger_side(i, j):
+        """The larger measure of the strips < i and > j, when balanced."""
+        wa, wb = mu_before[i], mu_after[j]
         if 3 * wa <= 2 * total and 3 * wb <= 2 * total:
             return max(wa, wb)
         return None
@@ -122,73 +169,105 @@ def length_window_route(G: Graph, g1_cover: OrderedCliqueCover,
         # leftmost one
         best = None
         if w == 0:
-            # an edgeless gap between consecutive parts: empty separator
+            # an edgeless gap between consecutive strips: empty separator
             for i in range(1, k):
-                a, b = side_sets(i, i - 1)
-                larger = side_measures(a, b)
+                larger = larger_side(i, i - 1)
                 if larger is None:
                     continue
                 key = (0, larger, i)
                 if best is None or key < best[0]:
-                    best = (key, frozenset(), a, b)
+                    best = (key, 0, before[i], after[i - 1])
         else:
             for i in range(0, k - w + 1):
-                s = frozenset().union(*parts[i:i + w])
-                a, b = side_sets(i, i + w - 1)
-                larger = side_measures(a, b)
+                larger = larger_side(i, i + w - 1)
                 if larger is None:
                     continue
-                key = (mu.of(s), larger, i)
+                a, b = before[i], after[i + w - 1]
+                s = F ^ a ^ b
+                key = (mu_of(s), larger, i)
                 if best is None or key < best[0]:
                     best = (key, s, a, b)
         if best is None:
             continue
         (cost, _larger, _i), s, a, b = best
-        units = _measure_part_units(mu, s)
-        return SeparatorResult(s, units, a, b, LENGTH_WINDOW, cost)
+        units = tuple((m, MEASURE_PART) for m in
+                      Frame.split(s, frame.part_of, frame.part_mask))
+        return Cut(s, units, a, b, LENGTH_WINDOW, cost)
     return None
 
 
-def _measure_part_units(mu: RestrictionMeasure, s: frozenset) -> tuple[CoverUnit, ...]:
-    groups: dict[int, set[int]] = {}
-    part_of = mu.part_of
-    for v in s:
-        groups.setdefault(part_of[v], set()).add(v)
-    return tuple(CoverUnit(frozenset(groups[i]), MEASURE_PART)
-                 for i in sorted(groups))
+def separate_mask(frame: Frame, F: int, certificate: str) -> Cut:
+    """Best of both routes on the mask F by unit count; CHORDAL wins ties.
+
+    ``certificate`` labels the chordal route's units (a strip's part of a
+    clique of G2 is a clique of G for rectangles, and fits a unit box for
+    points); the chordal route is skipped when the frame has no intervals.
+    The length route alone always succeeds when some strip meets F, falling
+    back to the full-range window.
+    """
+    candidates = []
+    if frame.intervals is not None:
+        cand = _chordal_cut(frame, F, certificate)
+        if cand is not None:
+            candidates.append(cand)
+    cand = _window_cut(frame, F)
+    if cand is not None:
+        candidates.append(cand)
+    if not candidates:
+        raise NoSeparatorFound(_diagnostic(frame, F))
+    return min(candidates, key=lambda r: (r.cost, 0 if r.route == CHORDAL else 1))
+
+
+def _diagnostic(frame: Frame, F: int) -> dict:
+    adj = frame.adj_mask
+    return {
+        "n": F.bit_count(),
+        "vertices": _ids(F),
+        "edges": [(u, v) for u in _ids(F) for v in _ids(adj[u] & F) if u < v],
+        "g1_parts": [_ids(p) for p in
+                     Frame.split(F & ~frame.unstripped, frame.strip_of,
+                                 frame.strip_mask)],
+        "measure_parts": [_ids(p) for p in
+                          Frame.split(F, frame.part_of, frame.part_mask)],
+    }
+
+
+# ---------------------------------------------------------------------------
+# whole-graph entry points: the engine on every vertex, in frozensets
+
+
+def _whole(cut: Optional[Cut]) -> Optional[SeparatorResult]:
+    return None if cut is None else cut.as_result()
+
+
+def chordal_route(G: Graph, intervals: Sequence[tuple[int, int]],
+                  g1_cover: OrderedCliqueCover, mu: RestrictionMeasure,
+                  certificate: str = G_CLIQUE) -> Optional[SeparatorResult]:
+    """Balanced maximal-clique separator of G2, given by one interval per
+    vertex, covered by one unit per g1-cover part the clique touches."""
+    frame = Frame(G, intervals, g1_cover, mu)
+    return _whole(_chordal_cut(frame, (1 << G.n) - 1, certificate))
+
+
+def length_window_route(G: Graph, g1_cover: OrderedCliqueCover,
+                        mu: RestrictionMeasure) -> Optional[SeparatorResult]:
+    """Remove a window of consecutive g1-cover parts (see
+    :func:`_window_cut`)."""
+    frame = Frame(G, None, g1_cover, mu)
+    return _whole(_window_cut(frame, (1 << G.n) - 1))
 
 
 def separate(G: Graph, g1_cover: OrderedCliqueCover,
              intervals: Optional[Sequence[tuple[int, int]]],
              mu: RestrictionMeasure,
-             certifier: Certifier = clique_certifier) -> SeparatorResult:
-    """Best of both routes by unit count; CHORDAL wins ties.
+             certificate: str = G_CLIQUE) -> SeparatorResult:
+    """:func:`separate_mask` on all of G.
 
     ``intervals`` (the interval model of G2, one per vertex) may be None to
-    skip the chordal route (the length route alone always succeeds for a
-    nonempty cover, falling back to the full-range window).
+    skip the chordal route.
     """
-    candidates = []
-    if intervals is not None:
-        cand = chordal_route(G, intervals, g1_cover, mu, certifier)
-        if cand is not None:
-            candidates.append(cand)
-    cand = length_window_route(G, g1_cover, mu)
-    if cand is not None:
-        candidates.append(cand)
-    if not candidates:
-        raise NoSeparatorFound(_diagnostic(G, g1_cover, mu))
-    best = min(candidates, key=lambda r: (r.cost, 0 if r.route == CHORDAL else 1))
-    return best
-
-
-def _diagnostic(G, g1_cover, mu):
-    return {
-        "n": G.n,
-        "edges": sorted(G.edges()),
-        "g1_parts": [sorted(p) for p in g1_cover.parts],
-        "measure_parts": [sorted(p) for p in mu.cover.parts],
-    }
+    frame = Frame(G, intervals, g1_cover, mu)
+    return separate_mask(frame, (1 << G.n) - 1, certificate).as_result()
 
 
 def check_separator(G: Graph, mu: RestrictionMeasure, res: SeparatorResult,

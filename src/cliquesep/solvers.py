@@ -18,12 +18,13 @@ neither exactness nor the PTAS charging needs it (see :func:`_divide` and
 answer with a geometry-only scan before returning.
 
 Inside :func:`_divide` every vertex set is an int bitmask, bit v for item v,
-and the exact independent set runs on masks end to end.  The separator
-engine, :class:`SeparatorResult`, the candidate masks of the covering
-contexts and the covering branch-and-bound keep frozensets; ``_divide``
-converts each tree node once when it separates it, and the callbacks of the
-covering solvers and of :func:`separation_profile` convert what they hand
-to frozenset code.
+and the exact independent set runs on masks end to end.  So does the
+separator engine: each context builds one :class:`~cliquesep.graphs.Frame`
+of itself, lazily, and :meth:`_BaseContext.separate_subset` hands it a tree
+node's mask and gets a :class:`~cliquesep.separator.Cut` of masks back.  The
+candidate masks of the covering contexts and the covering branch-and-bound
+keep frozensets; the callbacks of the covering solvers, and the validator of
+:func:`separation_profile`, convert what they hand to frozenset code.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .geometry import (Disc, PointSite, Rect,
                        candidate_discs, candidate_pierce_points,
@@ -40,10 +41,10 @@ from .geometry import (Disc, PointSite, Rect,
                        rect_intersection_graph, strip_cover_rects,
                        unit_distance_graph, vertical_strip_cover_points,
                        x_chordal_graph, y_chordal_graph_points)
-from .graphs import (OrderedCliqueCover, RestrictionMeasure, cover_length,
-                     induced_subgraph)
-from .separator import (MEASURE_PART, CoverUnit, SeparatorResult,
-                        clique_certifier, separate, unit_box_certifier)
+from .graphs import (Frame, OrderedCliqueCover, RestrictionMeasure, _ids,
+                     _mask, _members)
+from .separator import (G_CLIQUE, MEASURE_PART, UNIT_BOX, CoverUnit, Cut,
+                        separate_mask, strip_length)
 
 TraceHook = Callable[[int, int, str, int], None]
 
@@ -132,40 +133,7 @@ def verify_disc_cover(points: Sequence[PointSite], discs: Sequence[Disc]) -> boo
 
 
 # ---------------------------------------------------------------------------
-# vertex sets as bitmasks: bit v of an int is item v (see :func:`_divide`)
-
-
-def _mask(vs) -> int:
-    m = 0
-    for v in vs:
-        m |= 1 << v
-    return m
-
-
-def _ids(mask: int) -> list[int]:
-    """The items of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _members(mask: int) -> frozenset:
-    return frozenset(_ids(mask))
-
-
-# ---------------------------------------------------------------------------
 # solver contexts: one-time global structures per instance
-
-
-def _restricted_cover(index_of, vs, local) -> OrderedCliqueCover:
-    """The parts of a cover that meet ``vs``, in order, in local ids."""
-    by_part: dict[int, list[int]] = {}
-    for v in vs:
-        by_part.setdefault(index_of[v], []).append(local[v])
-    return OrderedCliqueCover(tuple(frozenset(by_part[k]) for k in sorted(by_part)))
 
 
 def _distinct(cands, masks):
@@ -190,32 +158,22 @@ def _holders(masks, n: int) -> list[tuple[int, ...]]:
 
 class _BaseContext:
     kind = "?"
-    _restricted = (None, None)  # the F restricted last, and its restriction
 
     @cached_property
-    def adj_mask(self) -> list[int]:
-        """The neighbourhood in G of each item, as a mask."""
-        return [_mask(a) for a in self.G.adj]
-
-    @cached_property
-    def part_mask(self) -> list[int]:
-        """The members of each measure part, as a mask."""
-        return [_mask(p) for p in self.measure_cover.parts]
+    def frame(self) -> Frame:
+        """The instance as the separator engine reads it, built on first
+        use: intervals, strips and measure parts, and the masks of each."""
+        return Frame(self.G, self.intervals, self.strip_cover, self.mu)
 
     def mu_of(self, F: int) -> int:
         """The number of measure parts that meet the mask F."""
-        part_of, part_mask = self.part_of, self.part_mask
-        count = 0
-        while F:
-            F &= ~part_mask[part_of[(F & -F).bit_length() - 1]]
-            count += 1
-        return count
+        return self.frame.mu_of(F)
 
     def components(self, F: int) -> list[int]:
         """The components of G[F] for a mask F, as masks ordered by lowest
         member: a breadth-first search that grows each one a layer at a
         time."""
-        adj = self.adj_mask
+        adj = self.frame.adj_mask
         comps = []
         while F:
             comp = frontier = F & -F
@@ -291,53 +249,18 @@ class _BaseContext:
             return cheap
         return max(cheap, self.independent_lower_bound(F, need))
 
-    def restrict(self, F: frozenset):
-        """The subproblem on F in local ids 0..|F|-1.
-
-        Returns (vs, G[F], strip cover, measure): ``vs`` maps local ids back
-        to global ones; the strip cover keeps its part order, so its length
-        is at most the global one.  The last restriction is kept, and asking
-        again for an equal F (the separator profile does, right after
-        separating it) returns it without rebuilding.
-        """
-        last_F, last = self._restricted
-        if F == last_F:
-            return last
-        vs = tuple(sorted(F))
-        local = {v: i for i, v in enumerate(vs)}
-        strip = _restricted_cover(self.strip_cover.index_of, vs, local)
-        mu = RestrictionMeasure(_restricted_cover(self.part_of, vs, local))
-        out = vs, induced_subgraph(self.G, vs), strip, mu
-        self._restricted = (F, out)
-        return out
-
-    def separate_subset(self, F: frozenset, depth: int,
-                        trace: Optional[TraceHook] = None) -> SeparatorResult:
-        """Separator for the induced subproblem on F, in global ids."""
-        vs, Gf, strip, mu_f = self.restrict(F)
-        res = separate(Gf, strip, [self.intervals[v] for v in vs], mu_f,
-                       certifier=self.certifier)
-
-        def to_global(ids):
-            return frozenset(vs[i] for i in ids)
-
-        out = SeparatorResult(
-            s=to_global(res.s),
-            units=tuple(CoverUnit(to_global(u.members), u.certificate)
-                        for u in res.units),
-            side_a=to_global(res.side_a),
-            side_b=to_global(res.side_b),
-            route=res.route,
-            cost=res.cost,
-        )
+    def separate_subset(self, F: int, depth: int,
+                        trace: Optional[TraceHook] = None) -> Cut:
+        """Separator for the induced subproblem on the mask F."""
+        cut = separate_mask(self.frame, F, self.certificate)
         if trace is not None:
-            trace(depth, mu_f.total, out.route, out.cost)
-        return out
+            trace(depth, self.mu_of(F), cut.route, cut.cost)
+        return cut
 
 
 class RectContext(_BaseContext):
     kind = "rects"
-    certifier = staticmethod(clique_certifier)
+    certificate = G_CLIQUE
 
     def __init__(self, rects: Sequence[Rect]):
         self.rects = list(rects)
@@ -346,12 +269,11 @@ class RectContext(_BaseContext):
         self.strip_cover = strip_cover_rects(self.rects)
         self.measure_cover, _ = greedy_cover_and_is_rects(self.rects)
         self.mu = RestrictionMeasure(self.measure_cover)
-        self.part_of = dict(self.mu.part_of)
 
 
 class PointContext(_BaseContext):
     kind = "points"
-    certifier = staticmethod(unit_box_certifier)
+    certificate = UNIT_BOX
 
     def __init__(self, points: Sequence[PointSite]):
         self.points = list(points)
@@ -361,46 +283,19 @@ class PointContext(_BaseContext):
         self.measure_cover = OrderedCliqueCover(
             tuple(group for _, group in quarter_cell_partition(self.points)))
         self.mu = RestrictionMeasure(self.measure_cover)
-        self.part_of = dict(self.mu.part_of)
 
 
 # ---------------------------------------------------------------------------
 # the divide-and-conquer skeleton
 
 
-class _Cut(NamedTuple):
-    """A separator as :func:`_divide` holds it: ``s``, the sides and the
-    members of each unit are masks, and ``units`` pairs each members mask
-    with its certificate."""
-
-    s: int
-    units: tuple[tuple[int, str], ...]
-    side_a: int
-    side_b: int
-    route: str
-    cost: int
-
-
-def _as_cut(res: SeparatorResult) -> _Cut:
-    return _Cut(_mask(res.s),
-                tuple((_mask(u.members), u.certificate) for u in res.units),
-                _mask(res.side_a), _mask(res.side_b), res.route, res.cost)
-
-
-def _as_result(cut: _Cut) -> SeparatorResult:
-    return SeparatorResult(
-        _members(cut.s),
-        tuple(CoverUnit(_members(m), certificate) for m, certificate in cut.units),
-        _members(cut.side_a), _members(cut.side_b), cut.route, cut.cost)
-
-
-def _restricted_separator(cut: _Cut, F: int) -> _Cut:
+def _restricted_separator(cut: Cut, F: int) -> Cut:
     """A node's separator inside the mask F: every set cut to F, empty units
     dropped, and the cost recounted."""
     units = tuple((members, certificate) for m, certificate in cut.units
                   if (members := m & F))
-    return _Cut(cut.s & F, units, cut.side_a & F, cut.side_b & F, cut.route,
-                len(units))
+    return Cut(cut.s & F, units, cut.side_a & F, cut.side_b & F, cut.route,
+               len(units))
 
 
 def _divide(ctx, F: int, threshold, leaf, split,
@@ -423,11 +318,11 @@ def _divide(ctx, F: int, threshold, leaf, split,
     memo keys, the tree nodes, the sets ``leaf`` and ``split`` receive and
     hand to ``recurse``, and the separator, a :class:`_Cut`.  A union,
     intersection or difference is then one integer operation, and a set is
-    hashed without building a set object.  Frozensets appear only at the
-    edges: each tree node is converted once to call ``ctx.separate_subset``,
-    and the callbacks of the covering solvers and of
-    :func:`separation_profile` convert what they pass to code that takes
-    frozensets.
+    hashed without building a set object.  The separator engine takes a
+    tree node's mask and returns a :class:`~cliquesep.separator.Cut`;
+    frozensets appear only in the callbacks of the covering solvers and of
+    :func:`separation_profile`, which convert what they pass to code that
+    takes frozensets.
 
     The separated sets are the nodes of one separator tree, the one
     :func:`separation_profile` walks: a node's children are the components
@@ -472,7 +367,7 @@ def _divide(ctx, F: int, threshold, leaf, split,
             node = F if parent is None else \
                 tree[parent][1][(F & -F).bit_length() - 1]
             if node not in tree:
-                cut = _as_cut(ctx.separate_subset(_members(node), depth, trace))
+                cut = ctx.separate_subset(node, depth, trace)
                 children = ctx.components(cut.side_a | cut.side_b)
                 tree[node] = cut, {v: c for c in children for v in _ids(c)}
             cut = tree[node][0]
@@ -500,7 +395,7 @@ def _class_reps(ctx, members: int, F: int) -> list[int]:
     clique itself) are interchangeable for independent-set purposes; the
     lowest id represents each class.  Returns the representatives ascending.
     """
-    adj = ctx.adj_mask
+    adj = ctx.frame.adj_mask
     outside = F & ~members
     classes: dict[int, int] = {}
     for v in _ids(members):
@@ -518,7 +413,7 @@ def _independent_selections(ctx, units, F: int) -> list[tuple[list[int], int]]:
     a unit before trying its members; the answer does not depend on it, but
     the order in which tree nodes are separated and traced does.
     """
-    adj = ctx.adj_mask
+    adj = ctx.frame.adj_mask
     selections = [([], 0)]
     for members, _ in units:
         options = _class_reps(ctx, members, F)
@@ -534,14 +429,10 @@ def _independent_selections(ctx, units, F: int) -> list[tuple[list[int], int]]:
 
 def _mis_leaf(ctx, F: int) -> list[int]:
     """Exact MIS when few measure parts touch F: one pick per clique part."""
-    part_of, part_mask, adj = ctx.part_of, ctx.part_mask, ctx.adj_mask
-    groups: dict[int, int] = {}
-    rest = F
-    while rest:
-        k = part_of[(rest & -rest).bit_length() - 1]
-        groups[k] = g = rest & part_mask[k]
-        rest ^= g
-    reps = [_class_reps(ctx, groups[k], F) for k in sorted(groups)]
+    frame = ctx.frame
+    adj = frame.adj_mask
+    reps = [_class_reps(ctx, g, F)
+            for g in Frame.split(F, frame.part_of, frame.part_mask)]
     best: list[int] = []
     chosen: list[int] = []
 
@@ -905,12 +796,10 @@ def separation_profile(ctx, t0: int = 4, validator=None) -> list[SeparatorCall]:
     ``validator(F, res)`` is invoked per call when given (contract sweeps).
     """
     def split(F, cut, recurse):
-        F = _members(F)
-        _, Gf, strip, mu_f = ctx.restrict(F)
         if validator is not None:
-            validator(F, _as_result(cut))
-        row = SeparatorCall(len(F), mu_f.total, cover_length(Gf, strip).value,
-                            cut.cost, cut.route)
+            validator(_members(F), cut.as_result())
+        row = SeparatorCall(F.bit_count(), ctx.mu_of(F),
+                            strip_length(ctx.frame, F), cut.cost, cut.route)
         return [row] + recurse(cut.side_a) + recurse(cut.side_b)
 
     return _divide(ctx, _everything(ctx), t0, lambda F, depth: [], split)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cliquesep.chordal import _clique_path, balanced_clique_separator
-from cliquesep.graphs import (Graph, OrderedCliqueCover, RestrictionMeasure,
-                              components_within)
+from cliquesep.graphs import (Frame, Graph, OrderedCliqueCover,
+                              RestrictionMeasure, _members, components_within)
 from cliquesep.oracles import (NotChordalError, interval_graph,
                                maximal_cliques_chordal, mcs_order)
 
@@ -225,7 +225,8 @@ class TestBalancedCliqueSeparator:
         G = interval_graph(ivs)
         found = balanced_clique_separator(ivs, G, mu)
         cliques = maximal_cliques_chordal(G, mcs_order(G))
-        swept = [frozenset(K) for K, _, _ in _clique_path(ivs)]
+        frame = Frame(G, ivs, OrderedCliqueCover(()), mu)
+        swept = [_members(K) for K, _, _ in _clique_path(frame, range(len(ivs)))]
         assert sorted(map(sorted, swept)) == sorted(map(sorted, cliques))
         best = reference_pick(ivs, mu)
         if best is None:

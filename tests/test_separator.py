@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
-from cliquesep import solvers
+from cliquesep import instances, solvers
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.graphs import (Graph, OrderedCliqueCover, RestrictionMeasure)
 from cliquesep.separator import (CHORDAL, G_CLIQUE, LENGTH_WINDOW,
@@ -11,7 +12,7 @@ from cliquesep.separator import (CHORDAL, G_CLIQUE, LENGTH_WINDOW,
                                  NoSeparatorFound, SeparatorResult,
                                  chordal_route, check_separator,
                                  length_window_route, separate)
-from cliquesep.solvers import RectContext
+from cliquesep.solvers import PointContext, RectContext, separation_profile
 
 
 def path(n):
@@ -101,7 +102,7 @@ class TestSeparate:
             rects = [Rect(i * SCALE // 2, i * SCALE // 2 + SCALE, 0)
                      for i in range(n)]
             ctx = RectContext(rects)
-            res = ctx.separate_subset(frozenset(range(n)), 0)
+            res = ctx.separate_subset(solvers._mask(range(n)), 0)
             assert res.route == CHORDAL, n
             assert res.cost == 1, n
 
@@ -187,5 +188,60 @@ class TestSeparate:
             F = frozenset(range(n))
             if ctx.mu_of(solvers._mask(F)) < 2:
                 continue
-            res = ctx.separate_subset(F, 0)
+            res = ctx.separate_subset(solvers._mask(F), 0).as_result()
             assert check_separator(ctx.G, ctx.mu, res, F) == []
+
+
+def row_of_rects(n):
+    """Rects i = [i, i + 1.5] x [0, 1]: each meets only its neighbours."""
+    return [Rect(i * SCALE, i * SCALE + 3 * SCALE // 2, 0) for i in range(n)]
+
+
+class TestSweepChecks:
+    """The chordal sweep checks its input on every call, inside the mask it
+    is handed."""
+
+    def test_g_edge_between_disjoint_intervals_raises(self):
+        ctx = RectContext(row_of_rects(5))
+        ctx.intervals[2] = (100 * SCALE, 101 * SCALE)  # now far from 1 and 3
+        with pytest.raises(ValueError, match="joins disjoint intervals"):
+            ctx.separate_subset(solvers._mask({1, 2, 3}), 0)
+        ctx.separate_subset(solvers._mask({3, 4}), 0)  # 2 lies outside F
+
+    def test_measure_part_without_a_common_point_raises(self):
+        ctx = RectContext(row_of_rects(5))
+        ctx.mu = RestrictionMeasure(pair_cover([(0, 4), (1,), (2,), (3,)]))
+        with pytest.raises(ValueError, match="not an interval clique"):
+            ctx.separate_subset(solvers._mask({0, 3, 4}), 0)
+        ctx.separate_subset(solvers._mask({1, 2, 3}), 0)  # 0 and 4 outside F
+
+
+class TestPinnedCuts:
+    # sha256 of every separator profile row, and of every cut the profile
+    # makes in call order, over the sweep below; recorded while the engine
+    # still separated a relabelled induced subgraph per call
+    ROWS_SHA256 = ("e155d000c268e5a23a9f86535cde62b0"
+                   "3431b74c2f0043b44811679876aaa9ca")
+    CUTS_SHA256 = ("a92960c8a4add8034eb7cc5b5b363c1b"
+                   "e7aff25e10a98e3edc5e5aae7df37b0d")
+
+    def test_profile_rows_and_cuts_are_pinned(self):
+        rows_h, cuts_h = hashlib.sha256(), hashlib.sha256()
+
+        def record(F, res):
+            units = [(sorted(u.members), u.certificate) for u in res.units]
+            cuts_h.update(repr((sorted(res.s), units, sorted(res.side_a),
+                                sorted(res.side_b), res.route,
+                                res.cost)).encode())
+
+        for kind, context in (("rects", RectContext), ("points", PointContext)):
+            for style in ("uniform", "clustered", "chain"):
+                for n in (150, 600):
+                    for seed in range(3):
+                        items = instances.generate(kind, n, seed, style).items
+                        ctx = context(items)
+                        for t0 in (1, 4):
+                            rows = separation_profile(ctx, t0, validator=record)
+                            rows_h.update(repr(rows).encode())
+        assert rows_h.hexdigest() == self.ROWS_SHA256
+        assert cuts_h.hexdigest() == self.CUTS_SHA256

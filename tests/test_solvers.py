@@ -399,11 +399,11 @@ class TestSeparatorTree:
         nodes = tree_nodes(ctx)
         if not nodes:
             return
-        node, res = data.draw(st.sampled_from(nodes))
+        node, _ = data.draw(st.sampled_from(nodes))
+        cut = ctx.separate_subset(solvers._mask(node), 0)
         sub = data.draw(st.sets(st.sampled_from(sorted(node)), min_size=1))
         F = data.draw(st.sampled_from(ctx.components(solvers._mask(sub))))
-        r = solvers._as_result(
-            solvers._restricted_separator(solvers._as_cut(res), F))
+        r = solvers._restricted_separator(cut, F).as_result()
         F = solvers._members(F)
         problems = check_separator(ctx.G, ctx.mu, r, F,
                                    points=getattr(ctx, "points", None))
@@ -509,21 +509,21 @@ class TestRecursionShape:
         for r in rows:
             assert r.length <= 1
 
-    def test_profile_restricts_each_call_once(self, monkeypatch):
-        builds = 0
-        induced = solvers.induced_subgraph
+    def test_profile_separates_each_node_once(self, monkeypatch):
+        calls = 0
+        separate_subset = solvers._BaseContext.separate_subset
 
-        def counting(G, vs):
-            nonlocal builds
-            builds += 1
-            return induced(G, vs)
+        def counting(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return separate_subset(self, *args, **kwargs)
 
-        monkeypatch.setattr(solvers, "induced_subgraph", counting)
+        monkeypatch.setattr(solvers._BaseContext, "separate_subset", counting)
         for ctx in (RectContext(instances.generate("rects", 300, 14).items),
                     PointContext(instances.generate("points", 300, 15).items)):
-            builds = 0
+            calls = 0
             rows = separation_profile(ctx)
-            assert rows and builds == len(rows)
+            assert rows and calls == len(rows)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
