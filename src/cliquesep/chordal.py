@@ -148,7 +148,10 @@ def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int, int]]:
     clique whose larger side is smallest, ties to the smaller clique, then
     the smaller sorted member list.  A clique qualifies only when both sides
     have measure at most 2/3 of F's (exact rational comparison
-    3*mu(side) <= 2*mu(F)).
+    3*mu(side) <= 2*mu(F)).  A clique is not packed when a lower bound on
+    its larger side (the heaviest component, or half the remaining weight
+    rounded up) already rules it out; an equal bound is packed, so ties
+    break as before.
 
     What is left of the clique at x are the intervals ending before x, a
     prefix in right-end order, and those starting after x, a suffix in
@@ -169,10 +172,17 @@ def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int, int]]:
     best = None  # (larger, |K|, K)
     for clique, ends, starts in _clique_path(frame, ids):
         comps = []
+        heaviest = rest = 0
         for top in (before[ends], after[n - starts]):
             while top is not None:
                 comps.append(top[1:4])
+                heaviest = max(heaviest, top[1])
+                rest += top[1]
                 top = top[4]
+        # the larger side holds the heaviest component and half the rest
+        low = max(heaviest, (rest + 1) // 2)
+        if 3 * low > 2 * total or (best is not None and low > best[0]):
+            continue
         larger, _ = _pack_components(comps)
         if 3 * larger <= 2 * total:
             key = (larger, starts - ends)

@@ -10,8 +10,8 @@ only.
 
 The candidate builders are output sensitive: a candidate disc is tested only
 against the unit-distance neighbourhood of a point that generated it, and the
-piercing grid is swept one right edge at a time, visiting only the grid
-points inside each rectangle that spans it.
+piercing grid is swept one right edge at a time, visiting only the ends of
+the top-edge runs of the rectangles that span it.
 
 All sets are closed: boundary contact counts as intersection/coverage, and a
 point pair at distance exactly one unit is adjacent.
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import Graph, OrderedCliqueCover
+from .graphs import Graph, OrderedCliqueCover, _members
 
 SCALE = 10 ** 6  # ticks per geometric unit
 
@@ -387,21 +387,25 @@ def quarter_cell_partition(points: Sequence[PointSite]):
 
 def candidate_pierce_points(
         rects: Sequence[Rect]) -> tuple[list[PointSite], list[frozenset[int]]]:
-    """Corner grid (right edge x top edge) restricted to covered points.
+    """One corner-grid point (right edge x top edge) per distinct hit set.
 
     Any piercing point slides right to the nearest right edge among the
     rectangles it pierces and then up to the nearest top edge, so some
     minimum piercing set lives on this grid.
 
-    Returns the points x-major, then by y, and for each the ids of the
-    rectangles containing it.  A sweep over the right edges keeps the
-    rectangles spanning the current x; each lists the top edges inside its
-    own y-extent, so only covered grid points are visited, and only one
-    column of them is held at a time.
+    Returns the first point of each distinct set of rectangle ids, x-major
+    then by y, and the sets: :func:`cliquesep.oracles.pierce_grid`
+    deduplicated.  A sweep over the right edges keeps the rectangles
+    spanning the current x.  Each covers a run of the sorted top edges, and
+    toggling its bit at both ends of its run gives the hit set along every
+    run of the column.  The set is constant along a run, so only its lowest
+    top edge can be a first point: the work grows with the spanning
+    rectangles, not with the covered grid points.
     """
     ys = sorted({r.y_hi for r in rects})
+    runs = [(bisect_left(ys, r.y_lo), bisect_right(ys, r.y_hi)) for r in rects]
     by_lo = sorted(range(len(rects)), key=lambda i: rects[i].x_lo)
-    points, masks = [], []
+    first: dict[int, PointSite] = {}
     active: list[int] = []
     nxt = 0
     for x in sorted({r.x_hi for r in rects}):
@@ -409,15 +413,20 @@ def candidate_pierce_points(
             active.append(by_lo[nxt])
             nxt += 1
         active = [i for i in active if rects[i].x_hi >= x]
-        column: dict[int, list[int]] = {}
-        for i in sorted(active):
-            r = rects[i]
-            for y in ys[bisect_left(ys, r.y_lo):bisect_right(ys, r.y_hi)]:
-                column.setdefault(y, []).append(i)
-        for y in sorted(column):
-            points.append(PointSite(x, y))
-            masks.append(frozenset(column[y]))
-    return points, masks
+        toggles: dict[int, int] = {}
+        for i in active:
+            lo, hi = runs[i]
+            bit = 1 << i
+            toggles[lo] = toggles.get(lo, 0) ^ bit
+            toggles[hi] = toggles.get(hi, 0) ^ bit
+        mask = 0
+        # each bit toggles twice, so only the last key, the one that may be
+        # len(ys), leaves the mask empty
+        for k in sorted(toggles):
+            mask ^= toggles[k]
+            if mask and mask not in first:
+                first[mask] = PointSite(x, ys[k])
+    return list(first.values()), [_members(m) for m in first]
 
 
 def helly_point(rects_clique: Sequence[Rect]) -> PointSite:

@@ -7,12 +7,12 @@ so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geometry import (Disc, PointSite, Rect, candidate_discs,
-                       candidate_pierce_points, unit_distance_graph,
-                       rect_intersection_graph)
+                       unit_distance_graph, rect_intersection_graph)
 from .graphs import Graph, OrderedCliqueCover, cover_length, verify_clique_cover
 
 
@@ -171,12 +171,44 @@ def _min_cover(n_items: int, masks: Sequence[int]) -> list[int]:
         budget += 1
 
 
+def pierce_grid(
+        rects: Sequence[Rect]) -> tuple[list[PointSite], list[frozenset[int]]]:
+    """Every covered point of the corner grid (right edge x top edge), x-major
+    then by y, and for each the ids of the rectangles containing it.
+
+    The reference for :func:`cliquesep.geometry.candidate_pierce_points`,
+    which keeps the first point of each distinct id set.  A sweep over the
+    right edges keeps the rectangles spanning the current x; each lists the
+    top edges inside its own y-extent, so the work grows with the number of
+    covered grid points, up to quadratic in the rectangles.
+    """
+    ys = sorted({r.y_hi for r in rects})
+    by_lo = sorted(range(len(rects)), key=lambda i: rects[i].x_lo)
+    points, masks = [], []
+    active: list[int] = []
+    nxt = 0
+    for x in sorted({r.x_hi for r in rects}):
+        while nxt < len(by_lo) and rects[by_lo[nxt]].x_lo <= x:
+            active.append(by_lo[nxt])
+            nxt += 1
+        active = [i for i in active if rects[i].x_hi >= x]
+        column: dict[int, list[int]] = {}
+        for i in sorted(active):
+            r = rects[i]
+            for y in ys[bisect_left(ys, r.y_lo):bisect_right(ys, r.y_hi)]:
+                column.setdefault(y, []).append(i)
+        for y in sorted(column):
+            points.append(PointSite(x, y))
+            masks.append(frozenset(column[y]))
+    return points, masks
+
+
 def brute_pierce(rects: Sequence[Rect]) -> tuple[int, list[PointSite]]:
     """Minimum piercing over the corner candidate grid, by subset search."""
     _require(len(rects), 14, "piercing")
     if not rects:
         return 0, []
-    cands, _ = candidate_pierce_points(rects)
+    cands, _ = pierce_grid(rects)
     masks = []
     for p in cands:
         m = 0

@@ -28,6 +28,7 @@ keep frozensets; the callbacks of the covering solvers, and the validator of
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -125,7 +126,14 @@ def verify_independent_rects(rects: Sequence[Rect], chosen) -> bool:
 
 
 def verify_piercing(rects: Sequence[Rect], points: Sequence[PointSite]) -> bool:
-    return all(any(r.contains_point(p.x, p.y) for p in points) for r in rects)
+    """Every rectangle contains a point.  The points are sorted by x once,
+    and each rectangle tests only those whose x lies in its x-range, found
+    by bisect; every other point misses it."""
+    pts = sorted((p.x, p.y) for p in points)
+    xs = [x for x, _ in pts]
+    return all(any(r.contains_point(x, y) for x, y in
+                   pts[bisect_left(xs, r.x_lo):bisect_right(xs, r.x_hi)])
+               for r in rects)
 
 
 def verify_disc_cover(points: Sequence[PointSite], discs: Sequence[Disc]) -> bool:
@@ -638,10 +646,14 @@ def _cover_ptas(ctx, cfg: SolveConfig, trace) -> list:
 
 
 class PierceContext(RectContext):
+    """Piercing candidates from
+    :func:`~cliquesep.geometry.candidate_pierce_points`: the first
+    corner-grid point of each distinct set of rectangles hit (see
+    :func:`_distinct` for why the others are never chosen)."""
+
     def __init__(self, rects: Sequence[Rect]):
         super().__init__(rects)
-        self.candidates, self.point_rects = _distinct(
-            *candidate_pierce_points(self.rects))
+        self.candidates, self.point_rects = candidate_pierce_points(self.rects)
         self.rect_points = _holders(self.point_rects, len(self.rects))
         by_right = sorted(range(len(self.rects)), key=lambda i: (
             self.rects[i].x_hi, self.rects[i].y_lo, i))

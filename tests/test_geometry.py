@@ -15,8 +15,8 @@ from cliquesep.geometry import (SCALE, Disc, PointSite, Rect, candidate_discs,
                                 vertical_strip_cover_points,
                                 x_chordal_graph, y_chordal_graph_points)
 from cliquesep.graphs import Graph, cover_length, verify_clique_cover
-from cliquesep.oracles import interval_graph, mcs_order
-from cliquesep.solvers import CoverContext
+from cliquesep.oracles import interval_graph, mcs_order, pierce_grid
+from cliquesep.solvers import CoverContext, _distinct
 
 
 def random_rects(rng, n, box=None):
@@ -436,9 +436,18 @@ class TestCandidateMasks:
                            if r.contains_point(x, y)))
                 for x in xs for y in ys]
         grid = [(p, m) for p, m in grid if m]
-        points, masks = candidate_pierce_points(rects)
+        points, masks = pierce_grid(rects)
         assert points == [p for p, _ in grid]
         assert masks == [m for _, m in grid]
+
+    @given(st.lists(RECT, min_size=1, max_size=14), st.data())
+    def test_pierce_runs_match_deduplicated_grid(self, raw, data):
+        rects = [self.rect_of(t) for t in raw]
+        rects += data.draw(st.lists(st.sampled_from(rects), max_size=3))
+        points, masks = candidate_pierce_points(rects)
+        ref_points, ref_masks = _distinct(*pierce_grid(rects))
+        assert points == ref_points
+        assert masks == ref_masks
 
     @given(st.lists(POINT, min_size=1, max_size=12), st.data())
     def test_discs(self, pts, data):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquesep import geometry, instances, oracles, solvers
-from cliquesep.geometry import (SCALE, PointSite, Rect, candidate_discs,
-                                candidate_pierce_points)
+from cliquesep.geometry import SCALE, PointSite, Rect, candidate_discs
 from cliquesep.graphs import components_within
 from cliquesep.separator import check_separator
 from cliquesep.solvers import (CoverContext, PierceContext, PointContext,
@@ -244,7 +243,7 @@ def full_list_context(cls, items):
         ctx.candidates, ctx.disc_points = candidate_discs(ctx.points, ctx.G)
         masks, n = ctx.disc_points, len(ctx.points)
     else:
-        ctx.candidates, ctx.point_rects = candidate_pierce_points(ctx.rects)
+        ctx.candidates, ctx.point_rects = oracles.pierce_grid(ctx.rects)
         masks, n = ctx.point_rects, len(ctx.rects)
     holders = [tuple(c for c, m in enumerate(masks) if i in m) for i in range(n)]
     if cls is CoverContext:
@@ -460,6 +459,28 @@ class TestBitmaskSets:
                         h.update(repr(sorted(sol.chosen)).encode())
         assert h.hexdigest() == self.MIS_SWEEP_SHA256
 
+    # sha256 of the chosen point lists of the sweep below, recorded while
+    # PierceContext still deduplicated the whole corner grid.  Exact and
+    # eps 0.3 stop at n=90: at n=150 they take over a minute together.
+    PIERCE_SWEEP_SHA256 = ("bf8f6e31cc4e7adeaf4f6de6cfe1e440"
+                           "0e8118ab1889191755bd7ac6adc677ce")
+
+    def test_pierce_chosen_points_are_pinned(self):
+        h = hashlib.sha256()
+        for style in ("uniform", "clustered", "chain"):
+            for n in (40, 90, 150):
+                for seed in range(10):
+                    items = instances.generate("rects", n, seed, style).items
+                    ctx = PierceContext(items)
+                    sols = [pierce_ptas(items, SolveConfig(epsilon=0.5), ctx=ctx)]
+                    if n < 150:
+                        sols += [pierce_exact(items, ctx=ctx),
+                                 pierce_ptas(items, SolveConfig(epsilon=0.3),
+                                             ctx=ctx)]
+                    for sol in sols:
+                        h.update(repr(sol.points).encode())
+        assert h.hexdigest() == self.PIERCE_SWEEP_SHA256
+
 
 class TestVerifyIndependentRects:
     def test_touching_rects_intersect(self):
@@ -478,6 +499,22 @@ class TestVerifyIndependentRects:
         pairwise = not any(rects[a].intersects(rects[b])
                            for i, a in enumerate(ids) for b in ids[i + 1:])
         assert verify_independent_rects(rects, chosen) == pairwise
+
+
+class TestVerifyPiercing:
+    @settings(deadline=None)
+    @given(st.lists(SMALL_RECT, max_size=20), st.data())
+    def test_matches_all_pairs_check(self, rects, data):
+        # lattice points, and corners a tick either side of an edge
+        corners = [PointSite(x + dx, y + dy) for r in rects
+                   for x in (r.x_lo, r.x_hi) for y in (r.y_lo, r.y_hi)
+                   for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        near = st.sampled_from(corners) if corners else SMALL_POINT
+        points = data.draw(st.lists(st.one_of(SMALL_POINT, LINE_POINT, near),
+                                    max_size=12))
+        all_pairs = all(any(r.contains_point(p.x, p.y) for p in points)
+                        for r in rects)
+        assert verify_piercing(rects, points) == all_pairs
 
 
 class TestRecursionShape:
