@@ -115,8 +115,7 @@ def _oracle_verdict(inst: Instance, solver: str, value: int,
     """
     try:
         if solver.startswith("mis"):
-            G = RectContext(inst.items).G
-            opt, _ = oracles.brute_mis(G)
+            opt, _ = oracles.brute_mis(oracles.rect_graph(inst.items))
         elif solver.startswith("pierce"):
             opt, _ = oracles.brute_pierce(inst.items)
         else:

@@ -25,7 +25,10 @@ divisions.
 For each instance the separator engine needs the intersection graph G, the
 intervals of a chordal supergraph G2 (an interval graph), and the ordered
 strip cover of a second supergraph G1.  Neither supergraph is built: the
-intervals and the strip cover are all of them that the engine reads.
+intervals and the strip cover are all of them that the engine reads.  G is
+built once per instance, as the int neighbour masks a
+:class:`~cliquesep.graphs.Graph` stores: the sweeps set the bits of each pair
+they find, with no edge list or per-vertex set in between.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import Graph, OrderedCliqueCover, _members
+from .graphs import Graph, OrderedCliqueCover, _ids, _members
 
 SCALE = 10 ** 6  # ticks per geometric unit
 
@@ -171,51 +174,80 @@ class Disc:
 def rect_intersection_graph(rects: Sequence[Rect]) -> Graph:
     """Edge iff closed rectangles intersect.
 
-    Rectangles on the same stab line always overlap vertically, and only
-    adjacent stab lines can interact, so the sweep runs per line pair.
+    Only rectangles on the same or adjacent stab lines can meet, so a sweep
+    by left edge runs per line and per pair of adjacent lines, and sets the
+    neighbour-mask bits of every intersecting pair it meets.
     """
-    n = len(rects)
+    x_lo = [r.x_lo for r in rects]
+    x_hi = [r.x_hi for r in rects]
+    y_lo = [r.y_lo for r in rects]
     line_of = [r.stab_line for r in rects]
     by_line: dict[int, list[int]] = {}
     for i, line in enumerate(line_of):
         by_line.setdefault(line, []).append(i)
-    edges = []
+    adj = [0] * len(rects)
     for line, ids in by_line.items():
-        for other in (ids, by_line.get(line + 1, [])):
-            same = other is ids
-            pool = ids if same else ids + other
-            pool = sorted(pool, key=lambda i: (rects[i].x_lo, i))
-            active: list[int] = []
-            for i in pool:
-                ri = rects[i]
-                active = [j for j in active if rects[j].x_hi >= ri.x_lo]
-                for j in active:
-                    if same or line_of[j] != line_of[i]:
-                        if abs(rects[j].y_lo - ri.y_lo) <= SCALE:
-                            edges.append((min(i, j), max(i, j)))
-                active.append(i)
-    return Graph(n, set(edges))
+        # Same line L: both y_lo lie in ((L-1)*SCALE, L*SCALE], so the two
+        # rectangles always overlap vertically and x decides alone.
+        active: list[int] = []
+        for i in sorted(ids, key=x_lo.__getitem__):
+            x, bit, mask = x_lo[i], 1 << i, 0
+            keep = []
+            for j in active:
+                if x_hi[j] >= x:
+                    adj[j] |= bit
+                    mask |= 1 << j
+                    keep.append(j)
+            adj[i] |= mask
+            keep.append(i)
+            active = keep
+        # Lines L and L+1: x must overlap and y_lo differ by at most SCALE.
+        above = by_line.get(line + 1)
+        if above is None:
+            continue
+        act: list[list[int]] = [[], []]  # active on line L, on line L+1
+        for i in sorted(ids + above, key=x_lo.__getitem__):
+            x, y, bit, mask = x_lo[i], y_lo[i], 1 << i, 0
+            side = line_of[i] - line
+            keep = []
+            for j in act[1 - side]:
+                if x_hi[j] >= x:
+                    keep.append(j)
+                    if abs(y_lo[j] - y) <= SCALE:
+                        adj[j] |= bit
+                        mask |= 1 << j
+            act[1 - side] = keep
+            adj[i] |= mask
+            act[side].append(i)
+    return Graph.from_masks(adj)
 
 
 def unit_distance_graph(points: Sequence[PointSite]) -> Graph:
-    """Edge iff squared Euclidean distance <= SCALE^2, exactly."""
-    n = len(points)
+    """Edge iff squared Euclidean distance <= SCALE^2, exactly.
+
+    Points are bucketed by unit cell; each cell is compared with itself and
+    with the four neighbouring cells after it, so every close pair is tested
+    once and sets both neighbour-mask bits.
+    """
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
     cell: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(points):
-        cell.setdefault((p.x // SCALE, p.y // SCALE), []).append(i)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        cell.setdefault((x // SCALE, y // SCALE), []).append(i)
     limit = SCALE * SCALE
-    edges = []
+    adj = [0] * len(xs)
     for (cx, cy), ids in cell.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = cell.get((cx + dx, cy + dy))
-                if other is None:
-                    continue
-                for i in ids:
-                    for j in other:
-                        if i < j and sq_dist(points[i], points[j]) <= limit:
-                            edges.append((i, j))
-    return Graph(n, set(edges))
+        pool = ids + [j for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1))
+                      for j in cell.get((cx + dx, cy + dy), ())]
+        for k, i in enumerate(ids):
+            x, y, bit, mask = xs[i], ys[i], 1 << i, 0
+            for j in pool[k + 1:]:
+                dx, dy = xs[j] - x, ys[j] - y
+                if dx * dx + dy * dy <= limit:
+                    adj[j] |= bit
+                    mask |= 1 << j
+            adj[i] |= mask
+    return Graph.from_masks(adj)
 
 
 def x_chordal_graph(rects: Sequence[Rect]) -> list[tuple[int, int]]:
@@ -323,12 +355,13 @@ def candidate_discs(points: Sequence[PointSite],
     degree.
     """
     seen: dict[tuple, tuple[Disc, int]] = {}  # key -> (disc, generator)
-    adj = G.adj
+    adj = G.adj_mask
+    deg = [a.bit_count() for a in adj]
 
     def add(d: Disc, u: int):
         key = d.key()
         old = seen.get(key)
-        if old is None or len(adj[u]) < len(adj[old[1]]):
+        if old is None or deg[u] < deg[old[1]]:
             seen[key] = (d, u)
 
     for i, p in enumerate(points):
@@ -340,7 +373,7 @@ def candidate_discs(points: Sequence[PointSite],
         d2 = ux * ux + uy * uy
         if d2 == 0:
             continue
-        gen = u if len(adj[u]) <= len(adj[v]) else v
+        gen = u if deg[u] <= deg[v] else v
         mx = Fraction(p.x + q.x, 2)
         my = Fraction(p.y + q.y, 2)
         k = Fraction(SCALE * SCALE - d2, 4 * d2)
@@ -353,7 +386,7 @@ def candidate_discs(points: Sequence[PointSite],
     for key in sorted(seen):
         d, u = seen[key]
         discs.append(d)
-        masks.append(frozenset(w for w in sorted(adj[u] | {u})
+        masks.append(frozenset(w for w in _ids(adj[u] | 1 << u)
                                if d.covers(points[w])))
     return discs, masks
 

@@ -1,5 +1,11 @@
 """Graphs, ordered clique covers, the edge-gap length statistic, and restriction measures.
 
+A :class:`Graph` stores its adjacency as int neighbour masks, one per vertex
+(bit w of ``adj_mask[v]`` is the edge vw); the geometry builders fill them
+directly in their sweeps, and the solvers read nothing else.  Its ``adj``
+tuple of frozensets is a view derived on first access, for the oracles, the
+graph helpers below and the tests.
+
 An ordered clique cover is a plain ordered partition of vertex ids; it holds no
 graph.  The separator's auxiliary graph G1 exists only through such a cover,
 the ordered strip cover: :func:`cover_length` measures how far the edges of G
@@ -10,9 +16,10 @@ vertex set.  It is monotone, subadditive, and exactly additive across edgeless
 splits, which is what the separator engine relies on.
 
 A :class:`Frame` holds one instance as the separator engine reads it: vertex
-sets are int bitmasks (bit v is vertex v), and the graph, the strip cover and
-the measure are held as masks over the same ids, so a subproblem is a mask
-and nothing is relabelled or rebuilt for it.
+sets are int bitmasks (bit v is vertex v), and the graph (the masks of
+:class:`Graph`, shared as they are), the strip cover and the measure are held
+as masks over the same ids, so a subproblem is a mask and nothing is
+relabelled or rebuilt for it.
 """
 from __future__ import annotations
 
@@ -24,42 +31,61 @@ from typing import Iterable, Optional
 class Graph:
     """Undirected simple graph on dense vertex ids 0..n-1.
 
-    Immutable after construction; adjacency is a tuple of frozensets so
-    membership tests are O(1).
+    Immutable after construction.  The stored adjacency is ``adj_mask``, one
+    int neighbour mask per vertex (bit w of ``adj_mask[v]`` is set iff vw is
+    an edge); the solvers and the separator engine read only that.  ``adj``,
+    the same neighbourhoods as a tuple of frozensets, is a read-only view for
+    the oracles, the graph helpers and the tests, derived on first access.
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj_mask", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj = [set() for _ in range(n)]
+        adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self.n = n
-        self.adj = tuple(frozenset(a) for a in adj)
+        self.adj_mask = tuple(adj)
+        self._adj = None
+
+    @classmethod
+    def from_masks(cls, adj_mask) -> "Graph":
+        """The graph of symmetric, loop-free neighbour masks, taken as they
+        are: the builders fill them directly and check nothing again."""
+        G = cls.__new__(cls)
+        G.n = len(adj_mask)
+        G.adj_mask = tuple(adj_mask)
+        G._adj = None
+        return G
+
+    @property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        if self._adj is None:
+            self._adj = tuple(_members(a) for a in self.adj_mask)
+        return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return bool(self.adj_mask[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_mask[v].bit_count()
 
     def edges(self):
-        """Yield each edge once as (u, v) with u < v."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Yield each edge once as (u, v) with u < v, ascending."""
+        for u, a in enumerate(self.adj_mask):
+            for v in _ids(a >> (u + 1)):
+                yield (u, u + 1 + v)
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(a.bit_count() for a in self.adj_mask) // 2
 
     def vertices(self) -> range:
         return range(self.n)
@@ -285,7 +311,7 @@ class Frame:
                  mu: RestrictionMeasure):
         if intervals is not None and len(intervals) != G.n:
             raise ValueError("need one interval per vertex of G")
-        self.adj_mask = [_mask(a) for a in G.adj]
+        self.adj_mask = G.adj_mask
         self.intervals = intervals
         self.strip_of, self.strip_mask = _indexed(strip_cover, G.n)
         self.unstripped = _mask(v for v, k in enumerate(self.strip_of)

@@ -11,8 +11,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import (Disc, PointSite, Rect, candidate_discs,
-                       unit_distance_graph, rect_intersection_graph)
+from .geometry import SCALE, Disc, PointSite, Rect, candidate_discs, sq_dist
 from .graphs import Graph, OrderedCliqueCover, cover_length, verify_clique_cover
 
 
@@ -23,6 +22,27 @@ class TooLargeError(ValueError):
 def _require(n: int, cap: int, what: str):
     if n > cap:
         raise TooLargeError(f"{what} oracle capped at {cap}, got {n}")
+
+
+# ---------------------------------------------------------------------------
+# intersection graphs, pair by pair
+
+
+def rect_graph(rects: Sequence[Rect]) -> Graph:
+    """The intersection graph of rectangles, from :meth:`Rect.intersects` on
+    every pair: the reference for
+    :func:`cliquesep.geometry.rect_intersection_graph`."""
+    n = len(rects)
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rects[i].intersects(rects[j])])
+
+
+def point_graph(points: Sequence[PointSite]) -> Graph:
+    """The unit-distance graph of points, from the squared distance of every
+    pair: the reference for :func:`cliquesep.geometry.unit_distance_graph`."""
+    n = len(points)
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if sq_dist(points[i], points[j]) <= SCALE * SCALE])
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +245,7 @@ def brute_disccover(points: Sequence[PointSite]) -> tuple[int, list[Disc]]:
     _require(len(points), 10, "disc cover")
     if not points:
         return 0, []
-    G = unit_distance_graph(points)
-    cands, _ = candidate_discs(points, G)
+    cands, _ = candidate_discs(points, point_graph(points))
     masks = []
     for d in cands:
         m = 0

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import chordal
 from .geometry import SCALE
 from .graphs import (Frame, Graph, OrderedCliqueCover, RestrictionMeasure,
-                     _ids, _members)
+                     _ids, _mask, _members)
 
 G_CLIQUE = "G-CLIQUE"
 UNIT_BOX = "UNIT-BOX"
@@ -289,8 +289,9 @@ def check_separator(G: Graph, mu: RestrictionMeasure, res: SeparatorResult,
         problems.append("s, side_a, side_b do not partition F")
     if (res.s & res.side_a) or (res.s & res.side_b) or (res.side_a & res.side_b):
         problems.append("s, side_a, side_b overlap")
+    side_b = _mask(res.side_b)
     crossing = next(((u, v) for u in sorted(res.side_a)
-                     for v in sorted(G.adj[u] & res.side_b)), None)
+                     for v in _ids(G.adj_mask[u] & side_b)), None)
     if crossing is not None:
         problems.append(f"edge {crossing} crosses the sides")
     total = mu.of(F)

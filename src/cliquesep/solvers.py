@@ -28,6 +28,7 @@ keep frozensets; the callbacks of the covering solvers, and the validator of
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
-from .geometry import (Disc, PointSite, Rect,
+from .geometry import (SCALE, Disc, PointSite, Rect,
                        candidate_discs, candidate_pierce_points,
                        greedy_cover_and_is_rects,
                        helly_point, quarter_cell_partition,
@@ -136,8 +137,39 @@ def verify_piercing(rects: Sequence[Rect], points: Sequence[PointSite]) -> bool:
                for r in rects)
 
 
+def _centre_cells(d: Disc) -> list[tuple[int, int]]:
+    """Every unit cell ``(x // SCALE, y // SCALE)`` the centre of ``d`` may
+    lie in: with r = rn/rd and s = isqrt(rn*rd), sqrt(r) lies in
+    [s/rd, (s+1)/rd], which bounds each coordinate in exact rationals."""
+    rn, rd = d.r.numerator, d.r.denominator
+    s = math.isqrt(rn * rd)
+    lo, hi = Fraction(s, rd), Fraction(s + 1, rd)
+
+    def cells(a, b):
+        ends = (a + b * lo, a + b * hi)
+        return range(math.floor(min(ends) / SCALE),
+                     math.floor(max(ends) / SCALE) + 1)
+
+    return [(x, y) for x in cells(d.ax, d.bx) for y in cells(d.ay, d.by)]
+
+
 def verify_disc_cover(points: Sequence[PointSite], discs: Sequence[Disc]) -> bool:
-    return all(any(d.covers(p) for d in discs) for p in points)
+    """Every point lies in a disc.  A disc covers only points within half a
+    unit of its centre, whose unit cells are at most one apart from the
+    centre's on each axis; so each disc is registered in every cell its
+    centre may lie in, and each point tests only the discs registered in the
+    3x3 cells around its own."""
+    by_cell: dict[tuple[int, int], list[Disc]] = {}
+    for d in discs:
+        for cell in _centre_cells(d):
+            by_cell.setdefault(cell, []).append(d)
+    near = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    for p in points:
+        cx, cy = p.x // SCALE, p.y // SCALE
+        if not any(d.covers(p) for dx, dy in near
+                   for d in by_cell.get((cx + dx, cy + dy), ())):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +238,12 @@ class _BaseContext:
         candidate of their own: any independent set of G[F] is a lower bound
         on a cover of F.
         """
-        adj = self.G.adj
-        blocked: set[int] = set()
-        count = 0
+        adj = self.G.adj_mask
+        blocked = count = 0
         for v in order:
             if count >= need:
                 break
-            if v not in blocked:
+            if not blocked >> v & 1:
                 count += 1
                 blocked |= adj[v]
         return count
@@ -221,21 +252,20 @@ class _BaseContext:
         """A greedy independent set of G[F] that takes the item of least
         degree among those left, counted up to ``need``.  A lazy heap keeps
         it at O(|E(G[F])| log |F|)."""
-        adj = self.G.adj
-        alive = set(F)
-        deg = {v: len(adj[v] & F) for v in F}
+        adj = self.G.adj_mask
+        alive = _mask(F)
+        deg = {v: (adj[v] & alive).bit_count() for v in F}
         heap = sorted((d, v) for v, d in deg.items())
         count = 0
         while heap and count < need:
             d, v = heappop(heap)
-            if v not in alive or deg[v] != d:
+            if not alive >> v & 1 or deg[v] != d:
                 continue  # taken, blocked, or a stale degree
             count += 1
             gone = adj[v] & alive
-            alive -= gone
-            alive.discard(v)
-            for u in gone:
-                for w in adj[u] & alive:
+            alive ^= gone | 1 << v
+            for u in _ids(gone):
+                for w in _ids(adj[u] & alive):
                     deg[w] -= 1
                     heappush(heap, (deg[w], w))
         return count
@@ -515,13 +545,15 @@ def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
     """(1-eps)-approximate independent set; exact below the measure leaf."""
     ctx = ctx or RectContext(rects)
 
+    adj = ctx.G.adj_mask
+
     def split(F, cut, recurse):
-        sol = set(recurse(cut.side_a)) | set(recurse(cut.side_b))
+        sol = _mask(recurse(cut.side_a)) | _mask(recurse(cut.side_b))
         # the separator was discarded; greedily re-admit what still fits
         for v in _ids(cut.s):
-            if not (ctx.G.adj[v] & sol):
-                sol.add(v)
-        return list(sol)
+            if not adj[v] & sol:
+                sol |= 1 << v
+        return _ids(sol)
 
     chosen = frozenset(_divide(
         ctx, _everything(ctx), cfg.ptas_leaf_threshold(),

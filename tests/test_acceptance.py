@@ -42,7 +42,7 @@ def mis_suite():
         inst = instances.generate("rects", 6 + seed % 13, seed,
                                   STYLES[seed % 2])
         ctx = RectContext(inst.items)
-        out.append((inst, ctx, oracles.brute_mis(ctx.G)[0]))
+        out.append((inst, ctx, oracles.brute_mis(oracles.rect_graph(inst.items))[0]))
     return out
 
 

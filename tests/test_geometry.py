@@ -15,6 +15,7 @@ from cliquesep.geometry import (SCALE, Disc, PointSite, Rect, candidate_discs,
                                 vertical_strip_cover_points,
                                 x_chordal_graph, y_chordal_graph_points)
 from cliquesep.graphs import Graph, cover_length, verify_clique_cover
+from cliquesep import oracles
 from cliquesep.oracles import interval_graph, mcs_order, pierce_grid
 from cliquesep.solvers import CoverContext, _distinct
 
@@ -119,11 +120,14 @@ class TestIntersectionGraphs:
             assert mcs_order(G2).chordal
 
     def test_unit_distance_graph_exact(self):
-        pts = [PointSite(0, 0), PointSite(SCALE, 0), PointSite(SCALE + 1, 0)]
+        pts = [PointSite(0, 0), PointSite(SCALE, 0), PointSite(SCALE + 1, 0),
+               PointSite(-3 * SCALE // 5, -4 * SCALE // 5)]
         G = unit_distance_graph(pts)
         assert G.has_edge(0, 1)       # distance exactly one
         assert not G.has_edge(0, 2)   # one tick beyond
         assert G.has_edge(1, 2)
+        assert G.has_edge(0, 3)       # a 3-4-5 diagonal, negative coordinates
+        assert list(G.edges()) == [(0, 1), (0, 3), (1, 2)]
 
     def test_unit_distance_graph_brute_match(self):
         rng = random.Random(3)
@@ -140,6 +144,50 @@ class TestIntersectionGraphs:
         G2 = interval_graph(y_chordal_graph_points(pts))
         assert mcs_order(G2).chordal
         assert set(G.edges()) <= set(G2.edges())
+
+
+# quarter-unit lattices with a tick either way: y_lo on an integer line,
+# vertical gaps of exactly SCALE and SCALE + 1, negative coordinates
+LATTICE_RECT = st.tuples(st.integers(-8, 8), st.integers(1, 6),
+                         st.integers(-8, 8), st.sampled_from([-1, 0, 0, 1])).map(
+    lambda t: Rect(t[0] * SCALE // 4, (t[0] + t[1]) * SCALE // 4,
+                   t[2] * SCALE // 4 + t[3]))
+# quarter and fifth lattices give distances of exactly one unit along an
+# axis and as 3-4-5 diagonals; the tick moves a pair one tick beyond
+LATTICE_POINT = st.tuples(st.integers(-8, 8), st.integers(-8, 8),
+                          st.sampled_from([4, 5]), st.sampled_from([-1, 0, 0, 1])).map(
+    lambda t: PointSite(t[0] * SCALE // t[2] + t[3], t[1] * SCALE // t[2]))
+
+
+def assert_same_graph(G, ref):
+    assert G.n == ref.n
+    assert G.adj_mask == ref.adj_mask
+    assert list(G.edges()) == list(ref.edges()) == sorted(ref.edges())
+    assert G.m == ref.m == len(list(ref.edges()))
+
+
+class TestBuildersBitForBit:
+    """The sweeps against the pair-by-pair oracles, mask for mask."""
+
+    @given(st.lists(LATTICE_RECT, min_size=1, max_size=24), st.data())
+    def test_rect_intersection_graph(self, rects, data):
+        rects += data.draw(st.lists(st.sampled_from(rects), max_size=4))
+        assert_same_graph(rect_intersection_graph(rects), oracles.rect_graph(rects))
+
+    @given(st.lists(LATTICE_POINT, min_size=1, max_size=24), st.data())
+    def test_unit_distance_graph(self, pts, data):
+        pts += data.draw(st.lists(st.sampled_from(pts), max_size=4))
+        assert_same_graph(unit_distance_graph(pts), oracles.point_graph(pts))
+
+    def test_rect_boundaries(self):
+        # touching corners, a gap of SCALE + 1 ticks, a negative corner, and
+        # an identical copy
+        rects = [Rect(0, SCALE, 0), Rect(SCALE, 2 * SCALE, SCALE),
+                 Rect(0, SCALE, SCALE + 1), Rect(-SCALE, 0, -SCALE),
+                 Rect(0, SCALE, 0)]
+        G = rect_intersection_graph(rects)
+        assert list(G.edges()) == [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4),
+                                   (3, 4)]
 
 
 class TestStripCovers:

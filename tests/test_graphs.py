@@ -34,6 +34,29 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, [(0, 0)])
 
+    def test_rejects_out_of_range(self):
+        for edge in [(0, 2), (-1, 0)]:
+            with pytest.raises(ValueError):
+                Graph(2, [edge])
+
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1))))))
+    def test_masks_and_their_views(self, drawn):
+        # edges in any order and orientation, repeats included
+        n, pairs = drawn
+        pairs = [(u, v) for u, v in pairs if u != v]
+        G = Graph(n, pairs)
+        edges = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+        assert list(G.edges()) == edges
+        assert G.m == len(edges)
+        assert G.adj == tuple(frozenset(w for e in edges if v in e for w in e
+                                        if w != v) for v in range(n))
+        assert G.adj_mask == tuple(sum(1 << w for w in a) for a in G.adj)
+        assert [G.degree(v) for v in range(n)] == [len(a) for a in G.adj]
+        assert all(G.has_edge(u, v) == (v in G.adj[u])
+                   for u in range(n) for v in range(n))
+
     def test_induced_subgraph_keeps_internal_edges(self):
         G = path(5)
         H = induced_subgraph(G, [0, 1, 3, 4])

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cliquesep import geometry, instances, oracles, solvers
 from cliquesep.geometry import SCALE, PointSite, Rect, candidate_discs
-from cliquesep.graphs import components_within
+from cliquesep.graphs import Graph, components_within
 from cliquesep.separator import check_separator
 from cliquesep.solvers import (CoverContext, PierceContext, PointContext,
                                RectContext, SolveConfig, disccover_exact,
@@ -42,7 +43,7 @@ class TestMisExact:
             ctx = RectContext(inst.items)
             sol = mis_exact(inst.items, ctx=ctx)
             assert sol.certified_independent
-            assert sol.value == oracles.brute_mis(ctx.G)[0]
+            assert sol.value == oracles.brute_mis(oracles.rect_graph(inst.items))[0]
 
     def test_chosen_set_is_independent(self):
         inst = instances.generate("rects", 40, 99)
@@ -74,7 +75,7 @@ class TestMisPtas:
         for seed in range(20):
             inst = instances.generate("rects", 6 + seed % 12, 100 + seed)
             ctx = RectContext(inst.items)
-            opt = oracles.brute_mis(ctx.G)[0]
+            opt = oracles.brute_mis(oracles.rect_graph(inst.items))[0]
             for eps in (0.1, 0.3, 0.5):
                 sol = mis_ptas(inst.items, SolveConfig(epsilon=eps), ctx=ctx)
                 assert sol.certified_independent
@@ -233,6 +234,26 @@ class TestCandidateContexts:
         for cls in (PointContext, CoverContext):
             cls(instances.generate("points", 80, 32).items)
         assert calls["greedy_disc_cover"] == 0
+
+    def test_solvers_read_only_neighbour_masks(self, monkeypatch):
+        # the frozenset view of G is for oracles and tests; no solve builds it
+        def no_view(G):
+            raise AssertionError("a solver built the Graph.adj view")
+
+        monkeypatch.setattr(Graph, "adj", property(no_view))
+        cfg = SolveConfig(epsilon=0.5)
+        for style in ("uniform", "clustered", "chain"):
+            # the PTAS inputs are large enough to split above the leaves
+            rects = instances.generate("rects", 60, 33, style).items
+            many_rects = instances.generate("rects", 300, 33, style).items
+            pts = instances.generate("points", 40, 34, style).items
+            many_pts = instances.generate("points", 150, 34, style).items
+            mis_exact(rects, ctx=RectContext(rects))
+            mis_ptas(many_rects, cfg, ctx=RectContext(many_rects))
+            pierce_exact(rects, ctx=PierceContext(rects))
+            pierce_ptas(many_rects, cfg, ctx=PierceContext(many_rects))
+            disccover_exact(pts, ctx=CoverContext(pts))
+            disccover_ptas(many_pts, cfg, ctx=CoverContext(many_pts))
 
 
 def full_list_context(cls, items):
@@ -415,7 +436,7 @@ class TestSeparatorTree:
         rects += data.draw(st.lists(st.sampled_from(rects), max_size=4))
         rects = rects[:24]
         ctx = RectContext(rects)
-        opt = oracles.brute_mis(ctx.G)[0]
+        opt = oracles.brute_mis(oracles.rect_graph(rects))[0]
         for t0 in (1, 4):
             sol = mis_exact(rects, SolveConfig(base_threshold=t0), ctx=ctx)
             assert sol.certified_independent
@@ -515,6 +536,51 @@ class TestVerifyPiercing:
         all_pairs = all(any(r.contains_point(p.x, p.y) for p in points)
                         for r in rects)
         assert verify_piercing(rects, points) == all_pairs
+
+
+class TestVerifyDiscCover:
+    # negative and far lattice points, so centres fall on and across cell
+    # lines; a fifth-unit lattice adds 3-4-5 unit distances
+    POINT = st.builds(lambda x, y, k, far: PointSite(x * SCALE // k + far,
+                                                     y * SCALE // k - far),
+                      st.integers(-6, 6), st.integers(-6, 6),
+                      st.sampled_from([4, 5]),
+                      st.sampled_from([0, 10 ** 12]))
+
+    @settings(deadline=None)
+    @given(st.lists(POINT, min_size=1, max_size=8), st.data())
+    def test_matches_all_pairs_check(self, pts, data):
+        cands = candidate_discs(pts, oracles.point_graph(pts))[0]
+        discs = data.draw(st.lists(st.sampled_from(cands), max_size=6))
+        # pair discs pass through their generators, half a unit from the
+        # centre; probe half a unit from each point, and a tick either way
+        probes = pts + [PointSite(p.x + dx * (SCALE // 2 + e), p.y + dy * (SCALE // 2 + e))
+                        for p in pts for dx, dy in ((1, 0), (0, -1))
+                        for e in (-1, 0, 1)]
+        for q in probes:
+            assert verify_disc_cover([q], discs) == any(d.covers(q) for d in discs)
+        assert verify_disc_cover(probes, discs) == \
+            all(any(d.covers(q) for d in discs) for q in probes)
+
+    # whole units times a root with a small denominator: the integer
+    # bounds on b*sqrt(r) then span several cells
+    WIDE = st.one_of(st.integers(-8, 8).map(lambda k: Fraction(k * SCALE)),
+                     st.fractions(-8 * SCALE, 8 * SCALE, max_denominator=5))
+
+    @example(Fraction(0), Fraction(0), Fraction(8 * SCALE), Fraction(0), Fraction(2))
+    @given(st.fractions(-3 * SCALE, 3 * SCALE, max_denominator=12),
+           st.fractions(-3 * SCALE, 3 * SCALE, max_denominator=12),
+           WIDE, WIDE, st.fractions(0, 3, max_denominator=4))
+    def test_any_surd_centre(self, ax, ay, bx, by, r):
+        d = geometry.Disc(ax, ay, bx, by, r)
+        root = Fraction(math.sqrt(r))  # only places the probes
+        cx, cy = round(ax + bx * root), round(ay + by * root)
+        half = SCALE // 2
+        for ox, oy in ((0, 0), (half, 0), (0, -half), (-300000, 400000),
+                       (300000, -400000)):
+            for e in (-2, -1, 0, 1, 2):
+                q = PointSite(cx + ox + e, cy + oy - e)
+                assert verify_disc_cover([q], [d]) == d.covers(q)
 
 
 class TestRecursionShape:
