@@ -3,9 +3,7 @@ with exact and approximate solvers for three geometric packing/covering
 problems on unit-height rectangles and unit-diameter discs."""
 
 from .graphs import (Graph, OrderedCliqueCover, RestrictionMeasure,
-                     check_measure_axioms, cover_length, induced_subgraph,
-                     verify_clique_cover)
-from .chordal import balanced_clique_separator
+                     check_measure_axioms, cover_length, verify_clique_cover)
 from .geometry import (SCALE, Disc, PointSite, Rect,
                        candidate_discs, candidate_pierce_points,
                        greedy_cover_and_is_rects, greedy_disc_cover,
@@ -24,9 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "OrderedCliqueCover", "RestrictionMeasure",
-    "check_measure_axioms", "cover_length", "induced_subgraph",
-    "verify_clique_cover",
-    "balanced_clique_separator",
+    "check_measure_axioms", "cover_length", "verify_clique_cover",
     "SCALE", "Disc", "PointSite", "Rect", "candidate_discs",
     "candidate_pierce_points", "greedy_cover_and_is_rects",
     "greedy_disc_cover", "helly_point", "rect_intersection_graph",

@@ -15,19 +15,9 @@ no point raises ``ValueError``.  The tests check the sweep against
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import (Frame, Graph, OrderedCliqueCover, RestrictionMeasure,
-                     _ids, _members)
-
-
-@dataclass(frozen=True)
-class CliqueSeparator:
-    clique: frozenset[int]
-    side_a: frozenset[int]
-    side_b: frozenset[int]
-    larger_measure: int
+from .graphs import Frame, _ids
 
 
 def _pack_components(comps: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
@@ -204,14 +194,3 @@ def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int, int]]:
             sides[t] |= 1 << v
     return clique, sides[0], sides[1], larger
 
-
-def balanced_clique_separator(intervals: Sequence[tuple[int, int]], G: Graph,
-                              mu: RestrictionMeasure) -> Optional[CliqueSeparator]:
-    """:func:`clique_cut` on all of G, with ``intervals[v]`` the closed
-    interval (lo, hi) of vertex v; the sets come back as frozensets."""
-    frame = Frame(G, intervals, OrderedCliqueCover(()), mu)
-    found = clique_cut(frame, (1 << G.n) - 1)
-    if found is None:
-        return None
-    clique, a, b, larger = found
-    return CliqueSeparator(_members(clique), _members(a), _members(b), larger)

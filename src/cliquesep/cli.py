@@ -19,8 +19,8 @@ from typing import Optional
 from . import instances, oracles, solvers
 from .instances import KIND_POINTS, KIND_RECTS, FormatError, Instance
 from .separator import NoSeparatorFound
-from .solvers import (CoverContext, PierceContext, PointContext, RectContext,
-                      SolveConfig, separation_profile)
+from .solvers import (PointContext, RectContext, SolveConfig,
+                      separation_profile)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -94,14 +94,6 @@ def _cmd_generate(args) -> int:
         print(f"cliquesep: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK
-
-
-def _context_for(inst: Instance, solver: str):
-    if solver.startswith("mis"):
-        return RectContext(inst.items)
-    if solver.startswith("pierce"):
-        return PierceContext(inst.items)
-    return CoverContext(inst.items)
 
 
 def _oracle_verdict(inst: Instance, solver: str, value: int,

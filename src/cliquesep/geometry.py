@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import Graph, OrderedCliqueCover, _ids, _members
+from .graphs import Graph, OrderedCliqueCover, _ids
 
 SCALE = 10 ** 6  # ticks per geometric unit
 
@@ -339,7 +339,7 @@ def greedy_cover_and_is_rects(rects: Sequence[Rect]):
 
 
 def candidate_discs(points: Sequence[PointSite],
-                    G: Graph) -> tuple[list[Disc], list[frozenset[int]]]:
+                    G: Graph) -> tuple[list[Disc], list[int]]:
     """Unit-diameter discs through each adjacent point pair, plus one disc
     centered at every point; at most 2|E| + n after deduplication.
 
@@ -348,11 +348,11 @@ def candidate_discs(points: Sequence[PointSite],
     Duplicate points add no pair discs: the disc centered on a point already
     covers its copies.
 
-    Returns the discs in key order and, for each, the ids of the points it
-    covers.  A disc centered on or passing through a point u lies within one
-    unit of u, so it can cover only points of u's closed neighbourhood in G;
-    each mask tests just that neighbourhood, for the generator of least
-    degree.
+    Returns the discs in key order and, for each, the mask of the points it
+    covers (bit w for point w).  A disc centered on or passing through a
+    point u lies within one unit of u, so it can cover only points of u's
+    closed neighbourhood in G; each mask tests just that neighbourhood, for
+    the generator of least degree.
     """
     seen: dict[tuple, tuple[Disc, int]] = {}  # key -> (disc, generator)
     adj = G.adj_mask
@@ -386,8 +386,8 @@ def candidate_discs(points: Sequence[PointSite],
     for key in sorted(seen):
         d, u = seen[key]
         discs.append(d)
-        masks.append(frozenset(w for w in _ids(adj[u] | 1 << u)
-                               if d.covers(points[w])))
+        masks.append(sum(1 << w for w in _ids(adj[u] | 1 << u)
+                         if d.covers(points[w])))
     return discs, masks
 
 
@@ -419,21 +419,22 @@ def quarter_cell_partition(points: Sequence[PointSite]):
 
 
 def candidate_pierce_points(
-        rects: Sequence[Rect]) -> tuple[list[PointSite], list[frozenset[int]]]:
+        rects: Sequence[Rect]) -> tuple[list[PointSite], list[int]]:
     """One corner-grid point (right edge x top edge) per distinct hit set.
 
     Any piercing point slides right to the nearest right edge among the
     rectangles it pierces and then up to the nearest top edge, so some
     minimum piercing set lives on this grid.
 
-    Returns the first point of each distinct set of rectangle ids, x-major
-    then by y, and the sets: :func:`cliquesep.oracles.pierce_grid`
-    deduplicated.  A sweep over the right edges keeps the rectangles
-    spanning the current x.  Each covers a run of the sorted top edges, and
-    toggling its bit at both ends of its run gives the hit set along every
-    run of the column.  The set is constant along a run, so only its lowest
-    top edge can be a first point: the work grows with the spanning
-    rectangles, not with the covered grid points.
+    Returns the first point of each distinct set of rectangles hit, x-major
+    then by y, and the sets as masks (bit i for rectangle i):
+    :func:`cliquesep.oracles.pierce_grid` deduplicated.  A sweep over the
+    right edges keeps the rectangles spanning the current x.  Each covers a
+    run of the sorted top edges, and toggling its bit at both ends of its
+    run gives the hit set along every run of the column.  The set is
+    constant along a run, so only its lowest top edge can be a first point:
+    the work grows with the spanning rectangles, not with the covered grid
+    points.
     """
     ys = sorted({r.y_hi for r in rects})
     runs = [(bisect_left(ys, r.y_lo), bisect_right(ys, r.y_hi)) for r in rects]
@@ -459,7 +460,7 @@ def candidate_pierce_points(
             mask ^= toggles[k]
             if mask and mask not in first:
                 first[mask] = PointSite(x, ys[k])
-    return list(first.values()), [_members(m) for m in first]
+    return list(first.values()), list(first)
 
 
 def helly_point(rects_clique: Sequence[Rect]) -> PointSite:

@@ -4,7 +4,8 @@ A :class:`Graph` stores its adjacency as int neighbour masks, one per vertex
 (bit w of ``adj_mask[v]`` is the edge vw); the geometry builders fill them
 directly in their sweeps, and the solvers read nothing else.  Its ``adj``
 tuple of frozensets is a view derived on first access, for the oracles, the
-graph helpers below and the tests.
+tests and the frozenset helpers below (:func:`components_within`,
+:func:`check_measure_axioms`); no induced subgraph is ever built.
 
 An ordered clique cover is a plain ordered partition of vertex ids; it holds no
 graph.  The separator's auxiliary graph G1 exists only through such a cover,
@@ -19,7 +20,8 @@ A :class:`Frame` holds one instance as the separator engine reads it: vertex
 sets are int bitmasks (bit v is vertex v), and the graph (the masks of
 :class:`Graph`, shared as they are), the strip cover and the measure are held
 as masks over the same ids, so a subproblem is a mask and nothing is
-relabelled or rebuilt for it.
+relabelled or rebuilt for it.  Every vertex must lie in a measure part; a
+frame refuses a measure cover that misses one with ``ValueError``.
 """
 from __future__ import annotations
 
@@ -87,53 +89,14 @@ class Graph:
     def m(self) -> int:
         return sum(a.bit_count() for a in self.adj_mask) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def induced_subgraph(G: Graph, s: Iterable[int]) -> Graph:
-    """Induced subgraph on ``s``; local id i is the i-th smallest of ``s``."""
-    vs = sorted(set(s))
-    for v in vs:
-        if not (0 <= v < G.n):
-            raise ValueError(f"vertex {v} out of range")
-    local = {v: i for i, v in enumerate(vs)}
-    edges = []
-    for i, v in enumerate(vs):
-        for w in G.adj[v]:
-            j = local.get(w)
-            if j is not None and i < j:
-                edges.append((i, j))
-    return Graph(len(vs), edges)
-
-
-def connected_components(G: Graph) -> list[frozenset[int]]:
-    """Components as vertex sets, ordered by smallest member."""
-    seen = [False] * G.n
-    comps = []
-    for s in range(G.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        stack = [s]
-        comp = [s]
-        while stack:
-            v = stack.pop()
-            for w in G.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-                    comp.append(w)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def components_within(adj, members: frozenset) -> list[frozenset]:
     """Components of the subgraph induced by ``members`` of a graph given by
-    its adjacency tuple.  Avoids building a Graph object in hot paths."""
+    its adjacency tuple, ordered by smallest member; with every vertex as
+    ``members``, the components of the graph."""
     seen = set()
     comps = []
     for s in sorted(members):
@@ -317,6 +280,9 @@ class Frame:
         self.unstripped = _mask(v for v, k in enumerate(self.strip_of)
                                 if k is None)
         self.part_of, self.part_mask = _indexed(mu.cover, G.n)
+        if None in self.part_of:
+            raise ValueError(f"vertex {self.part_of.index(None)} of G "
+                             "missing from cover")
 
     def mu_of(self, F: int) -> int:
         """The number of measure parts that meet the mask F."""

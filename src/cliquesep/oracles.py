@@ -192,12 +192,13 @@ def _min_cover(n_items: int, masks: Sequence[int]) -> list[int]:
 
 
 def pierce_grid(
-        rects: Sequence[Rect]) -> tuple[list[PointSite], list[frozenset[int]]]:
+        rects: Sequence[Rect]) -> tuple[list[PointSite], list[int]]:
     """Every covered point of the corner grid (right edge x top edge), x-major
-    then by y, and for each the ids of the rectangles containing it.
+    then by y, and for each the mask of the rectangles containing it (bit i
+    for rectangle i).
 
     The reference for :func:`cliquesep.geometry.candidate_pierce_points`,
-    which keeps the first point of each distinct id set.  A sweep over the
+    which keeps the first point of each distinct mask.  A sweep over the
     right edges keeps the rectangles spanning the current x; each lists the
     top edges inside its own y-extent, so the work grows with the number of
     covered grid points, up to quadratic in the rectangles.
@@ -212,14 +213,14 @@ def pierce_grid(
             active.append(by_lo[nxt])
             nxt += 1
         active = [i for i in active if rects[i].x_hi >= x]
-        column: dict[int, list[int]] = {}
-        for i in sorted(active):
+        column: dict[int, int] = {}
+        for i in active:
             r = rects[i]
             for y in ys[bisect_left(ys, r.y_lo):bisect_right(ys, r.y_hi)]:
-                column.setdefault(y, []).append(i)
+                column[y] = column.get(y, 0) | 1 << i
         for y in sorted(column):
             points.append(PointSite(x, y))
-            masks.append(frozenset(column[y]))
+            masks.append(column[y])
     return points, masks
 
 

@@ -14,10 +14,9 @@ The engine, :func:`separate_mask`, runs on a :class:`~cliquesep.graphs.Frame`
 built once per instance, and a subproblem is a vertex mask F over it in
 global ids: the strip and measure parts that meet F, the sides and the
 units are read off the frame's masks, so no subgraph, relabelled cover or id
-map is built per call.  It returns a :class:`Cut` of masks.  The whole-graph
-entry points (:func:`separate`, :func:`chordal_route`,
-:func:`length_window_route`) build a frame, run the engine on every vertex,
-and return a :class:`SeparatorResult` of frozensets.
+map is built per call.  It returns a :class:`Cut` of masks.  The one
+whole-graph entry point, :func:`separate`, builds a frame, runs the engine
+on every vertex, and returns a :class:`SeparatorResult` of frozensets.
 """
 from __future__ import annotations
 
@@ -233,28 +232,7 @@ def _diagnostic(frame: Frame, F: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# whole-graph entry points: the engine on every vertex, in frozensets
-
-
-def _whole(cut: Optional[Cut]) -> Optional[SeparatorResult]:
-    return None if cut is None else cut.as_result()
-
-
-def chordal_route(G: Graph, intervals: Sequence[tuple[int, int]],
-                  g1_cover: OrderedCliqueCover, mu: RestrictionMeasure,
-                  certificate: str = G_CLIQUE) -> Optional[SeparatorResult]:
-    """Balanced maximal-clique separator of G2, given by one interval per
-    vertex, covered by one unit per g1-cover part the clique touches."""
-    frame = Frame(G, intervals, g1_cover, mu)
-    return _whole(_chordal_cut(frame, (1 << G.n) - 1, certificate))
-
-
-def length_window_route(G: Graph, g1_cover: OrderedCliqueCover,
-                        mu: RestrictionMeasure) -> Optional[SeparatorResult]:
-    """Remove a window of consecutive g1-cover parts (see
-    :func:`_window_cut`)."""
-    frame = Frame(G, None, g1_cover, mu)
-    return _whole(_window_cut(frame, (1 << G.n) - 1))
+# the whole-graph entry point: the engine on every vertex, in frozensets
 
 
 def separate(G: Graph, g1_cover: OrderedCliqueCover,

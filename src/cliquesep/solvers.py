@@ -17,14 +17,16 @@ neither exactness nor the PTAS charging needs it (see :func:`_divide` and
 :func:`_cover_ptas`).  Every public solver re-verifies feasibility of its
 answer with a geometry-only scan before returning.
 
-Inside :func:`_divide` every vertex set is an int bitmask, bit v for item v,
-and the exact independent set runs on masks end to end.  So does the
-separator engine: each context builds one :class:`~cliquesep.graphs.Frame`
-of itself, lazily, and :meth:`_BaseContext.separate_subset` hands it a tree
-node's mask and gets a :class:`~cliquesep.separator.Cut` of masks back.  The
-candidate masks of the covering contexts and the covering branch-and-bound
-keep frozensets; the callbacks of the covering solvers, and the validator of
-:func:`separation_profile`, convert what they hand to frozenset code.
+Every vertex set of a solve is an int bitmask, bit v for item v, from the
+candidate builders until the answer is packed into its solution: the sets
+of :func:`_divide`, the independent-set search, the candidate masks of the
+covering contexts, the covering branch-and-bound, its lower bounds and the
+retirement of a separator.  So is every set of the separator engine: each
+context builds one :class:`~cliquesep.graphs.Frame` of itself, lazily, and
+:meth:`_BaseContext.separate_subset` hands it a tree node's mask and gets a
+:class:`~cliquesep.separator.Cut` of masks back.  Only the validator of
+:func:`separation_profile` is handed frozensets, for
+:func:`~cliquesep.separator.check_separator`.
 """
 from __future__ import annotations
 
@@ -45,8 +47,8 @@ from .geometry import (SCALE, Disc, PointSite, Rect,
                        x_chordal_graph, y_chordal_graph_points)
 from .graphs import (Frame, OrderedCliqueCover, RestrictionMeasure, _ids,
                      _mask, _members)
-from .separator import (G_CLIQUE, MEASURE_PART, UNIT_BOX, CoverUnit, Cut,
-                        separate_mask, strip_length)
+from .separator import (G_CLIQUE, MEASURE_PART, UNIT_BOX, Cut, separate_mask,
+                        strip_length)
 
 TraceHook = Callable[[int, int, str, int], None]
 
@@ -181,7 +183,7 @@ def _distinct(cands, masks):
     order.  Candidates with equal masks have equal effects everywhere, and
     every search and pick below breaks ties towards the lowest id, so the
     others are never chosen."""
-    first: dict[frozenset, int] = {}
+    first: dict[int, int] = {}
     for c, mask in enumerate(masks):
         first.setdefault(mask, c)
     return [cands[c] for c in first.values()], list(first)
@@ -191,7 +193,7 @@ def _holders(masks, n: int) -> list[tuple[int, ...]]:
     """For each item 0..n-1, the ascending ids of the masks holding it."""
     out: list[list[int]] = [[] for _ in range(n)]
     for c, mask in enumerate(masks):
-        for i in mask:
+        for i in _ids(mask):
             out[i].append(c)
     return [tuple(ids) for ids in out]
 
@@ -248,13 +250,13 @@ class _BaseContext:
                 blocked |= adj[v]
         return count
 
-    def independent_lower_bound(self, F: frozenset, need: int) -> int:
+    def independent_lower_bound(self, F: int, need: int) -> int:
         """A greedy independent set of G[F] that takes the item of least
         degree among those left, counted up to ``need``.  A lazy heap keeps
         it at O(|E(G[F])| log |F|)."""
         adj = self.G.adj_mask
-        alive = _mask(F)
-        deg = {v: (adj[v] & alive).bit_count() for v in F}
+        alive = F
+        deg = {v: (adj[v] & F).bit_count() for v in _ids(F)}
         heap = sorted((d, v) for v, d in deg.items())
         count = 0
         while heap and count < need:
@@ -270,7 +272,7 @@ class _BaseContext:
                     heappush(heap, (deg[w], w))
         return count
 
-    def _lower_bound(self, order, F: frozenset, need: int) -> int:
+    def _lower_bound(self, order, F: int, need: int) -> int:
         """The cheap packing over ``order``; the least-degree one only when
         the cheap one stays below ``need``.
 
@@ -354,13 +356,10 @@ def _divide(ctx, F: int, threshold, leaf, split,
 
     Every vertex set in here is an int bitmask, bit v for item v: F, the
     memo keys, the tree nodes, the sets ``leaf`` and ``split`` receive and
-    hand to ``recurse``, and the separator, a :class:`_Cut`.  A union,
-    intersection or difference is then one integer operation, and a set is
-    hashed without building a set object.  The separator engine takes a
-    tree node's mask and returns a :class:`~cliquesep.separator.Cut`;
-    frozensets appear only in the callbacks of the covering solvers and of
-    :func:`separation_profile`, which convert what they pass to code that
-    takes frozensets.
+    hand to ``recurse``, and the separator, a
+    :class:`~cliquesep.separator.Cut` of masks as the engine returns it for
+    a tree node's mask.  A union, intersection or difference is then one
+    integer operation, and a set is hashed without building a set object.
 
     The separated sets are the nodes of one separator tree, the one
     :func:`separation_profile` walks: a node's children are the components
@@ -574,22 +573,22 @@ def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
 class _CoverSearch:
     def __init__(self, item_choices, choice_items, lower_bound):
         self.item_choices = item_choices  # item -> ascending choice ids
-        self.choice_items = choice_items  # choice id -> frozenset of items
-        self.lower_bound = lower_bound    # (frozenset items, need) -> int
+        self.choice_items = choice_items  # choice id -> mask of items
+        self.lower_bound = lower_bound    # (mask of items, need) -> int
 
-    def greedy(self, items: frozenset) -> list[int]:
+    def greedy(self, items: int) -> list[int]:
         picked = []
-        uncovered = set(items)
+        uncovered = items
         while uncovered:
-            target = min(uncovered)
-            cands = self.item_choices[target]
-            best = max(cands, key=lambda c: (len(self.choice_items[c] & uncovered), -c))
+            target = (uncovered & -uncovered).bit_length() - 1
+            best = max(self.item_choices[target], key=lambda c: (
+                (self.choice_items[c] & uncovered).bit_count(), -c))
             picked.append(best)
-            uncovered -= self.choice_items[best]
+            uncovered &= ~self.choice_items[best]
         return picked
 
 
-def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
+def _split_search(search: _CoverSearch, mandatory: int, rest: int,
                   solve_rest) -> list[int]:
     """B&B over the mandatory items; leftovers go to the side recursion.
 
@@ -607,7 +606,7 @@ def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
     best = search.greedy(mandatory | rest)
     choice_items = search.choice_items
 
-    def rec(uncov_mand: frozenset, uncov_rest: frozenset, picked: list[int]):
+    def rec(uncov_mand: int, uncov_rest: int, picked: list[int]):
         nonlocal best
         if not uncov_mand:
             extra = solve_rest(uncov_rest)
@@ -618,12 +617,14 @@ def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
         need = len(best) - len(picked)
         if search.lower_bound(uncovered, need) >= need:
             return
-        effects: dict[frozenset, int] = {}
-        for c in search.item_choices[min(uncov_mand)]:
+        effects: dict[int, int] = {}
+        target = (uncov_mand & -uncov_mand).bit_length() - 1
+        for c in search.item_choices[target]:
             effects.setdefault(choice_items[c] & uncovered, c)
-        for eff, c in sorted(effects.items(), key=lambda e: (-len(e[0]), e[1])):
+        for eff, c in sorted(effects.items(),
+                             key=lambda e: (-e[0].bit_count(), e[1])):
             picked.append(c)
-            rec(uncov_mand - eff, uncov_rest - eff, picked)
+            rec(uncov_mand & ~eff, uncov_rest & ~eff, picked)
             picked.pop()
 
     rec(mandatory, rest, [])
@@ -633,15 +634,12 @@ def _split_search(search: _CoverSearch, mandatory: frozenset, rest: frozenset,
 def _cover_exact(ctx, F: int, cfg: SolveConfig, trace,
                  depth: int = 0) -> list[int]:
     """Optimal cover of the items in the mask F by ``ctx.candidates``, as
-    their ids.  The branch-and-bound runs on frozensets."""
+    their ids."""
     def leaf(F, depth):
-        return _split_search(ctx.search(), _members(F), frozenset(),
-                             lambda rest: [])
+        return _split_search(ctx.search(), F, 0, lambda rest: [])
 
     def split(F, cut, recurse):
-        return _split_search(ctx.search(), _members(cut.s),
-                             _members(F & ~cut.s),
-                             lambda rest: recurse(_mask(rest)))
+        return _split_search(ctx.search(), cut.s, F & ~cut.s, recurse)
 
     return _divide(ctx, F, cfg.base_threshold, leaf, split, trace, depth)
 
@@ -663,10 +661,8 @@ def _cover_ptas(ctx, cfg: SolveConfig, trace) -> list:
                 for c in _cover_exact(ctx, F, cfg, trace, depth)]
 
     def split(F, cut, recurse):
-        units = [CoverUnit(_members(m), certificate)
-                 for m, certificate in cut.units]
-        picks, hit = ctx.retire(units, _members(cut.side_a | cut.side_b))
-        left = ~_mask(hit)
+        picks, hit = ctx.retire(cut.units, cut.side_a | cut.side_b)
+        left = ~hit
         return picks + recurse(cut.side_a & left) + recurse(cut.side_b & left)
 
     return _divide(ctx, _everything(ctx), cfg.ptas_leaf_threshold(), leaf,
@@ -691,25 +687,25 @@ class PierceContext(RectContext):
             self.rects[i].x_hi, self.rects[i].y_lo, i))
         self._right_rank = {i: rank for rank, i in enumerate(by_right)}
 
-    def disjoint_lower_bound(self, F: frozenset, need: int) -> int:
+    def disjoint_lower_bound(self, F: int, need: int) -> int:
         """Pairwise-disjoint rectangles in F each need their own point: the
         packing by right edge first, then by least degree if short of
         ``need``."""
-        return self._lower_bound(sorted(F, key=self._right_rank.__getitem__),
-                                 F, need)
+        return self._lower_bound(
+            sorted(_ids(F), key=self._right_rank.__getitem__), F, need)
 
     def search(self) -> _CoverSearch:
         return _CoverSearch(self.rect_points, self.point_rects,
                             self.disjoint_lower_bound)
 
-    def retire(self, units, F: frozenset):
+    def retire(self, units, F: int):
         """One Helly point per separator unit (each a rectangle clique), and
-        the rectangles of F those points pierce."""
-        points = [helly_point([self.rects[i] for i in sorted(u.members)])
-                  for u in units]
-        hit = frozenset(i for i in F
-                        if any(self.rects[i].contains_point(p.x, p.y)
-                               for p in points))
+        the mask of the rectangles of F those points pierce."""
+        points = [helly_point([self.rects[i] for i in _ids(members)])
+                  for members, _ in units]
+        hit = sum(1 << i for i in _ids(F)
+                  if any(self.rects[i].contains_point(p.x, p.y)
+                         for p in points))
         return points, hit
 
 
@@ -741,18 +737,20 @@ def pierce_ptas(rects: Sequence[Rect], cfg: SolveConfig,
 # disc cover (points)
 
 
-def _quarter_groups(ctx: CoverContext, members: frozenset):
-    """Split a unit's members at its bounding-box midpoints: at most four
-    groups, each inside a half-unit square and hence candidate-coverable."""
-    xs = [ctx.points[i].x for i in members]
-    ys = [ctx.points[i].y for i in members]
+def _quarter_groups(ctx: CoverContext, members: int) -> list[int]:
+    """Split a unit's members mask at its bounding-box midpoints: at most
+    four group masks, each inside a half-unit square and hence
+    candidate-coverable."""
+    ids = _ids(members)
+    xs = [ctx.points[i].x for i in ids]
+    ys = [ctx.points[i].y for i in ids]
     mx2 = min(xs) + max(xs)  # twice the midpoints
     my2 = min(ys) + max(ys)
-    groups: dict[tuple[bool, bool], set[int]] = {}
-    for i in members:
-        key = (2 * ctx.points[i].x > mx2, 2 * ctx.points[i].y > my2)
-        groups.setdefault(key, set()).add(i)
-    return [frozenset(g) for _, g in sorted(groups.items())]
+    groups: dict[tuple[bool, bool], int] = {}
+    for i, x, y in zip(ids, xs, ys):
+        key = (2 * x > mx2, 2 * y > my2)
+        groups[key] = groups.get(key, 0) | 1 << i
+    return [g for _, g in sorted(groups.items())]
 
 
 class CoverContext(PointContext):
@@ -762,36 +760,40 @@ class CoverContext(PointContext):
             *candidate_discs(self.points, self.G))
         self.point_discs = _holders(self.disc_points, len(self.points))
 
-    def scatter_lower_bound(self, F: frozenset, need: int) -> int:
+    def scatter_lower_bound(self, F: int, need: int) -> int:
         """Points pairwise farther than one unit each need their own disc:
         the packing by id first, then by least degree if short of ``need``."""
-        return self._lower_bound(sorted(F), F, need)
+        return self._lower_bound(_ids(F), F, need)
 
     def search(self) -> _CoverSearch:
         return _CoverSearch(self.point_discs, self.disc_points,
                             self.scatter_lower_bound)
 
-    def candidate_covering(self, group: frozenset) -> int:
-        """A candidate disc covering the whole group (must exist whenever the
-        group fits in some unit-diameter disc, by the replacement argument).
-        Such a disc covers min(group), so only its discs are scanned, in
-        ascending order: the pick is the first covering candidate overall."""
-        for c in self.point_discs[min(group)]:
-            if group <= self.disc_points[c]:
+    def candidate_covering(self, group: int) -> int:
+        """A candidate disc covering the whole group mask (must exist
+        whenever the group fits in some unit-diameter disc, by the
+        replacement argument).  Such a disc covers the group's lowest item,
+        so only its discs are scanned, in ascending order: the pick is the
+        first covering candidate overall."""
+        for c in self.point_discs[(group & -group).bit_length() - 1]:
+            if not group & ~self.disc_points[c]:
                 return c
         raise AssertionError("no candidate disc covers a coverable group")
 
-    def retire(self, units, F: frozenset):
+    def retire(self, units, F: int):
         """Candidate discs covering the separator units (a MEASURE-PART unit
-        whole, a UNIT-BOX unit by quarters), and every point they cover."""
+        whole, a UNIT-BOX unit by quarters), and the mask of every point
+        they cover."""
         chosen = []
-        for unit in units:
-            if unit.certificate == MEASURE_PART:
-                groups = [unit.members]
+        for members, certificate in units:
+            if certificate == MEASURE_PART:
+                groups = [members]
             else:
-                groups = _quarter_groups(self, unit.members)
+                groups = _quarter_groups(self, members)
             chosen += [self.candidate_covering(g) for g in groups]
-        covered = frozenset().union(*(self.disc_points[c] for c in chosen))
+        covered = 0
+        for c in chosen:
+            covered |= self.disc_points[c]
         return [self.candidates[c] for c in chosen], covered
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cliquesep.chordal import _clique_path, balanced_clique_separator
+from cliquesep.chordal import _clique_path, clique_cut
 from cliquesep.graphs import (Frame, Graph, OrderedCliqueCover,
                               RestrictionMeasure, _members, components_within)
 from cliquesep.oracles import (NotChordalError, interval_graph,
@@ -161,34 +161,49 @@ def reference_pick(ivs, mu):
     return best
 
 
+def cut_everything(ivs, G, mu):
+    """:func:`clique_cut` on every vertex of G, with ``ivs[v]`` the closed
+    interval of v: (clique, side_a, side_b, larger measure), the sets as
+    frozensets, or None."""
+    found = clique_cut(Frame(G, ivs, OrderedCliqueCover(()), mu),
+                       (1 << G.n) - 1)
+    if found is None:
+        return None
+    clique, a, b, larger = found
+    return _members(clique), _members(a), _members(b), larger
+
+
 class TestBalancedCliqueSeparator:
     def test_path_nine_singleton_measure(self):
         ivs = [(i, i + 1) for i in range(9)]
         G = interval_graph(ivs)
-        found = balanced_clique_separator(ivs, G, singleton_measure(G))
+        found = cut_everything(ivs, G, singleton_measure(G))
         assert found is not None
-        sizes = sorted((len(found.side_a), len(found.side_b)))
-        assert len(found.clique) == 2
+        clique, side_a, side_b, larger = found
+        sizes = sorted((len(side_a), len(side_b)))
+        assert len(clique) == 2
         assert sizes == [3, 4]
-        assert found.larger_measure <= 6
+        assert larger <= 6
 
     def test_star_removes_center_edge(self):
         ivs = [(0, 100)] + [(10 * i, 10 * i + 1) for i in range(1, 7)]
         G = interval_graph(ivs)
         assert G.m == 6 and G.degree(0) == 6
-        found = balanced_clique_separator(ivs, G, singleton_measure(G))
+        found = cut_everything(ivs, G, singleton_measure(G))
         assert found is not None
-        assert 0 in found.clique and len(found.clique) == 2
-        sizes = sorted((len(found.side_a), len(found.side_b)))
+        clique, side_a, side_b, _ = found
+        assert 0 in clique and len(clique) == 2
+        sizes = sorted((len(side_a), len(side_b)))
         assert sizes == [2, 3]
 
     def test_complete_graph_degenerate(self):
         ivs = [(0, 1)] * 5
         G = interval_graph(ivs)
-        found = balanced_clique_separator(ivs, G, singleton_measure(G))
+        found = cut_everything(ivs, G, singleton_measure(G))
         assert found is not None
-        assert found.clique == frozenset(range(5))
-        assert found.side_a == found.side_b == frozenset()
+        clique, side_a, side_b, _ = found
+        assert clique == frozenset(range(5))
+        assert side_a == side_b == frozenset()
 
     def test_sides_have_no_crossing_edges(self):
         rng = random.Random(5)
@@ -198,32 +213,33 @@ class TestBalancedCliqueSeparator:
                    for _ in range(n)]
             G = interval_graph(ivs)
             mu = singleton_measure(G)
-            found = balanced_clique_separator(ivs, G, mu)
+            found = cut_everything(ivs, G, mu)
             if found is None:
                 continue
-            for u in found.side_a:
-                assert not (G.adj[u] & found.side_b)
+            _, side_a, side_b, _ = found
+            for u in side_a:
+                assert not (G.adj[u] & side_b)
             total = mu.of(range(n))
-            assert 3 * mu.of(found.side_a) <= 2 * total
-            assert 3 * mu.of(found.side_b) <= 2 * total
+            assert 3 * mu.of(side_a) <= 2 * total
+            assert 3 * mu.of(side_b) <= 2 * total
 
     def test_rejects_g_edge_outside_h(self):
         G = path(3)
         ivs = [(0, 1), (1, 2), (3, 4)]  # 1 and 2 do not overlap
         with pytest.raises(ValueError):
-            balanced_clique_separator(ivs, G, singleton_measure(G))
+            cut_everything(ivs, G, singleton_measure(G))
 
     def test_rejects_measure_part_outside_a_clique(self):
         ivs = [(0, 1), (2, 3)]
         mu = RestrictionMeasure(OrderedCliqueCover((frozenset({0, 1}),)))
         with pytest.raises(ValueError):
-            balanced_clique_separator(ivs, Graph(2), mu)
+            cut_everything(ivs, Graph(2), mu)
 
     @given(interval_inputs())
     def test_sweep_matches_exhaustive_scan(self, case):
         ivs, mu = case
         G = interval_graph(ivs)
-        found = balanced_clique_separator(ivs, G, mu)
+        found = cut_everything(ivs, G, mu)
         cliques = maximal_cliques_chordal(G, mcs_order(G))
         frame = Frame(G, ivs, OrderedCliqueCover(()), mu)
         swept = [_members(K) for K, _, _ in _clique_path(frame, range(len(ivs)))]
@@ -233,6 +249,6 @@ class TestBalancedCliqueSeparator:
             assert found is None
             return
         assert found is not None
-        assert (found.larger_measure, len(found.clique),
-                sorted(found.clique)) == best[0]
-        assert [found.side_a, found.side_b] == best[1]
+        clique, side_a, side_b, larger = found
+        assert (larger, len(clique), sorted(clique)) == best[0]
+        assert [side_a, side_b] == best[1]

@@ -444,9 +444,9 @@ class TestDiscCovers:
         pts = [p, p, PointSite(p.x + SCALE, p.y)]
         discs, masks = candidate_discs(pts, unit_distance_graph(pts))
         for d, mask in zip(discs, masks):
-            assert mask == frozenset(i for i, q in enumerate(pts)
-                                     if surd_covers(d, q))
-        assert frozenset({0, 1, 2}) in masks  # the midpoint disc
+            assert mask == sum(1 << i for i, q in enumerate(pts)
+                               if surd_covers(d, q))
+        assert 0b111 in masks  # the midpoint disc
 
 
 class TestCandidateMasks:
@@ -480,8 +480,8 @@ class TestCandidateMasks:
         xs = sorted({r.x_hi for r in rects})
         ys = sorted({r.y_hi for r in rects})
         grid = [(PointSite(x, y),
-                 frozenset(i for i, r in enumerate(rects)
-                           if r.contains_point(x, y)))
+                 sum(1 << i for i, r in enumerate(rects)
+                     if r.contains_point(x, y)))
                 for x in xs for y in ys]
         grid = [(p, m) for p, m in grid if m]
         points, masks = pierce_grid(rects)
@@ -504,8 +504,8 @@ class TestCandidateMasks:
         brute = brute_discs(pts)
         assert [d.key() for d in discs] == sorted(brute)
         for d, mask in zip(discs, masks):
-            assert mask == frozenset(i for i, p in enumerate(pts)
-                                     if surd_covers(d, p))
+            assert mask == sum(1 << i for i, p in enumerate(pts)
+                               if surd_covers(d, p))
 
     def test_cover_context_tests_only_neighbourhoods(self, monkeypatch):
         rng = random.Random(16)

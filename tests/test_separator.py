@@ -6,12 +6,13 @@ import pytest
 
 from cliquesep import instances, solvers
 from cliquesep.geometry import SCALE, PointSite, Rect
-from cliquesep.graphs import (Graph, OrderedCliqueCover, RestrictionMeasure)
+from cliquesep.graphs import (Frame, Graph, OrderedCliqueCover,
+                              RestrictionMeasure)
 from cliquesep.separator import (CHORDAL, G_CLIQUE, LENGTH_WINDOW,
                                  MEASURE_PART, UNIT_BOX, CoverUnit,
                                  NoSeparatorFound, SeparatorResult,
-                                 chordal_route, check_separator,
-                                 length_window_route, separate)
+                                 _chordal_cut, check_separator, separate,
+                                 separate_mask)
 from cliquesep.solvers import PointContext, RectContext, separation_profile
 
 
@@ -33,13 +34,19 @@ def pair_cover(pairs):
     return OrderedCliqueCover(tuple(frozenset(p) for p in pairs))
 
 
+def window_route(G, cover, mu):
+    """The engine on all of G with no intervals: the length route alone."""
+    cut = separate_mask(Frame(G, None, cover, mu), (1 << G.n) - 1, G_CLIQUE)
+    return cut.as_result()
+
+
 class TestLengthWindowRoute:
     def test_balanced_window_of_singleton_parts(self):
         # five parts of measure one each: the middle window wins
         G = path(5)
         cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(5)))
         mu = singleton_measure(G)
-        res = length_window_route(G, cov, mu)
+        res = window_route(G, cov, mu)
         assert res is not None
         assert res.s == frozenset({2})
         assert res.side_a == frozenset({0, 1})
@@ -50,7 +57,7 @@ class TestLengthWindowRoute:
     def test_edgeless_graph_gets_free_separator(self):
         G = Graph(4)
         cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(4)))
-        res = length_window_route(G, cov, singleton_measure(G))
+        res = window_route(G, cov, singleton_measure(G))
         assert res is not None
         assert res.s == frozenset() and res.cost == 0
 
@@ -58,7 +65,7 @@ class TestLengthWindowRoute:
         G = path(6)
         g1 = OrderedCliqueCover(tuple(frozenset({i}) for i in range(6)))
         mu = RestrictionMeasure(pair_cover([(0, 1), (2, 3), (4, 5)]))
-        res = length_window_route(G, g1, mu)
+        res = window_route(G, g1, mu)
         assert res is not None
         for unit in res.units:
             assert unit.certificate == MEASURE_PART
@@ -68,7 +75,7 @@ class TestLengthWindowRoute:
         # a clique cannot be split, so the full-range window is the fallback
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
         cov = OrderedCliqueCover((frozenset({0, 1, 2}),))
-        res = length_window_route(G, cov, singleton_measure(G))
+        res = window_route(G, cov, singleton_measure(G))
         assert res is not None
         assert res.s == frozenset({0, 1, 2})
         assert res.side_a == res.side_b == frozenset()
@@ -78,8 +85,10 @@ class TestChordalRoute:
     def test_path_clique_separator_costs_one(self):
         G = path(9)
         cov = OrderedCliqueCover((frozenset(range(9)),))  # host ignored
-        res = chordal_route(G, path_intervals(9), cov, singleton_measure(G))
+        frame = Frame(G, path_intervals(9), cov, singleton_measure(G))
+        res = _chordal_cut(frame, (1 << 9) - 1, G_CLIQUE)
         assert res is not None
+        res = res.as_result()
         assert res.route == CHORDAL
         assert res.cost == 1
         assert all(u.certificate == G_CLIQUE for u in res.units)
@@ -88,8 +97,11 @@ class TestChordalRoute:
         # a triangle straddling two g1 parts yields two units
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
         g1 = pair_cover([(0, 1), (2,)])
-        res = chordal_route(G, [(0, 1)] * 3, g1, singleton_measure(G))
+        # (the length route alone would cut {2} off at cost 1)
+        frame = Frame(G, [(0, 1)] * 3, g1, singleton_measure(G))
+        res = _chordal_cut(frame, 0b111, G_CLIQUE)
         assert res is not None
+        res = res.as_result()
         certs = sorted(len(u.members) for u in res.units)
         assert certs == [1, 2]
         assert res.cost == 2
@@ -112,6 +124,16 @@ class TestSeparate:
         with pytest.raises(NoSeparatorFound) as err:
             separate(G, cov, None, singleton_measure(G))
         assert "n" in err.value.diagnostic
+
+    def test_measure_cover_missing_a_vertex_raises(self):
+        # the strip cover covers every vertex; the measure cover leaves 3 out
+        G = path(4)
+        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(4)))
+        mu = RestrictionMeasure(pair_cover([(0, 1), (2,)]))
+        for ivs in (path_intervals(4), None):
+            with pytest.raises(ValueError,
+                               match="vertex 3 of G missing from cover"):
+                separate(G, cov, ivs, mu)
 
     def test_check_separator_passes_on_valid_results(self):
         G = path(7)
