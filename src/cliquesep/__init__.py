@@ -10,8 +10,7 @@ from .geometry import (SCALE, Disc, PointSite, Rect,
                        helly_point, rect_intersection_graph,
                        strip_cover_rects, unit_distance_graph,
                        vertical_strip_cover_points)
-from .separator import (CoverUnit, NoSeparatorFound, SeparatorResult,
-                        check_separator, separate)
+from .separator import Cut, NoSeparatorFound, check_separator, separate
 from .solvers import (CoverSolution, MisSolution, PierceSolution, SolveConfig,
                       disccover_exact, disccover_ptas, mis_exact, mis_ptas,
                       pierce_exact, pierce_ptas, verify_disc_cover,
@@ -27,8 +26,7 @@ __all__ = [
     "candidate_pierce_points", "greedy_cover_and_is_rects",
     "greedy_disc_cover", "helly_point", "rect_intersection_graph",
     "strip_cover_rects", "unit_distance_graph", "vertical_strip_cover_points",
-    "CoverUnit", "NoSeparatorFound", "SeparatorResult", "check_separator",
-    "separate",
+    "Cut", "NoSeparatorFound", "check_separator", "separate",
     "CoverSolution", "MisSolution", "PierceSolution", "SolveConfig",
     "disccover_exact", "disccover_ptas", "mis_exact", "mis_ptas",
     "pierce_exact", "pierce_ptas", "verify_disc_cover",

@@ -4,10 +4,12 @@ The separator engine's chordal supergraph G2 is an interval graph, and
 :func:`clique_cut` works on its intervals alone: one sweep of the endpoints
 of a subproblem's members lists the maximal cliques left to right (a clique
 path), and the components left after removing one are runs of intervals on
-either side of it.  G2 is never built.  The subproblem is a vertex mask F
-over a :class:`~cliquesep.graphs.Frame`, in global ids; every order and
-tie-break of the sweep is by coordinate and then by id, so it picks the same
-clique as a sweep of G[F] relabelled to 0..|F|-1 would.  The same sweep
+either side of it: one stack of components per side, built once per call,
+gives them for every clique and the sides of the winner.  G2 is never
+built.  The subproblem is a vertex mask F over a
+:class:`~cliquesep.graphs.Frame`, in global ids; every order and tie-break
+of the sweep is by coordinate and then by id, so it picks the same clique
+as a sweep of G[F] relabelled to 0..|F|-1 would.  The same sweep
 checks its input: a G-edge or a measure part inside F whose intervals share
 no point raises ``ValueError``.  The tests check the sweep against
 :func:`cliquesep.oracles.maximal_cliques_chordal` on G2 built by
@@ -15,9 +17,9 @@ no point raises ``ValueError``.  The tests check the sweep against
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from .graphs import Frame, _ids
+from .graphs import Frame, _ids, _mask
 
 
 def _pack_components(comps: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
@@ -41,48 +43,36 @@ def _pack_components(comps: list[tuple[int, int, int]]) -> tuple[int, list[int]]
     return max(w), side
 
 
-def _prefix_components(spans, part_of) -> list:
+def _prefix_components(spans, part_of) -> tuple[list[int], list]:
     """The components of every prefix of ``spans`` in right-end order.
 
-    ``spans`` holds one (right end, id, left end) per interval.  ``tops[k]``
-    is the stack of components of the first k intervals, as linked nodes
-    (reach, measure weight, smallest id, size, node below) with reach the
-    largest right end.  Nodes are never changed, so every prefix keeps its
-    stack.  An interval whose right end is the largest so far overlaps a
-    component iff its left end is at most the component's reach, and the
-    components it overlaps are the top ones.
+    ``spans`` holds one (right end, id, left end) per interval.  Returns
+    the ids in that order and ``tops``: ``tops[k]`` is the stack of
+    components of the first k intervals, as linked nodes (reach, measure
+    weight, smallest id, size, node below, start) with reach the largest
+    right end; a component's members are ``order[start:start + size]``.
+    Nodes are never changed, so every prefix keeps its stack.  An interval
+    whose right end is the largest so far overlaps a component iff its left
+    end is at most the component's reach, and the components it overlaps
+    are the top ones, which hold the latest runs of the order.
     """
     seen: set[int] = set()
     top = None
     tops = [top]
-    for hi, i, lo in sorted(spans):
+    order = []
+    for k, (hi, i, lo) in enumerate(sorted(spans)):
+        order.append(i)
         weight = int(part_of[i] not in seen)
         seen.add(part_of[i])
-        first, size = i, 1
+        first, size, start = i, 1, k
         while top is not None and top[0] >= lo:
-            _, w, f, s, top = top
+            _, w, f, s, top, start = top
             weight += w
             first = min(first, f)
             size += s
-        top = (hi, weight, first, size, top)
+        top = (hi, weight, first, size, top, start)
         tops.append(top)
-    return tops
-
-
-def _components(intervals: Sequence[tuple[int, int]], ids) -> list[list[int]]:
-    """Components of the interval graph on ``ids`` (ascending): runs in
-    left-end order."""
-    comps: list[list[int]] = []
-    reach = None
-    for i in sorted(ids, key=lambda i: intervals[i]):
-        lo, hi = intervals[i]
-        if comps and lo <= reach:
-            comps[-1].append(i)
-            reach = max(reach, hi)
-        else:
-            comps.append([i])
-            reach = hi
-    return comps
+    return order, tops
 
 
 def _clique_path(frame: Frame, ids: list[int]):
@@ -126,17 +116,17 @@ def _clique_path(frame: Frame, ids: list[int]):
         ends += 1
 
 
-def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int, int]]:
+def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int]]:
     """Best 2/3-measure-balanced maximal clique of the interval graph on the
     mask F, or None when F is empty or no clique balances.
 
-    Returns (clique, side_a, side_b, larger measure), the sets as masks.
-    Every edge of G inside F must join overlapping intervals, and every
-    measure part must be an interval clique inside F; :func:`_clique_path`
-    checks both.  Every maximal clique is evaluated: remove it, pack the
-    components of the remainder into two sides largest-first, and keep the
-    clique whose larger side is smallest, ties to the smaller clique, then
-    the smaller sorted member list.  A clique qualifies only when both sides
+    Returns (clique, side_a, side_b) as masks.  Every edge of G inside F
+    must join overlapping intervals, and every measure part must be an
+    interval clique inside F; :func:`_clique_path` checks both.  Every
+    maximal clique is evaluated: remove it, pack the components of the
+    remainder into two sides largest-first, and keep the clique whose
+    larger side is smallest, ties to the smaller clique, then the smaller
+    sorted member list.  A clique qualifies only when both sides
     have measure at most 2/3 of F's (exact rational comparison
     3*mu(side) <= 2*mu(F)).  A clique is not packed when a lower bound on
     its larger side (the heaviest component, or half the remaining weight
@@ -146,7 +136,7 @@ def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int, int]]:
     What is left of the clique at x are the intervals ending before x, a
     prefix in right-end order, and those starting after x, a suffix in
     left-end order; one stack pass each way gives the components of every
-    prefix and suffix.
+    prefix and suffix, and the winner's sides are the components it packed.
     """
     ids = _ids(F)
     if not ids:
@@ -154,12 +144,12 @@ def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int, int]]:
     intervals, part_of = frame.intervals, frame.part_of
     n = len(ids)
     total = frame.mu_of(F)
-    before = _prefix_components(
+    by_end, before = _prefix_components(
         [(intervals[i][1], i, intervals[i][0]) for i in ids], part_of)
-    after = _prefix_components(
+    by_start, after = _prefix_components(
         [(-intervals[i][0], i, -intervals[i][1]) for i in ids], part_of)
 
-    best = None  # (larger, |K|, K)
+    best = None  # (larger, |K|, K, ends, starts, side of each component)
     for clique, ends, starts in _clique_path(frame, ids):
         comps = []
         heaviest = rest = 0
@@ -173,24 +163,23 @@ def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int, int]]:
         low = max(heaviest, (rest + 1) // 2)
         if 3 * low > 2 * total or (best is not None and low > best[0]):
             continue
-        larger, _ = _pack_components(comps)
+        larger, side = _pack_components(comps)
         if 3 * larger <= 2 * total:
             key = (larger, starts - ends)
             # of two equal-size cliques, the one holding the lowest id that
             # is not in both has the smaller sorted member list
             if best is None or key < best[:2] or (
                     key == best[:2] and clique & (d := clique ^ best[2]) & -d):
-                best = (larger, starts - ends, clique)
+                best = (larger, starts - ends, clique, ends, starts, side)
     if best is None:
         return None
 
-    larger, _, clique = best
-    comps = _components(intervals, _ids(F & ~clique))
-    _, side = _pack_components([(len({part_of[v] for v in c}), min(c), len(c))
-                                for c in comps])
+    _, _, clique, ends, starts, side = best
     sides = [0, 0]
-    for c, t in zip(comps, side):
-        for v in c:
-            sides[t] |= 1 << v
-    return clique, sides[0], sides[1], larger
+    t = iter(side)  # the components in the order they were packed
+    for order, top in ((by_end, before[ends]), (by_start, after[n - starts])):
+        while top is not None:
+            sides[next(t)] |= _mask(order[top[5]:top[5] + top[3]])
+            top = top[4]
+    return clique, sides[0], sides[1]
 

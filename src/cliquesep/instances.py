@@ -17,7 +17,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
 
 from .geometry import SCALE, PointSite, Rect, format_coord, parse_coord
 

@@ -14,19 +14,18 @@ The engine, :func:`separate_mask`, runs on a :class:`~cliquesep.graphs.Frame`
 built once per instance, and a subproblem is a vertex mask F over it in
 global ids: the strip and measure parts that meet F, the sides and the
 units are read off the frame's masks, so no subgraph, relabelled cover or id
-map is built per call.  It returns a :class:`Cut` of masks.  The one
-whole-graph entry point, :func:`separate`, builds a frame, runs the engine
-on every vertex, and returns a :class:`SeparatorResult` of frozensets.
+map is built per call.  A :class:`Cut` of masks is the one separator type:
+the engine returns it, the whole-graph entry point :func:`separate` (which
+builds a frame and runs the engine on every vertex) returns it, and
+:func:`check_separator` checks it against a mask F.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from . import chordal
 from .geometry import SCALE
-from .graphs import (Frame, Graph, OrderedCliqueCover, RestrictionMeasure,
-                     _ids, _mask, _members)
+from .graphs import Frame, Graph, OrderedCliqueCover, RestrictionMeasure, _ids
 
 G_CLIQUE = "G-CLIQUE"
 UNIT_BOX = "UNIT-BOX"
@@ -36,41 +35,20 @@ CHORDAL = "CHORDAL"
 LENGTH_WINDOW = "LENGTH-WINDOW"
 
 
-@dataclass(frozen=True)
-class CoverUnit:
-    members: frozenset[int]
-    certificate: str
-
-
-@dataclass(frozen=True)
-class SeparatorResult:
-    s: frozenset[int]
-    units: tuple[CoverUnit, ...]
-    side_a: frozenset[int]
-    side_b: frozenset[int]
-    route: str
-    cost: int
-
-
 class Cut(NamedTuple):
-    """A separator as the engine returns it: ``s``, the sides and the
-    members of each unit are masks, and ``units`` pairs each members mask
-    with its certificate."""
+    """A separator: ``s``, the sides and the members of each unit are
+    masks, and ``units`` pairs each members mask with its certificate."""
 
     s: int
     units: tuple[tuple[int, str], ...]
     side_a: int
     side_b: int
     route: str
-    cost: int
 
-    def as_result(self) -> SeparatorResult:
-        return SeparatorResult(
-            _members(self.s),
-            tuple(CoverUnit(_members(m), certificate)
-                  for m, certificate in self.units),
-            _members(self.side_a), _members(self.side_b), self.route,
-            self.cost)
+    @property
+    def cost(self) -> int:
+        """The number of units covering the separator."""
+        return len(self.units)
 
 
 class NoSeparatorFound(RuntimeError):
@@ -87,10 +65,10 @@ def _chordal_cut(frame: Frame, F: int, certificate: str) -> Optional[Cut]:
     found = chordal.clique_cut(frame, F)
     if found is None:
         return None
-    clique, a, b, _ = found
+    clique, a, b = found
     units = tuple((m, certificate) for m in
                   Frame.split(clique, frame.strip_of, frame.strip_mask))
-    return Cut(clique, units, a, b, CHORDAL, len(units))
+    return Cut(clique, units, a, b, CHORDAL)
 
 
 def _strips(frame: Frame, F: int) -> tuple[list[int], list[int]]:
@@ -188,10 +166,11 @@ def _window_cut(frame: Frame, F: int) -> Optional[Cut]:
                     best = (key, s, a, b)
         if best is None:
             continue
-        (cost, _larger, _i), s, a, b = best
+        _key, s, a, b = best
+        # one unit per measure part meeting s: mu_of(s) of them
         units = tuple((m, MEASURE_PART) for m in
                       Frame.split(s, frame.part_of, frame.part_mask))
-        return Cut(s, units, a, b, LENGTH_WINDOW, cost)
+        return Cut(s, units, a, b, LENGTH_WINDOW)
     return None
 
 
@@ -202,19 +181,19 @@ def separate_mask(frame: Frame, F: int, certificate: str) -> Cut:
     clique of G2 is a clique of G for rectangles, and fits a unit box for
     points); the chordal route is skipped when the frame has no intervals.
     The length route alone always succeeds when some strip meets F, falling
-    back to the full-range window.
+    back to the full-range window.  It runs first: a strip cover that misses
+    part of F raises ``ValueError`` there, and one that misses all of F
+    raises :class:`NoSeparatorFound`, before the chordal route would split
+    a clique by strips.
     """
-    candidates = []
-    if frame.intervals is not None:
-        cand = _chordal_cut(frame, F, certificate)
-        if cand is not None:
-            candidates.append(cand)
-    cand = _window_cut(frame, F)
-    if cand is not None:
-        candidates.append(cand)
-    if not candidates:
+    window = _window_cut(frame, F)
+    if window is None:
         raise NoSeparatorFound(_diagnostic(frame, F))
-    return min(candidates, key=lambda r: (r.cost, 0 if r.route == CHORDAL else 1))
+    if frame.intervals is not None:
+        cut = _chordal_cut(frame, F, certificate)
+        if cut is not None and cut.cost <= window.cost:
+            return cut
+    return window
 
 
 def _diagnostic(frame: Frame, F: int) -> dict:
@@ -232,27 +211,26 @@ def _diagnostic(frame: Frame, F: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the whole-graph entry point: the engine on every vertex, in frozensets
+# the whole-graph entry point and the contract checker
 
 
 def separate(G: Graph, g1_cover: OrderedCliqueCover,
              intervals: Optional[Sequence[tuple[int, int]]],
-             mu: RestrictionMeasure,
-             certificate: str = G_CLIQUE) -> SeparatorResult:
+             mu: RestrictionMeasure, certificate: str = G_CLIQUE) -> Cut:
     """:func:`separate_mask` on all of G.
 
     ``intervals`` (the interval model of G2, one per vertex) may be None to
     skip the chordal route.
     """
     frame = Frame(G, intervals, g1_cover, mu)
-    return separate_mask(frame, (1 << G.n) - 1, certificate).as_result()
+    return separate_mask(frame, (1 << G.n) - 1, certificate)
 
 
-def check_separator(G: Graph, mu: RestrictionMeasure, res: SeparatorResult,
-                    F: Optional[frozenset] = None,
+def check_separator(G: Graph, mu: RestrictionMeasure, cut: Cut,
+                    F: Optional[int] = None,
                     points: Optional[Sequence] = None) -> list[str]:
-    """Contract violations of a SeparatorResult for the subproblem on F (all
-    of G by default), empty when valid.
+    """Contract violations of a :class:`Cut` for the subproblem on the mask
+    F (all of G by default), empty when valid.
 
     Checks the three-way partition of F, the edge cut, the 2/3 balance, that
     the units exactly cover the separator and that each unit's certificate
@@ -262,35 +240,33 @@ def check_separator(G: Graph, mu: RestrictionMeasure, res: SeparatorResult,
     """
     problems = []
     if F is None:
-        F = frozenset(range(G.n))
-    if res.s | res.side_a | res.side_b != F:
+        F = (1 << G.n) - 1
+    s, side_a, side_b = cut.s, cut.side_a, cut.side_b
+    if s | side_a | side_b != F:
         problems.append("s, side_a, side_b do not partition F")
-    if (res.s & res.side_a) or (res.s & res.side_b) or (res.side_a & res.side_b):
+    if s & side_a or s & side_b or side_a & side_b:
         problems.append("s, side_a, side_b overlap")
-    side_b = _mask(res.side_b)
-    crossing = next(((u, v) for u in sorted(res.side_a)
+    crossing = next(((u, v) for u in _ids(side_a)
                      for v in _ids(G.adj_mask[u] & side_b)), None)
     if crossing is not None:
         problems.append(f"edge {crossing} crosses the sides")
-    total = mu.of(F)
-    for name, side in (("side_a", res.side_a), ("side_b", res.side_b)):
-        if 3 * mu.of(side) > 2 * total:
+    total = mu.of(_ids(F))
+    for name, side in (("side_a", side_a), ("side_b", side_b)):
+        if 3 * mu.of(_ids(side)) > 2 * total:
             problems.append(f"{name} exceeds 2/3 of the measure")
-    covered: set[int] = set()
-    for unit in res.units:
-        if covered & unit.members:
+    covered = 0
+    for members, certificate in cut.units:
+        if covered & members:
             problems.append("units overlap")
-        covered |= unit.members
-        mem = sorted(unit.members)
-        if unit.certificate == G_CLIQUE:
-            for a in range(len(mem)):
-                for b in range(a + 1, len(mem)):
-                    if not G.has_edge(mem[a], mem[b]):
-                        problems.append(f"G-CLIQUE unit not a clique: {mem}")
-        elif unit.certificate == MEASURE_PART:
+        covered |= members
+        mem = _ids(members)
+        if certificate == G_CLIQUE:
+            if any(members & ~G.adj_mask[v] != 1 << v for v in mem):
+                problems.append(f"G-CLIQUE unit not a clique: {mem}")
+        elif certificate == MEASURE_PART:
             if len({mu.part_of[v] for v in mem}) > 1:
                 problems.append("MEASURE-PART unit spans two measure parts")
-        elif unit.certificate == UNIT_BOX:
+        elif certificate == UNIT_BOX:
             if points is None:
                 problems.append("UNIT-BOX unit but no coordinates to check it")
             elif mem:
@@ -299,9 +275,7 @@ def check_separator(G: Graph, mu: RestrictionMeasure, res: SeparatorResult,
                 if max(xs) - min(xs) > SCALE or max(ys) - min(ys) > SCALE:
                     problems.append(f"UNIT-BOX unit exceeds a 1x1 box: {mem}")
         else:
-            problems.append(f"unknown certificate {unit.certificate!r}")
-    if covered != res.s:
+            problems.append(f"unknown certificate {certificate!r}")
+    if covered != s:
         problems.append("units do not exactly cover s")
-    if res.cost != len(res.units):
-        problems.append("cost does not match the unit count")
     return problems

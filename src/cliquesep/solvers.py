@@ -24,9 +24,9 @@ covering contexts, the covering branch-and-bound, its lower bounds and the
 retirement of a separator.  So is every set of the separator engine: each
 context builds one :class:`~cliquesep.graphs.Frame` of itself, lazily, and
 :meth:`_BaseContext.separate_subset` hands it a tree node's mask and gets a
-:class:`~cliquesep.separator.Cut` of masks back.  Only the validator of
-:func:`separation_profile` is handed frozensets, for
-:func:`~cliquesep.separator.check_separator`.
+:class:`~cliquesep.separator.Cut` of masks back, the one separator type of
+the library; the validator of :func:`separation_profile` gets the same
+masks.
 """
 from __future__ import annotations
 
@@ -45,8 +45,7 @@ from .geometry import (SCALE, Disc, PointSite, Rect,
                        rect_intersection_graph, strip_cover_rects,
                        unit_distance_graph, vertical_strip_cover_points,
                        x_chordal_graph, y_chordal_graph_points)
-from .graphs import (Frame, OrderedCliqueCover, RestrictionMeasure, _ids,
-                     _mask, _members)
+from .graphs import Frame, OrderedCliqueCover, RestrictionMeasure, _ids, _mask
 from .separator import (G_CLIQUE, MEASURE_PART, UNIT_BOX, Cut, separate_mask,
                         strip_length)
 
@@ -289,13 +288,9 @@ class _BaseContext:
             return cheap
         return max(cheap, self.independent_lower_bound(F, need))
 
-    def separate_subset(self, F: int, depth: int,
-                        trace: Optional[TraceHook] = None) -> Cut:
+    def separate_subset(self, F: int) -> Cut:
         """Separator for the induced subproblem on the mask F."""
-        cut = separate_mask(self.frame, F, self.certificate)
-        if trace is not None:
-            trace(depth, self.mu_of(F), cut.route, cut.cost)
-        return cut
+        return separate_mask(self.frame, F, self.certificate)
 
 
 class RectContext(_BaseContext):
@@ -330,12 +325,11 @@ class PointContext(_BaseContext):
 
 
 def _restricted_separator(cut: Cut, F: int) -> Cut:
-    """A node's separator inside the mask F: every set cut to F, empty units
-    dropped, and the cost recounted."""
+    """A node's separator inside the mask F: every set cut to F and empty
+    units dropped."""
     units = tuple((members, certificate) for m, certificate in cut.units
                   if (members := m & F))
-    return Cut(cut.s & F, units, cut.side_a & F, cut.side_b & F, cut.route,
-               len(units))
+    return Cut(cut.s & F, units, cut.side_a & F, cut.side_b & F, cut.route)
 
 
 def _divide(ctx, F: int, threshold, leaf, split,
@@ -364,7 +358,8 @@ def _divide(ctx, F: int, threshold, leaf, split,
     The separated sets are the nodes of one separator tree, the one
     :func:`separation_profile` walks: a node's children are the components
     of its separator's ``side_a | side_b``.  Each node is separated once,
-    when first reached; a connected F strictly inside a node gets that
+    when first reached, and only then reported to ``trace(depth, measure,
+    route, cost)``; a connected F strictly inside a node gets that
     node's separator restricted to F, and each component of what ``split``
     recurses on lies inside one child and recurses there.  Restriction keeps
     the separator valid: no edge of G joins ``side_a`` and ``side_b``, so
@@ -404,7 +399,9 @@ def _divide(ctx, F: int, threshold, leaf, split,
             node = F if parent is None else \
                 tree[parent][1][(F & -F).bit_length() - 1]
             if node not in tree:
-                cut = ctx.separate_subset(node, depth, trace)
+                cut = ctx.separate_subset(node)
+                if trace is not None:
+                    trace(depth, ctx.mu_of(node), cut.route, cut.cost)
                 children = ctx.components(cut.side_a | cut.side_b)
                 tree[node] = cut, {v: c for c in children for v in _ids(c)}
             cut = tree[node][0]
@@ -839,11 +836,12 @@ class SeparatorCall:
 def separation_profile(ctx, t0: int = 4, validator=None) -> list[SeparatorCall]:
     """Drive the bare separation recursion and record every separator call.
 
-    ``validator(F, res)`` is invoked per call when given (contract sweeps).
+    ``validator(F, cut)`` is invoked per call when given (contract sweeps),
+    with the node's mask and its :class:`~cliquesep.separator.Cut`.
     """
     def split(F, cut, recurse):
         if validator is not None:
-            validator(_members(F), cut.as_result())
+            validator(F, cut)
         row = SeparatorCall(F.bit_count(), ctx.mu_of(F),
                             strip_length(ctx.frame, F), cut.cost, cut.route)
         return [row] + recurse(cut.side_a) + recurse(cut.side_b)

@@ -16,8 +16,7 @@ from cliquesep.geometry import (candidate_discs, greedy_cover_and_is_rects,
 from cliquesep.graphs import (Graph, OrderedCliqueCover, check_measure_axioms,
                               cover_length)
 from cliquesep.separator import check_separator
-from cliquesep.solvers import (CoverContext, PierceContext, PointContext,
-                               RectContext, SolveConfig,
+from cliquesep.solvers import (PointContext, RectContext, SolveConfig,
                                disccover_exact, disccover_ptas, mis_exact,
                                mis_ptas, pierce_exact, pierce_ptas,
                                separation_profile, verify_independent_rects)

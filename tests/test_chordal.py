@@ -164,13 +164,13 @@ def reference_pick(ivs, mu):
 def cut_everything(ivs, G, mu):
     """:func:`clique_cut` on every vertex of G, with ``ivs[v]`` the closed
     interval of v: (clique, side_a, side_b, larger measure), the sets as
-    frozensets, or None."""
+    frozensets and the larger measure that of the heavier side, or None."""
     found = clique_cut(Frame(G, ivs, OrderedCliqueCover(()), mu),
                        (1 << G.n) - 1)
     if found is None:
         return None
-    clique, a, b, larger = found
-    return _members(clique), _members(a), _members(b), larger
+    clique, a, b = map(_members, found)
+    return clique, a, b, max(mu.of(a), mu.of(b))
 
 
 class TestBalancedCliqueSeparator:

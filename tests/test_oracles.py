@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cliquesep import oracles
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.graphs import Graph, OrderedCliqueCover
 from cliquesep.oracles import (StrictOrder, TooLargeError, brute_clique_cover,

@@ -1,18 +1,16 @@
-import dataclasses
 import hashlib
 import random
 
 import pytest
 
-from cliquesep import instances, solvers
+from cliquesep import instances
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.graphs import (Frame, Graph, OrderedCliqueCover,
-                              RestrictionMeasure)
+                              RestrictionMeasure, _ids, _mask)
 from cliquesep.separator import (CHORDAL, G_CLIQUE, LENGTH_WINDOW,
-                                 MEASURE_PART, UNIT_BOX, CoverUnit,
-                                 NoSeparatorFound, SeparatorResult,
-                                 _chordal_cut, check_separator, separate,
-                                 separate_mask)
+                                 MEASURE_PART, UNIT_BOX, Cut,
+                                 NoSeparatorFound, _chordal_cut,
+                                 check_separator, separate, separate_mask)
 from cliquesep.solvers import PointContext, RectContext, separation_profile
 
 
@@ -36,8 +34,7 @@ def pair_cover(pairs):
 
 def window_route(G, cover, mu):
     """The engine on all of G with no intervals: the length route alone."""
-    cut = separate_mask(Frame(G, None, cover, mu), (1 << G.n) - 1, G_CLIQUE)
-    return cut.as_result()
+    return separate_mask(Frame(G, None, cover, mu), (1 << G.n) - 1, G_CLIQUE)
 
 
 class TestLengthWindowRoute:
@@ -48,9 +45,9 @@ class TestLengthWindowRoute:
         mu = singleton_measure(G)
         res = window_route(G, cov, mu)
         assert res is not None
-        assert res.s == frozenset({2})
-        assert res.side_a == frozenset({0, 1})
-        assert res.side_b == frozenset({3, 4})
+        assert res.s == _mask({2})
+        assert res.side_a == _mask({0, 1})
+        assert res.side_b == _mask({3, 4})
         assert res.route == LENGTH_WINDOW
         assert res.cost == 1
 
@@ -59,7 +56,7 @@ class TestLengthWindowRoute:
         cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(4)))
         res = window_route(G, cov, singleton_measure(G))
         assert res is not None
-        assert res.s == frozenset() and res.cost == 0
+        assert res.s == 0 and res.cost == 0
 
     def test_units_are_measure_parts(self):
         G = path(6)
@@ -67,9 +64,9 @@ class TestLengthWindowRoute:
         mu = RestrictionMeasure(pair_cover([(0, 1), (2, 3), (4, 5)]))
         res = window_route(G, g1, mu)
         assert res is not None
-        for unit in res.units:
-            assert unit.certificate == MEASURE_PART
-            assert len({mu.part_of[v] for v in unit.members}) == 1
+        for members, certificate in res.units:
+            assert certificate == MEASURE_PART
+            assert len({mu.part_of[v] for v in _ids(members)}) == 1
 
     def test_always_succeeds_via_full_window(self):
         # a clique cannot be split, so the full-range window is the fallback
@@ -77,8 +74,8 @@ class TestLengthWindowRoute:
         cov = OrderedCliqueCover((frozenset({0, 1, 2}),))
         res = window_route(G, cov, singleton_measure(G))
         assert res is not None
-        assert res.s == frozenset({0, 1, 2})
-        assert res.side_a == res.side_b == frozenset()
+        assert res.s == _mask({0, 1, 2})
+        assert res.side_a == res.side_b == 0
 
 
 class TestChordalRoute:
@@ -88,10 +85,9 @@ class TestChordalRoute:
         frame = Frame(G, path_intervals(9), cov, singleton_measure(G))
         res = _chordal_cut(frame, (1 << 9) - 1, G_CLIQUE)
         assert res is not None
-        res = res.as_result()
         assert res.route == CHORDAL
         assert res.cost == 1
-        assert all(u.certificate == G_CLIQUE for u in res.units)
+        assert all(c == G_CLIQUE for _, c in res.units)
 
     def test_units_split_by_g1_part(self):
         # a triangle straddling two g1 parts yields two units
@@ -101,8 +97,7 @@ class TestChordalRoute:
         frame = Frame(G, [(0, 1)] * 3, g1, singleton_measure(G))
         res = _chordal_cut(frame, 0b111, G_CLIQUE)
         assert res is not None
-        res = res.as_result()
-        certs = sorted(len(u.members) for u in res.units)
+        certs = sorted(m.bit_count() for m, _ in res.units)
         assert certs == [1, 2]
         assert res.cost == 2
 
@@ -114,16 +109,27 @@ class TestSeparate:
             rects = [Rect(i * SCALE // 2, i * SCALE // 2 + SCALE, 0)
                      for i in range(n)]
             ctx = RectContext(rects)
-            res = ctx.separate_subset(solvers._mask(range(n)), 0)
+            res = ctx.separate_subset(_mask(range(n)))
             assert res.route == CHORDAL, n
             assert res.cost == 1, n
 
     def test_no_candidates_raises_with_diagnostic(self):
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
         cov = OrderedCliqueCover(())
-        with pytest.raises(NoSeparatorFound) as err:
-            separate(G, cov, None, singleton_measure(G))
-        assert "n" in err.value.diagnostic
+        for ivs in (None, [(0, 1)] * 3):
+            with pytest.raises(NoSeparatorFound) as err:
+                separate(G, cov, ivs, singleton_measure(G))
+            assert "n" in err.value.diagnostic
+
+    def test_strip_cover_missing_a_vertex_raises(self):
+        # the measure cover covers every vertex; the strip cover leaves 0
+        # out, and 0 lies in the clique {0, 1} the chordal route would pick
+        G = path(3)
+        cov = OrderedCliqueCover((frozenset({1}), frozenset({2})))
+        for ivs in (path_intervals(3), None):
+            with pytest.raises(ValueError,
+                               match="vertex 0 of G missing from cover"):
+                separate(G, cov, ivs, singleton_measure(G))
 
     def test_measure_cover_missing_a_vertex_raises(self):
         # the strip cover covers every vertex; the measure cover leaves 3 out
@@ -147,9 +153,8 @@ class TestSeparate:
         cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(3)))
         mu = singleton_measure(G)
         res = separate(G, cov, path_intervals(3), mu)
-        bad = SeparatorResult(s=frozenset(), units=(),
-                              side_a=frozenset({0, 1}), side_b=frozenset({2}),
-                              route=res.route, cost=0)
+        bad = Cut(s=0, units=(), side_a=_mask({0, 1}), side_b=_mask({2}),
+                  route=res.route)
         assert any("crosses" in p for p in check_separator(G, mu, bad))
 
         # one bad result per other violation class, each a change to a valid
@@ -157,42 +162,35 @@ class TestSeparate:
         G = path(6)
         mu = RestrictionMeasure(pair_cover([(0, 1), (2, 3), (4, 5)]))
         points = [PointSite(2 * i * SCALE, 0) for i in range(6)]  # 2 apart
-        good = SeparatorResult(s=frozenset({2, 3}),
-                               units=(CoverUnit(frozenset({2, 3}),
-                                                MEASURE_PART),),
-                               side_a=frozenset({0, 1}),
-                               side_b=frozenset({4, 5}),
-                               route=LENGTH_WINDOW, cost=1)
+        good = Cut(s=_mask({2, 3}), units=((_mask({2, 3}), MEASURE_PART),),
+                   side_a=_mask({0, 1}), side_b=_mask({4, 5}),
+                   route=LENGTH_WINDOW)
         assert check_separator(G, mu, good, points=points) == []
         cases = [
-            (dict(side_b=frozenset({4})), None, "do not partition F"),
-            ({}, frozenset(range(5)), "do not partition F"),
-            (dict(side_a=frozenset({0, 1, 2})), None, "overlap"),
-            (dict(s=frozenset({0}), side_a=frozenset(),
-                  side_b=frozenset(range(1, 6)),
-                  units=(CoverUnit(frozenset({0}), MEASURE_PART),)),
+            (dict(side_b=_mask({4})), None, "do not partition F"),
+            ({}, _mask(range(5)), "do not partition F"),
+            (dict(side_a=_mask({0, 1, 2})), None, "overlap"),
+            (dict(s=_mask({0}), side_a=0, side_b=_mask(range(1, 6)),
+                  units=((_mask({0}), MEASURE_PART),)),
              None, "side_b exceeds 2/3 of the measure"),
-            (dict(units=(CoverUnit(frozenset({2, 3}), MEASURE_PART),
-                         CoverUnit(frozenset({3}), MEASURE_PART)), cost=2),
+            (dict(units=((_mask({2, 3}), MEASURE_PART),
+                         (_mask({3}), MEASURE_PART))),
              None, "units overlap"),
-            (dict(s=frozenset({1, 2, 3}), side_a=frozenset({0}),
-                  units=(CoverUnit(frozenset({1, 3}), G_CLIQUE),
-                         CoverUnit(frozenset({2}), G_CLIQUE)), cost=2),
+            (dict(s=_mask({1, 2, 3}), side_a=_mask({0}),
+                  units=((_mask({1, 3}), G_CLIQUE), (_mask({2}), G_CLIQUE))),
              None, "G-CLIQUE unit not a clique"),
-            (dict(s=frozenset({1, 2}), side_a=frozenset({0}),
-                  side_b=frozenset({3, 4, 5}),
-                  units=(CoverUnit(frozenset({1, 2}), MEASURE_PART),)),
+            (dict(s=_mask({1, 2}), side_a=_mask({0}), side_b=_mask({3, 4, 5}),
+                  units=((_mask({1, 2}), MEASURE_PART),)),
              None, "MEASURE-PART unit spans two measure parts"),
-            (dict(units=(CoverUnit(frozenset({2, 3}), UNIT_BOX),)), None,
+            (dict(units=((_mask({2, 3}), UNIT_BOX),)), None,
              "UNIT-BOX unit exceeds a 1x1 box"),
-            (dict(units=(CoverUnit(frozenset({2, 3}), "MAGIC"),)), None,
+            (dict(units=((_mask({2, 3}), "MAGIC"),)), None,
              "unknown certificate"),
-            (dict(units=(CoverUnit(frozenset({2}), MEASURE_PART),)), None,
+            (dict(units=((_mask({2}), MEASURE_PART),)), None,
              "units do not exactly cover s"),
-            (dict(cost=2), None, "cost does not match the unit count"),
         ]
         for change, F, expected in cases:
-            bad = dataclasses.replace(good, **change)
+            bad = good._replace(**change)
             problems = check_separator(G, mu, bad, F, points)
             assert any(expected in p for p in problems), (expected, problems)
 
@@ -207,10 +205,10 @@ class TestSeparate:
                 y = rng.randint(0, 8000) * (SCALE // 1000)
                 rects.append(Rect(x, x + w, y))
             ctx = RectContext(rects)
-            F = frozenset(range(n))
-            if ctx.mu_of(solvers._mask(F)) < 2:
+            F = _mask(range(n))
+            if ctx.mu_of(F) < 2:
                 continue
-            res = ctx.separate_subset(solvers._mask(F), 0).as_result()
+            res = ctx.separate_subset(F)
             assert check_separator(ctx.G, ctx.mu, res, F) == []
 
 
@@ -227,15 +225,15 @@ class TestSweepChecks:
         ctx = RectContext(row_of_rects(5))
         ctx.intervals[2] = (100 * SCALE, 101 * SCALE)  # now far from 1 and 3
         with pytest.raises(ValueError, match="joins disjoint intervals"):
-            ctx.separate_subset(solvers._mask({1, 2, 3}), 0)
-        ctx.separate_subset(solvers._mask({3, 4}), 0)  # 2 lies outside F
+            ctx.separate_subset(_mask({1, 2, 3}))
+        ctx.separate_subset(_mask({3, 4}))  # 2 lies outside F
 
     def test_measure_part_without_a_common_point_raises(self):
         ctx = RectContext(row_of_rects(5))
         ctx.mu = RestrictionMeasure(pair_cover([(0, 4), (1,), (2,), (3,)]))
         with pytest.raises(ValueError, match="not an interval clique"):
-            ctx.separate_subset(solvers._mask({0, 3, 4}), 0)
-        ctx.separate_subset(solvers._mask({1, 2, 3}), 0)  # 0 and 4 outside F
+            ctx.separate_subset(_mask({0, 3, 4}))
+        ctx.separate_subset(_mask({1, 2, 3}))  # 0 and 4 outside F
 
 
 class TestPinnedCuts:
@@ -250,11 +248,11 @@ class TestPinnedCuts:
     def test_profile_rows_and_cuts_are_pinned(self):
         rows_h, cuts_h = hashlib.sha256(), hashlib.sha256()
 
-        def record(F, res):
-            units = [(sorted(u.members), u.certificate) for u in res.units]
-            cuts_h.update(repr((sorted(res.s), units, sorted(res.side_a),
-                                sorted(res.side_b), res.route,
-                                res.cost)).encode())
+        def record(F, cut):
+            units = [(_ids(m), certificate) for m, certificate in cut.units]
+            cuts_h.update(repr((_ids(cut.s), units, _ids(cut.side_a),
+                                _ids(cut.side_b), cut.route,
+                                cut.cost)).encode())
 
         for kind, context in (("rects", RectContext), ("points", PointContext)):
             for style in ("uniform", "clustered", "chain"):

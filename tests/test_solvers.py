@@ -1,6 +1,5 @@
 import hashlib
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cliquesep import geometry, instances, oracles, solvers
 from cliquesep.geometry import SCALE, PointSite, Rect, candidate_discs
-from cliquesep.graphs import Graph, components_within
+from cliquesep.graphs import Graph, _members, components_within
 from cliquesep.separator import check_separator
 from cliquesep.solvers import (CoverContext, PierceContext, PointContext,
                                RectContext, SolveConfig, disccover_exact,
@@ -451,15 +450,15 @@ class TestSeparatorTree:
         if not nodes:
             return
         node, _ = data.draw(st.sampled_from(nodes))
-        cut = ctx.separate_subset(solvers._mask(node), 0)
-        sub = data.draw(st.sets(st.sampled_from(sorted(node)), min_size=1))
+        cut = ctx.separate_subset(node)
+        sub = data.draw(st.sets(st.sampled_from(solvers._ids(node)),
+                                min_size=1))
         F = data.draw(st.sampled_from(ctx.components(solvers._mask(sub))))
-        r = solvers._restricted_separator(cut, F).as_result()
-        F = solvers._members(F)
+        r = solvers._restricted_separator(cut, F)
         problems = check_separator(ctx.G, ctx.mu, r, F,
                                    points=getattr(ctx, "points", None))
         assert [p for p in problems if "2/3" not in p] == []
-        assert all(u.members for u in r.units)
+        assert all(members for members, _ in r.units)
 
     @settings(deadline=None)
     @given(MIS_INPUTS, st.data())
@@ -488,7 +487,7 @@ class TestBitmaskSets:
         ctx = RectContext(items) if kind == "rects" else PointContext(items)
         sub = data.draw(st.sets(st.integers(0, len(items) - 1)))
         comps = ctx.components(solvers._mask(sub))
-        assert [solvers._members(c) for c in comps] == \
+        assert [_members(c) for c in comps] == \
             components_within(ctx.G.adj, frozenset(sub))
         assert ctx.mu_of(solvers._mask(sub)) == ctx.mu.of(sub)
 
@@ -635,6 +634,33 @@ class TestVerifyDiscCover:
 
 
 class TestRecursionShape:
+    # sha256 of the trace rows (depth, measure, route, cost) of the sweep
+    # below, recorded while the rows were emitted by
+    # _BaseContext.separate_subset
+    TRACE_SHA256 = ("366560abbd18091a5fa84f6fd50e6c0b"
+                    "d74280340549c5e60d4b56a0106f49cf")
+
+    def test_trace_rows_are_pinned(self):
+        h = hashlib.sha256()
+        half = SolveConfig(epsilon=0.5)
+        for style in ("uniform", "clustered", "chain"):
+            for seed in range(3):
+                def items(kind, n):
+                    return instances.generate(kind, n, seed, style).items
+
+                runs = [lambda tr: mis_exact(items("rects", 120), trace=tr),
+                        lambda tr: mis_ptas(items("rects", 400), half,
+                                            trace=tr),
+                        lambda tr: pierce_ptas(items("rects", 150), half,
+                                               trace=tr),
+                        lambda tr: disccover_ptas(items("points", 150), half,
+                                                  trace=tr)]
+                for run in runs:
+                    rows = []
+                    run(lambda *row: rows.append(row))
+                    h.update(repr(rows).encode())
+        assert h.hexdigest() == self.TRACE_SHA256
+
     def test_trace_reports_shrinking_measure(self):
         inst = instances.generate("rects", 300, 11)
         rows = []
