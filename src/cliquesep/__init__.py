@@ -11,9 +11,10 @@ from .geometry import (SCALE, Disc, PointSite, Rect,
                        strip_cover_rects, unit_distance_graph,
                        vertical_strip_cover_points)
 from .separator import Cut, NoSeparatorFound, check_separator, separate
-from .solvers import (CoverSolution, MisSolution, PierceSolution, SolveConfig,
-                      disccover_exact, disccover_ptas, mis_exact, mis_ptas,
-                      pierce_exact, pierce_ptas, verify_disc_cover,
+from .solvers import (CoverSolution, InfeasibleSolution, MisSolution,
+                      PierceSolution, SolveConfig, disccover_exact,
+                      disccover_ptas, mis_exact, mis_ptas, pierce_exact,
+                      pierce_ptas, verify_disc_cover,
                       verify_independent_rects, verify_piercing)
 from .instances import Instance, generate, load, parse, save, serialize
 
@@ -27,8 +28,8 @@ __all__ = [
     "greedy_disc_cover", "helly_point", "rect_intersection_graph",
     "strip_cover_rects", "unit_distance_graph", "vertical_strip_cover_points",
     "Cut", "NoSeparatorFound", "check_separator", "separate",
-    "CoverSolution", "MisSolution", "PierceSolution", "SolveConfig",
-    "disccover_exact", "disccover_ptas", "mis_exact", "mis_ptas",
+    "CoverSolution", "InfeasibleSolution", "MisSolution", "PierceSolution",
+    "SolveConfig", "disccover_exact", "disccover_ptas", "mis_exact", "mis_ptas",
     "pierce_exact", "pierce_ptas", "verify_disc_cover",
     "verify_independent_rects", "verify_piercing",
     "Instance", "generate", "load", "parse", "save", "serialize",

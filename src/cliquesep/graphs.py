@@ -21,7 +21,8 @@ sets are int bitmasks (bit v is vertex v), and the graph (the masks of
 :class:`Graph`, shared as they are), the strip cover and the measure are held
 as masks over the same ids, so a subproblem is a mask and nothing is
 relabelled or rebuilt for it.  Every vertex must lie in a measure part; a
-frame refuses a measure cover that misses one with ``ValueError``.
+frame refuses a measure cover that misses one with ``ValueError``.  Each
+solver context is a frame, built when the context is constructed.
 """
 from __future__ import annotations
 
@@ -263,8 +264,8 @@ class Frame:
     int bitmasks the neighbourhood in G of each vertex, the members of each
     strip and measure part, and the vertices outside the strip cover.  A
     subproblem is then just a mask F of vertices: the engine reads the parts
-    that meet F off these masks, and no subgraph or relabelled cover is
-    built per call.
+    that meet F off these masks (:meth:`strips`, :meth:`parts`,
+    :meth:`mu_of`), and no subgraph or relabelled cover is built per call.
     """
 
     __slots__ = ("adj_mask", "intervals", "strip_of", "strip_mask",
@@ -293,19 +294,28 @@ class Frame:
             count += 1
         return count
 
-    @staticmethod
-    def split(F: int, index_of, masks) -> list[int]:
-        """F cut by disjoint parts (``index_of`` and ``masks`` as held for
-        the strips or the measure parts): the nonempty pieces, in part
-        order."""
-        pieces = []
-        while F:
-            k = index_of[(F & -F).bit_length() - 1]
-            piece = F & masks[k]
-            pieces.append((k, piece))
-            F ^= piece
-        pieces.sort()
-        return [piece for _, piece in pieces]
+    def strips(self, F: int) -> list[int]:
+        """The strips that meet F, cut to F, in strip order; the members of
+        F outside the strip cover are left out."""
+        return _split(F & ~self.unstripped, self.strip_of, self.strip_mask)
+
+    def parts(self, F: int) -> list[int]:
+        """The measure parts that meet F, cut to F, in part order."""
+        return _split(F, self.part_of, self.part_mask)
+
+
+def _split(F: int, index_of, masks) -> list[int]:
+    """F cut by disjoint parts (``index_of`` and ``masks`` as a frame holds
+    them for the strips or the measure parts): the nonempty pieces, in part
+    order."""
+    pieces = []
+    while F:
+        k = index_of[(F & -F).bit_length() - 1]
+        piece = F & masks[k]
+        pieces.append((k, piece))
+        F ^= piece
+    pieces.sort()
+    return [piece for _, piece in pieces]
 
 
 @dataclass(frozen=True)

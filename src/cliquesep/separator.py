@@ -5,13 +5,15 @@ strip cover, which is all the engine knows of the supergraph G1: G1 is never
 built), the intervals of a chordal supergraph G2 (an interval graph, which is
 never built either), and a restriction measure, produce a vertex separator
 whose removal leaves two sides of measure at most 2/3 of the whole, together
-with a cover of the separator by certified units.  The chordal route removes
-a maximal clique of G2, found by sweeping its intervals; the length route
-removes a window of consecutive cover parts.  The cheaper valid candidate
-wins.
+with a cover of the separator by units.  The chordal route removes a maximal
+clique of G2, found by sweeping its intervals, and covers it by one unit per
+strip it meets: a clique of G for rectangles, a set inside a unit box for
+points.  The length route removes a window of consecutive cover parts and
+covers it by one unit per measure part it meets.  A unit is a plain mask; the
+route that found it says which kind it is.  The cheaper valid candidate wins.
 
 The engine, :func:`separate_mask`, runs on a :class:`~cliquesep.graphs.Frame`
-built once per instance, and a subproblem is a vertex mask F over it in
+(a solver context is one), and a subproblem is a vertex mask F over it in
 global ids: the strip and measure parts that meet F, the sides and the
 units are read off the frame's masks, so no subgraph, relabelled cover or id
 map is built per call.  A :class:`Cut` of masks is the one separator type:
@@ -27,20 +29,17 @@ from . import chordal
 from .geometry import SCALE
 from .graphs import Frame, Graph, OrderedCliqueCover, RestrictionMeasure, _ids
 
-G_CLIQUE = "G-CLIQUE"
-UNIT_BOX = "UNIT-BOX"
-MEASURE_PART = "MEASURE-PART"
-
 CHORDAL = "CHORDAL"
 LENGTH_WINDOW = "LENGTH-WINDOW"
 
 
 class Cut(NamedTuple):
-    """A separator: ``s``, the sides and the members of each unit are
-    masks, and ``units`` pairs each members mask with its certificate."""
+    """A separator: ``s``, the sides and each unit covering ``s`` are
+    masks.  A CHORDAL unit is one strip's share of a clique of G2, a
+    LENGTH-WINDOW unit one measure part's share of the window."""
 
     s: int
-    units: tuple[tuple[int, str], ...]
+    units: tuple[int, ...]
     side_a: int
     side_b: int
     route: str
@@ -59,16 +58,14 @@ class NoSeparatorFound(RuntimeError):
         self.diagnostic = diagnostic
 
 
-def _chordal_cut(frame: Frame, F: int, certificate: str) -> Optional[Cut]:
+def _chordal_cut(frame: Frame, F: int) -> Optional[Cut]:
     """Balanced maximal-clique separator of G2[F], covered by one unit per
-    strip the clique meets, each carrying ``certificate``."""
+    strip the clique meets."""
     found = chordal.clique_cut(frame, F)
     if found is None:
         return None
     clique, a, b = found
-    units = tuple((m, certificate) for m in
-                  Frame.split(clique, frame.strip_of, frame.strip_mask))
-    return Cut(clique, units, a, b, CHORDAL)
+    return Cut(clique, tuple(frame.strips(clique)), a, b, CHORDAL)
 
 
 def _strips(frame: Frame, F: int) -> tuple[list[int], list[int]]:
@@ -78,7 +75,7 @@ def _strips(frame: Frame, F: int) -> tuple[list[int], list[int]]:
     stray = F & frame.unstripped
     if stray and stray != F:
         raise ValueError(f"vertex {_ids(stray)[0]} of G missing from cover")
-    parts = Frame.split(F & ~stray, frame.strip_of, frame.strip_mask)
+    parts = frame.strips(F)
     after = []
     rest = F
     for p in parts:
@@ -137,50 +134,34 @@ def _window_cut(frame: Frame, F: int) -> Optional[Cut]:
             return max(wa, wb)
         return None
 
-    widths = []
-    if length == 0:
-        widths.append(0)
-    widths.extend(range(max(length, 1), k + 1))
-    for w in widths:
+    for w in range(length, k + 1):
         # ties among equal-cost windows go to the better-balanced, then
-        # leftmost one
+        # leftmost one; a window of width 0 is an edgeless gap between
+        # strips i - 1 and i, an empty separator (the gap after the last
+        # strip leaves all of F on one side and never balances)
         best = None
-        if w == 0:
-            # an edgeless gap between consecutive strips: empty separator
-            for i in range(1, k):
-                larger = larger_side(i, i - 1)
-                if larger is None:
-                    continue
-                key = (0, larger, i)
-                if best is None or key < best[0]:
-                    best = (key, 0, before[i], after[i - 1])
-        else:
-            for i in range(0, k - w + 1):
-                larger = larger_side(i, i + w - 1)
-                if larger is None:
-                    continue
-                a, b = before[i], after[i + w - 1]
-                s = F ^ a ^ b
-                key = (mu_of(s), larger, i)
-                if best is None or key < best[0]:
-                    best = (key, s, a, b)
+        for i in range(w == 0, k - w + 1):
+            larger = larger_side(i, i + w - 1)
+            if larger is None:
+                continue
+            a, b = before[i], after[i + w - 1]
+            s = F ^ a ^ b
+            key = (mu_of(s), larger, i)
+            if best is None or key < best[0]:
+                best = (key, s, a, b)
         if best is None:
             continue
         _key, s, a, b = best
         # one unit per measure part meeting s: mu_of(s) of them
-        units = tuple((m, MEASURE_PART) for m in
-                      Frame.split(s, frame.part_of, frame.part_mask))
-        return Cut(s, units, a, b, LENGTH_WINDOW)
+        return Cut(s, tuple(frame.parts(s)), a, b, LENGTH_WINDOW)
     return None
 
 
-def separate_mask(frame: Frame, F: int, certificate: str) -> Cut:
+def separate_mask(frame: Frame, F: int) -> Cut:
     """Best of both routes on the mask F by unit count; CHORDAL wins ties.
 
-    ``certificate`` labels the chordal route's units (a strip's part of a
-    clique of G2 is a clique of G for rectangles, and fits a unit box for
-    points); the chordal route is skipped when the frame has no intervals.
-    The length route alone always succeeds when some strip meets F, falling
+    The chordal route is skipped when the frame has no intervals.  The
+    length route alone always succeeds when some strip meets F, falling
     back to the full-range window.  It runs first: a strip cover that misses
     part of F raises ``ValueError`` there, and one that misses all of F
     raises :class:`NoSeparatorFound`, before the chordal route would split
@@ -190,7 +171,7 @@ def separate_mask(frame: Frame, F: int, certificate: str) -> Cut:
     if window is None:
         raise NoSeparatorFound(_diagnostic(frame, F))
     if frame.intervals is not None:
-        cut = _chordal_cut(frame, F, certificate)
+        cut = _chordal_cut(frame, F)
         if cut is not None and cut.cost <= window.cost:
             return cut
     return window
@@ -202,11 +183,8 @@ def _diagnostic(frame: Frame, F: int) -> dict:
         "n": F.bit_count(),
         "vertices": _ids(F),
         "edges": [(u, v) for u in _ids(F) for v in _ids(adj[u] & F) if u < v],
-        "g1_parts": [_ids(p) for p in
-                     Frame.split(F & ~frame.unstripped, frame.strip_of,
-                                 frame.strip_mask)],
-        "measure_parts": [_ids(p) for p in
-                          Frame.split(F, frame.part_of, frame.part_mask)],
+        "g1_parts": [_ids(p) for p in frame.strips(F)],
+        "measure_parts": [_ids(p) for p in frame.parts(F)],
     }
 
 
@@ -216,14 +194,14 @@ def _diagnostic(frame: Frame, F: int) -> dict:
 
 def separate(G: Graph, g1_cover: OrderedCliqueCover,
              intervals: Optional[Sequence[tuple[int, int]]],
-             mu: RestrictionMeasure, certificate: str = G_CLIQUE) -> Cut:
+             mu: RestrictionMeasure) -> Cut:
     """:func:`separate_mask` on all of G.
 
     ``intervals`` (the interval model of G2, one per vertex) may be None to
     skip the chordal route.
     """
     frame = Frame(G, intervals, g1_cover, mu)
-    return separate_mask(frame, (1 << G.n) - 1, certificate)
+    return separate_mask(frame, (1 << G.n) - 1)
 
 
 def check_separator(G: Graph, mu: RestrictionMeasure, cut: Cut,
@@ -233,10 +211,11 @@ def check_separator(G: Graph, mu: RestrictionMeasure, cut: Cut,
     F (all of G by default), empty when valid.
 
     Checks the three-way partition of F, the edge cut, the 2/3 balance, that
-    the units exactly cover the separator and that each unit's certificate
-    holds: G-CLIQUE units are cliques of G, MEASURE-PART units lie in one
-    part of ``mu``, and UNIT-BOX units fit a unit box of ``points`` (items
-    with ``x``/``y``, indexed like G).
+    the units exactly cover the separator and that each unit is what its
+    route makes: a LENGTH-WINDOW unit lies in one part of ``mu`` (a
+    MEASURE-PART unit), and a CHORDAL unit is a clique of G (G-CLIQUE) or,
+    when ``points`` (items with ``x``/``y``, indexed like G) are given, fits
+    a unit box of them (UNIT-BOX).
     """
     problems = []
     if F is None:
@@ -255,27 +234,22 @@ def check_separator(G: Graph, mu: RestrictionMeasure, cut: Cut,
         if 3 * mu.of(_ids(side)) > 2 * total:
             problems.append(f"{name} exceeds 2/3 of the measure")
     covered = 0
-    for members, certificate in cut.units:
+    for members in cut.units:
         if covered & members:
             problems.append("units overlap")
         covered |= members
         mem = _ids(members)
-        if certificate == G_CLIQUE:
-            if any(members & ~G.adj_mask[v] != 1 << v for v in mem):
-                problems.append(f"G-CLIQUE unit not a clique: {mem}")
-        elif certificate == MEASURE_PART:
+        if cut.route == LENGTH_WINDOW:
             if len({mu.part_of[v] for v in mem}) > 1:
                 problems.append("MEASURE-PART unit spans two measure parts")
-        elif certificate == UNIT_BOX:
-            if points is None:
-                problems.append("UNIT-BOX unit but no coordinates to check it")
-            elif mem:
-                xs = [points[v].x for v in mem]
-                ys = [points[v].y for v in mem]
-                if max(xs) - min(xs) > SCALE or max(ys) - min(ys) > SCALE:
-                    problems.append(f"UNIT-BOX unit exceeds a 1x1 box: {mem}")
-        else:
-            problems.append(f"unknown certificate {certificate!r}")
+        elif points is None:
+            if any(members & ~G.adj_mask[v] != 1 << v for v in mem):
+                problems.append(f"G-CLIQUE unit not a clique: {mem}")
+        elif mem:
+            xs = [points[v].x for v in mem]
+            ys = [points[v].y for v in mem]
+            if max(xs) - min(xs) > SCALE or max(ys) - min(ys) > SCALE:
+                problems.append(f"UNIT-BOX unit exceeds a 1x1 box: {mem}")
     if covered != s:
         problems.append("units do not exactly cover s")
     return problems

@@ -8,6 +8,8 @@ combine a separator with the solutions of what it leaves behind.  The exact
 minimizers (piercing and disc cover) run a separator-guided branch-and-bound
 with certified pruning; the maximizer (independent set) enumerates independent
 selections inside the separator and solves the two sides of each apart.
+A solver context holds the one-time structures of an instance and is the
+:class:`~cliquesep.graphs.Frame` the separator engine reads.
 
 Every solver separates each node of one separator tree once: a subproblem
 strictly inside a node reuses the node's separator restricted to it.  That
@@ -15,18 +17,18 @@ is sound because a separator of F leaves no edge between ``side_a & F'`` and
 ``side_b & F'`` for any F' inside F; only the 2/3 balance can be lost, and
 neither exactness nor the PTAS charging needs it (see :func:`_divide` and
 :func:`_cover_ptas`).  Every public solver re-verifies feasibility of its
-answer with a geometry-only scan before returning.
+answer with a geometry-only scan before returning, and raises
+:class:`InfeasibleSolution` when the scan fails.
 
 Every vertex set of a solve is an int bitmask, bit v for item v, from the
 candidate builders until the answer is packed into its solution: the sets
 of :func:`_divide`, the independent-set search, the candidate masks of the
 covering contexts, the covering branch-and-bound, its lower bounds and the
-retirement of a separator.  So is every set of the separator engine: each
-context builds one :class:`~cliquesep.graphs.Frame` of itself, lazily, and
-:meth:`_BaseContext.separate_subset` hands it a tree node's mask and gets a
-:class:`~cliquesep.separator.Cut` of masks back, the one separator type of
-the library; the validator of :func:`separation_profile` gets the same
-masks.
+retirement of a separator.  So is every set of the separator engine:
+:meth:`_BaseContext.separate_subset` hands it the context and a tree node's
+mask and gets a :class:`~cliquesep.separator.Cut` of masks back, the one
+separator type of the library, whose units are plain masks; the validator
+of :func:`separation_profile` gets the same masks.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
@@ -46,8 +47,7 @@ from .geometry import (SCALE, Disc, PointSite, Rect,
                        unit_distance_graph, vertical_strip_cover_points,
                        x_chordal_graph, y_chordal_graph_points)
 from .graphs import Frame, OrderedCliqueCover, RestrictionMeasure, _ids, _mask
-from .separator import (G_CLIQUE, MEASURE_PART, UNIT_BOX, Cut, separate_mask,
-                        strip_length)
+from .separator import LENGTH_WINDOW, Cut, separate_mask, strip_length
 
 TraceHook = Callable[[int, int, str, int], None]
 
@@ -82,10 +82,13 @@ class SolveConfig:
         return Fraction(self.ptas_leaf_constant) / (e * e)
 
 
+class InfeasibleSolution(RuntimeError):
+    """A solver's answer failed the geometry-only feasibility check."""
+
+
 @dataclass(frozen=True)
 class MisSolution:
     chosen: frozenset[int]
-    certified_independent: bool
 
     @property
     def value(self) -> int:
@@ -112,6 +115,11 @@ class CoverSolution:
 
 # ---------------------------------------------------------------------------
 # post-hoc feasibility checks (geometry-only, no solver code paths)
+
+
+def _feasible(ok: bool, solver: str) -> None:
+    if not ok:
+        raise InfeasibleSolution(f"{solver} produced an infeasible solution")
 
 
 def verify_independent_rects(rects: Sequence[Rect], chosen) -> bool:
@@ -197,24 +205,23 @@ def _holders(masks, n: int) -> list[tuple[int, ...]]:
     return [tuple(ids) for ids in out]
 
 
-class _BaseContext:
+class _BaseContext(Frame):
+    """The one-time structures of an instance: G, the interval model of G2,
+    the strip cover and the measure, read by :meth:`_read`, and the frame of
+    them the separator engine reads, built by :meth:`_frame`.  A covering
+    context builds its candidate sets between the two, which keeps the
+    frame's masks out of the candidate builders' peak memory."""
+
     kind = "?"
 
-    @cached_property
-    def frame(self) -> Frame:
-        """The instance as the separator engine reads it, built on first
-        use: intervals, strips and measure parts, and the masks of each."""
-        return Frame(self.G, self.intervals, self.strip_cover, self.mu)
-
-    def mu_of(self, F: int) -> int:
-        """The number of measure parts that meet the mask F."""
-        return self.frame.mu_of(F)
+    def _frame(self) -> None:
+        Frame.__init__(self, self.G, self.intervals, self.strip_cover, self.mu)
 
     def components(self, F: int) -> list[int]:
         """The components of G[F] for a mask F, as masks ordered by lowest
         member: a breadth-first search that grows each one a layer at a
         time."""
-        adj = self.frame.adj_mask
+        adj = self.adj_mask
         comps = []
         while F:
             comp = frontier = F & -F
@@ -239,7 +246,7 @@ class _BaseContext:
         candidate of their own: any independent set of G[F] is a lower bound
         on a cover of F.
         """
-        adj = self.G.adj_mask
+        adj = self.adj_mask
         blocked = count = 0
         for v in order:
             if count >= need:
@@ -253,7 +260,7 @@ class _BaseContext:
         """A greedy independent set of G[F] that takes the item of least
         degree among those left, counted up to ``need``.  A lazy heap keeps
         it at O(|E(G[F])| log |F|)."""
-        adj = self.G.adj_mask
+        adj = self.adj_mask
         alive = F
         deg = {v: (adj[v] & F).bit_count() for v in _ids(F)}
         heap = sorted((d, v) for v, d in deg.items())
@@ -290,14 +297,17 @@ class _BaseContext:
 
     def separate_subset(self, F: int) -> Cut:
         """Separator for the induced subproblem on the mask F."""
-        return separate_mask(self.frame, F, self.certificate)
+        return separate_mask(self, F)
 
 
 class RectContext(_BaseContext):
     kind = "rects"
-    certificate = G_CLIQUE
 
     def __init__(self, rects: Sequence[Rect]):
+        self._read(rects)
+        self._frame()
+
+    def _read(self, rects: Sequence[Rect]) -> None:
         self.rects = list(rects)
         self.G = rect_intersection_graph(self.rects)
         self.intervals = x_chordal_graph(self.rects)
@@ -308,9 +318,12 @@ class RectContext(_BaseContext):
 
 class PointContext(_BaseContext):
     kind = "points"
-    certificate = UNIT_BOX
 
     def __init__(self, points: Sequence[PointSite]):
+        self._read(points)
+        self._frame()
+
+    def _read(self, points: Sequence[PointSite]) -> None:
         self.points = list(points)
         self.G = unit_distance_graph(self.points)
         self.intervals = y_chordal_graph_points(self.points)
@@ -327,8 +340,7 @@ class PointContext(_BaseContext):
 def _restricted_separator(cut: Cut, F: int) -> Cut:
     """A node's separator inside the mask F: every set cut to F and empty
     units dropped."""
-    units = tuple((members, certificate) for m, certificate in cut.units
-                  if (members := m & F))
+    units = tuple(members for m in cut.units if (members := m & F))
     return Cut(cut.s & F, units, cut.side_a & F, cut.side_b & F, cut.route)
 
 
@@ -363,10 +375,10 @@ def _divide(ctx, F: int, threshold, leaf, split,
     node's separator restricted to F, and each component of what ``split``
     recurses on lies inside one child and recurses there.  Restriction keeps
     the separator valid: no edge of G joins ``side_a`` and ``side_b``, so
-    none joins ``side_a & F`` and ``side_b & F``, and the restricted units
-    are still certified.  Only the 2/3 balance may be lost; the depth stays
-    logarithmic because every child carries at most 2/3 of its parent's
-    measure, and F is a leaf once its node's measure is at most
+    none joins ``side_a & F`` and ``side_b & F``, and each restricted unit
+    lies inside a unit of the same route.  Only the 2/3 balance may be lost;
+    the depth stays logarithmic because every child carries at most 2/3 of
+    its parent's measure, and F is a leaf once its node's measure is at most
     ``threshold``.
     """
     tree: dict = {}  # node -> (separator, vertex -> child component)
@@ -429,7 +441,7 @@ def _class_reps(ctx, members: int, F: int) -> list[int]:
     clique itself) are interchangeable for independent-set purposes; the
     lowest id represents each class.  Returns the representatives ascending.
     """
-    adj = ctx.frame.adj_mask
+    adj = ctx.adj_mask
     outside = F & ~members
     classes: dict[int, int] = {}
     for v in _ids(members):
@@ -447,9 +459,9 @@ def _independent_selections(ctx, units, F: int) -> list[tuple[list[int], int]]:
     a unit before trying its members; the answer does not depend on it, but
     the order in which tree nodes are separated and traced does.
     """
-    adj = ctx.frame.adj_mask
+    adj = ctx.adj_mask
     selections = [([], 0)]
-    for members, _ in units:
+    for members in units:
         options = _class_reps(ctx, members, F)
         grown = []
         for chosen, blocked in selections:
@@ -463,10 +475,8 @@ def _independent_selections(ctx, units, F: int) -> list[tuple[list[int], int]]:
 
 def _mis_leaf(ctx, F: int) -> list[int]:
     """Exact MIS when few measure parts touch F: one pick per clique part."""
-    frame = ctx.frame
-    adj = frame.adj_mask
-    reps = [_class_reps(ctx, g, F)
-            for g in Frame.split(F, frame.part_of, frame.part_mask)]
+    adj = ctx.adj_mask
+    reps = [_class_reps(ctx, g, F) for g in ctx.parts(F)]
     best: list[int] = []
     chosen: list[int] = []
 
@@ -532,7 +542,8 @@ def mis_exact(rects: Sequence[Rect], cfg: Optional[SolveConfig] = None,
     cfg = cfg or SolveConfig()
     ctx = ctx or RectContext(rects)
     chosen = frozenset(_mis_exact(ctx, _everything(ctx), cfg, trace))
-    return MisSolution(chosen, verify_independent_rects(ctx.rects, chosen))
+    _feasible(verify_independent_rects(ctx.rects, chosen), "mis_exact")
+    return MisSolution(chosen)
 
 
 def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
@@ -540,8 +551,7 @@ def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
              ctx: Optional[RectContext] = None) -> MisSolution:
     """(1-eps)-approximate independent set; exact below the measure leaf."""
     ctx = ctx or RectContext(rects)
-
-    adj = ctx.G.adj_mask
+    adj = ctx.adj_mask
 
     def split(F, cut, recurse):
         sol = _mask(recurse(cut.side_a)) | _mask(recurse(cut.side_b))
@@ -555,7 +565,8 @@ def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
         ctx, _everything(ctx), cfg.ptas_leaf_threshold(),
         lambda F, depth: _mis_exact(ctx, F, cfg, trace, depth),
         split, trace))
-    return MisSolution(chosen, verify_independent_rects(ctx.rects, chosen))
+    _feasible(verify_independent_rects(ctx.rects, chosen), "mis_ptas")
+    return MisSolution(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +669,7 @@ def _cover_ptas(ctx, cfg: SolveConfig, trace) -> list:
                 for c in _cover_exact(ctx, F, cfg, trace, depth)]
 
     def split(F, cut, recurse):
-        picks, hit = ctx.retire(cut.units, cut.side_a | cut.side_b)
+        picks, hit = ctx.retire(cut)
         left = ~hit
         return picks + recurse(cut.side_a & left) + recurse(cut.side_b & left)
 
@@ -677,12 +688,13 @@ class PierceContext(RectContext):
     :func:`_distinct` for why the others are never chosen)."""
 
     def __init__(self, rects: Sequence[Rect]):
-        super().__init__(rects)
+        self._read(rects)
         self.candidates, self.point_rects = candidate_pierce_points(self.rects)
         self.rect_points = _holders(self.point_rects, len(self.rects))
         by_right = sorted(range(len(self.rects)), key=lambda i: (
             self.rects[i].x_hi, self.rects[i].y_lo, i))
         self._right_rank = {i: rank for rank, i in enumerate(by_right)}
+        self._frame()
 
     def disjoint_lower_bound(self, F: int, need: int) -> int:
         """Pairwise-disjoint rectangles in F each need their own point: the
@@ -695,12 +707,13 @@ class PierceContext(RectContext):
         return _CoverSearch(self.rect_points, self.point_rects,
                             self.disjoint_lower_bound)
 
-    def retire(self, units, F: int):
-        """One Helly point per separator unit (each a rectangle clique), and
-        the mask of the rectangles of F those points pierce."""
+    def retire(self, cut: Cut):
+        """One Helly point per unit of the separator (each a rectangle
+        clique), and the mask of the rectangles of the cut (separator and
+        sides) those points pierce."""
         points = [helly_point([self.rects[i] for i in _ids(members)])
-                  for members, _ in units]
-        hit = sum(1 << i for i in _ids(F)
+                  for members in cut.units]
+        hit = sum(1 << i for i in _ids(cut.s | cut.side_a | cut.side_b)
                   if any(self.rects[i].contains_point(p.x, p.y)
                          for p in points))
         return points, hit
@@ -714,8 +727,7 @@ def pierce_exact(rects: Sequence[Rect], cfg: Optional[SolveConfig] = None,
     ctx = ctx or PierceContext(rects)
     ids = _cover_exact(ctx, _everything(ctx), cfg, trace)
     pts = tuple(ctx.candidates[i] for i in sorted(set(ids)))
-    if not verify_piercing(ctx.rects, pts):
-        raise AssertionError("pierce_exact produced an infeasible solution")
+    _feasible(verify_piercing(ctx.rects, pts), "pierce_exact")
     return PierceSolution(pts)
 
 
@@ -725,8 +737,7 @@ def pierce_ptas(rects: Sequence[Rect], cfg: SolveConfig,
     """(1+eps)-approximate piercing; exact below the measure leaf."""
     ctx = ctx or PierceContext(rects)
     uniq = tuple(sorted(set(_cover_ptas(ctx, cfg, trace))))
-    if not verify_piercing(ctx.rects, uniq):
-        raise AssertionError("pierce_ptas produced an infeasible solution")
+    _feasible(verify_piercing(ctx.rects, uniq), "pierce_ptas")
     return PierceSolution(uniq)
 
 
@@ -752,10 +763,11 @@ def _quarter_groups(ctx: CoverContext, members: int) -> list[int]:
 
 class CoverContext(PointContext):
     def __init__(self, points: Sequence[PointSite]):
-        super().__init__(points)
+        self._read(points)
         self.candidates, self.disc_points = _distinct(
             *candidate_discs(self.points, self.G))
         self.point_discs = _holders(self.disc_points, len(self.points))
+        self._frame()
 
     def scatter_lower_bound(self, F: int, need: int) -> int:
         """Points pairwise farther than one unit each need their own disc:
@@ -777,13 +789,14 @@ class CoverContext(PointContext):
                 return c
         raise AssertionError("no candidate disc covers a coverable group")
 
-    def retire(self, units, F: int):
-        """Candidate discs covering the separator units (a MEASURE-PART unit
-        whole, a UNIT-BOX unit by quarters), and the mask of every point
-        they cover."""
+    def retire(self, cut: Cut):
+        """Candidate discs covering the separator's units, and the mask of
+        every point they cover.  A LENGTH-WINDOW unit is one quarter cell
+        and takes one disc; a CHORDAL unit fits a unit box and takes one
+        disc per quarter of it."""
         chosen = []
-        for members, certificate in units:
-            if certificate == MEASURE_PART:
+        for members in cut.units:
+            if cut.route == LENGTH_WINDOW:
                 groups = [members]
             else:
                 groups = _quarter_groups(self, members)
@@ -803,8 +816,7 @@ def disccover_exact(points: Sequence[PointSite],
     ctx = ctx or CoverContext(points)
     ids = _cover_exact(ctx, _everything(ctx), cfg, trace)
     discs = tuple(ctx.candidates[i] for i in sorted(set(ids)))
-    if not verify_disc_cover(ctx.points, discs):
-        raise AssertionError("disccover_exact produced an infeasible solution")
+    _feasible(verify_disc_cover(ctx.points, discs), "disccover_exact")
     return CoverSolution(discs)
 
 
@@ -815,8 +827,7 @@ def disccover_ptas(points: Sequence[PointSite], cfg: SolveConfig,
     ctx = ctx or CoverContext(points)
     # candidates are sorted by key, so this is candidate-id order
     discs = tuple(sorted(set(_cover_ptas(ctx, cfg, trace)), key=Disc.key))
-    if not verify_disc_cover(ctx.points, discs):
-        raise AssertionError("disccover_ptas produced an infeasible solution")
+    _feasible(verify_disc_cover(ctx.points, discs), "disccover_ptas")
     return CoverSolution(discs)
 
 
@@ -843,7 +854,7 @@ def separation_profile(ctx, t0: int = 4, validator=None) -> list[SeparatorCall]:
         if validator is not None:
             validator(F, cut)
         row = SeparatorCall(F.bit_count(), ctx.mu_of(F),
-                            strip_length(ctx.frame, F), cut.cost, cut.route)
+                            strip_length(ctx, F), cut.cost, cut.route)
         return [row] + recurse(cut.side_a) + recurse(cut.side_b)
 
     return _divide(ctx, _everything(ctx), t0, lambda F, depth: [], split)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cliquesep import cli, instances
+from cliquesep import cli, instances, solvers
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.instances import Instance
 from cliquesep.solvers import SolveConfig
@@ -86,6 +86,24 @@ class TestSolve:
             code, out, err = run(argv, capsys)
             assert code == 0, (solver, err)
             assert json.loads(out)["feasible"] is True
+
+    @pytest.mark.parametrize("solver, verifier", [
+        ("mis-exact", "verify_independent_rects"),
+        ("mis-ptas", "verify_independent_rects"),
+        ("pierce-exact", "verify_piercing"),
+        ("pierce-ptas", "verify_piercing"),
+        ("cover-exact", "verify_disc_cover"),
+        ("cover-ptas", "verify_disc_cover"),
+    ])
+    def test_infeasible_answer_exits_2(self, solver, verifier, rect_file,
+                                       point_file, capsys, monkeypatch):
+        monkeypatch.setattr(solvers, verifier, lambda *args: False)
+        f = point_file if solver.startswith("cover") else rect_file
+        code, out, err = run(["solve", f, "--solver", solver,
+                              "--epsilon", "0.5"], capsys)
+        assert code == cli.EXIT_INFEASIBLE
+        assert out == ""
+        assert "infeasible solution" in err and err.count("\n") == 1
 
     def test_ptas_without_epsilon_is_input_error(self, rect_file, capsys):
         code, out, err = run(["solve", rect_file, "--solver", "mis-ptas"],

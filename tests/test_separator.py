@@ -7,8 +7,7 @@ from cliquesep import instances
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.graphs import (Frame, Graph, OrderedCliqueCover,
                               RestrictionMeasure, _ids, _mask)
-from cliquesep.separator import (CHORDAL, G_CLIQUE, LENGTH_WINDOW,
-                                 MEASURE_PART, UNIT_BOX, Cut,
+from cliquesep.separator import (CHORDAL, LENGTH_WINDOW, Cut,
                                  NoSeparatorFound, _chordal_cut,
                                  check_separator, separate, separate_mask)
 from cliquesep.solvers import PointContext, RectContext, separation_profile
@@ -34,7 +33,7 @@ def pair_cover(pairs):
 
 def window_route(G, cover, mu):
     """The engine on all of G with no intervals: the length route alone."""
-    return separate_mask(Frame(G, None, cover, mu), (1 << G.n) - 1, G_CLIQUE)
+    return separate_mask(Frame(G, None, cover, mu), (1 << G.n) - 1)
 
 
 class TestLengthWindowRoute:
@@ -63,9 +62,8 @@ class TestLengthWindowRoute:
         g1 = OrderedCliqueCover(tuple(frozenset({i}) for i in range(6)))
         mu = RestrictionMeasure(pair_cover([(0, 1), (2, 3), (4, 5)]))
         res = window_route(G, g1, mu)
-        assert res is not None
-        for members, certificate in res.units:
-            assert certificate == MEASURE_PART
+        assert res is not None and res.route == LENGTH_WINDOW
+        for members in res.units:
             assert len({mu.part_of[v] for v in _ids(members)}) == 1
 
     def test_always_succeeds_via_full_window(self):
@@ -82,12 +80,13 @@ class TestChordalRoute:
     def test_path_clique_separator_costs_one(self):
         G = path(9)
         cov = OrderedCliqueCover((frozenset(range(9)),))  # host ignored
-        frame = Frame(G, path_intervals(9), cov, singleton_measure(G))
-        res = _chordal_cut(frame, (1 << 9) - 1, G_CLIQUE)
+        mu = singleton_measure(G)
+        res = _chordal_cut(Frame(G, path_intervals(9), cov, mu), (1 << 9) - 1)
         assert res is not None
         assert res.route == CHORDAL
         assert res.cost == 1
-        assert all(c == G_CLIQUE for _, c in res.units)
+        assert res.units == (res.s,)
+        assert check_separator(G, mu, res) == []  # a G-clique
 
     def test_units_split_by_g1_part(self):
         # a triangle straddling two g1 parts yields two units
@@ -95,10 +94,10 @@ class TestChordalRoute:
         g1 = pair_cover([(0, 1), (2,)])
         # (the length route alone would cut {2} off at cost 1)
         frame = Frame(G, [(0, 1)] * 3, g1, singleton_measure(G))
-        res = _chordal_cut(frame, 0b111, G_CLIQUE)
+        res = _chordal_cut(frame, 0b111)
         assert res is not None
-        certs = sorted(m.bit_count() for m, _ in res.units)
-        assert certs == [1, 2]
+        sizes = sorted(m.bit_count() for m in res.units)
+        assert sizes == [1, 2]
         assert res.cost == 2
 
 
@@ -158,40 +157,41 @@ class TestSeparate:
         assert any("crosses" in p for p in check_separator(G, mu, bad))
 
         # one bad result per other violation class, each a change to a valid
-        # result on the path 0-1-2-3-4-5 with measure parts {0,1} {2,3} {4,5}
+        # result on the path 0-1-2-3-4-5 with measure parts {0,1} {2,3} {4,5};
+        # a CHORDAL unit is checked as a G-clique without points and against
+        # a unit box with them
         G = path(6)
         mu = RestrictionMeasure(pair_cover([(0, 1), (2, 3), (4, 5)]))
         points = [PointSite(2 * i * SCALE, 0) for i in range(6)]  # 2 apart
-        good = Cut(s=_mask({2, 3}), units=((_mask({2, 3}), MEASURE_PART),),
+        good = Cut(s=_mask({2, 3}), units=(_mask({2, 3}),),
                    side_a=_mask({0, 1}), side_b=_mask({4, 5}),
                    route=LENGTH_WINDOW)
+        assert check_separator(G, mu, good) == []
         assert check_separator(G, mu, good, points=points) == []
+        assert check_separator(G, mu, good._replace(route=CHORDAL)) == []
         cases = [
-            (dict(side_b=_mask({4})), None, "do not partition F"),
-            ({}, _mask(range(5)), "do not partition F"),
-            (dict(side_a=_mask({0, 1, 2})), None, "overlap"),
+            (dict(side_b=_mask({4})), None, None, "do not partition F"),
+            ({}, _mask(range(5)), None, "do not partition F"),
+            (dict(side_a=_mask({0, 1, 2})), None, None, "overlap"),
             (dict(s=_mask({0}), side_a=0, side_b=_mask(range(1, 6)),
-                  units=((_mask({0}), MEASURE_PART),)),
-             None, "side_b exceeds 2/3 of the measure"),
-            (dict(units=((_mask({2, 3}), MEASURE_PART),
-                         (_mask({3}), MEASURE_PART))),
-             None, "units overlap"),
-            (dict(s=_mask({1, 2, 3}), side_a=_mask({0}),
-                  units=((_mask({1, 3}), G_CLIQUE), (_mask({2}), G_CLIQUE))),
-             None, "G-CLIQUE unit not a clique"),
+                  units=(_mask({0}),)),
+             None, None, "side_b exceeds 2/3 of the measure"),
+            (dict(units=(_mask({2, 3}), _mask({3}))), None, None,
+             "units overlap"),
+            (dict(s=_mask({1, 2, 3}), side_a=_mask({0}), route=CHORDAL,
+                  units=(_mask({1, 3}), _mask({2}))),
+             None, None, "G-CLIQUE unit not a clique"),
             (dict(s=_mask({1, 2}), side_a=_mask({0}), side_b=_mask({3, 4, 5}),
-                  units=((_mask({1, 2}), MEASURE_PART),)),
-             None, "MEASURE-PART unit spans two measure parts"),
-            (dict(units=((_mask({2, 3}), UNIT_BOX),)), None,
+                  units=(_mask({1, 2}),)),
+             None, None, "MEASURE-PART unit spans two measure parts"),
+            (dict(route=CHORDAL), None, points,
              "UNIT-BOX unit exceeds a 1x1 box"),
-            (dict(units=((_mask({2, 3}), "MAGIC"),)), None,
-             "unknown certificate"),
-            (dict(units=((_mask({2}), MEASURE_PART),)), None,
+            (dict(units=(_mask({2}),)), None, None,
              "units do not exactly cover s"),
         ]
-        for change, F, expected in cases:
+        for change, F, pts, expected in cases:
             bad = good._replace(**change)
-            problems = check_separator(G, mu, bad, F, points)
+            problems = check_separator(G, mu, bad, F, pts)
             assert any(expected in p for p in problems), (expected, problems)
 
     def test_random_rect_instances_satisfy_contract(self):
@@ -223,23 +223,27 @@ class TestSweepChecks:
 
     def test_g_edge_between_disjoint_intervals_raises(self):
         ctx = RectContext(row_of_rects(5))
-        ctx.intervals[2] = (100 * SCALE, 101 * SCALE)  # now far from 1 and 3
+        intervals = list(ctx.intervals)
+        intervals[2] = (100 * SCALE, 101 * SCALE)  # now far from 1 and 3
+        frame = Frame(ctx.G, intervals, ctx.strip_cover, ctx.mu)
         with pytest.raises(ValueError, match="joins disjoint intervals"):
-            ctx.separate_subset(_mask({1, 2, 3}))
-        ctx.separate_subset(_mask({3, 4}))  # 2 lies outside F
+            separate_mask(frame, _mask({1, 2, 3}))
+        separate_mask(frame, _mask({3, 4}))  # 2 lies outside F
 
     def test_measure_part_without_a_common_point_raises(self):
         ctx = RectContext(row_of_rects(5))
-        ctx.mu = RestrictionMeasure(pair_cover([(0, 4), (1,), (2,), (3,)]))
+        mu = RestrictionMeasure(pair_cover([(0, 4), (1,), (2,), (3,)]))
+        frame = Frame(ctx.G, ctx.intervals, ctx.strip_cover, mu)
         with pytest.raises(ValueError, match="not an interval clique"):
-            ctx.separate_subset(_mask({0, 3, 4}))
-        ctx.separate_subset(_mask({1, 2, 3}))  # 0 and 4 outside F
+            separate_mask(frame, _mask({0, 3, 4}))
+        separate_mask(frame, _mask({1, 2, 3}))  # 0 and 4 outside F
 
 
 class TestPinnedCuts:
     # sha256 of every separator profile row, and of every cut the profile
     # makes in call order, over the sweep below; recorded while the engine
-    # still separated a relabelled induced subgraph per call
+    # still separated a relabelled induced subgraph per call, when each unit
+    # carried a label, now derived from the route and the kind of instance
     ROWS_SHA256 = ("e155d000c268e5a23a9f86535cde62b0"
                    "3431b74c2f0043b44811679876aaa9ca")
     CUTS_SHA256 = ("a92960c8a4add8034eb7cc5b5b363c1b"
@@ -249,7 +253,11 @@ class TestPinnedCuts:
         rows_h, cuts_h = hashlib.sha256(), hashlib.sha256()
 
         def record(F, cut):
-            units = [(_ids(m), certificate) for m, certificate in cut.units]
+            if cut.route == LENGTH_WINDOW:
+                label = "MEASURE-PART"
+            else:
+                label = "G-CLIQUE" if kind == "rects" else "UNIT-BOX"
+            units = [(_ids(m), label) for m in cut.units]
             cuts_h.update(repr((_ids(cut.s), units, _ids(cut.side_a),
                                 _ids(cut.side_b), cut.route,
                                 cut.cost)).encode())

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from cliquesep import geometry, instances, oracles, solvers
 from cliquesep.geometry import SCALE, PointSite, Rect, candidate_discs
 from cliquesep.graphs import Graph, _members, components_within
-from cliquesep.separator import check_separator
-from cliquesep.solvers import (CoverContext, PierceContext, PointContext,
+from cliquesep.separator import CHORDAL, LENGTH_WINDOW, check_separator
+from cliquesep.solvers import (CoverContext, InfeasibleSolution,
+                               PierceContext, PointContext,
                                RectContext, SolveConfig, disccover_exact,
                                disccover_ptas, mis_exact, mis_ptas,
                                pierce_exact, pierce_ptas, separation_profile,
@@ -29,7 +30,7 @@ def stacked_rects(k):
 class TestMisExact:
     def test_disjoint(self):
         sol = mis_exact(disjoint_rects(5))
-        assert sol.value == 5 and sol.certified_independent
+        assert sol.value == 5
 
     def test_common_point(self):
         sol = mis_exact(stacked_rects(6))
@@ -41,7 +42,7 @@ class TestMisExact:
                                       ["uniform", "clustered"][seed % 2])
             ctx = RectContext(inst.items)
             sol = mis_exact(inst.items, ctx=ctx)
-            assert sol.certified_independent
+            assert verify_independent_rects(list(inst.items), sol.chosen)
             assert sol.value == oracles.brute_mis(oracles.rect_graph(inst.items))[0]
 
     def test_chosen_set_is_independent(self):
@@ -60,7 +61,7 @@ class TestMisExact:
         # or the separator-guided enumeration blows up
         inst = instances.generate("rects", 1200, 1, "chain")
         sol = mis_exact(inst.items)
-        assert sol.value == 600 and sol.certified_independent
+        assert sol.value == 600
 
 
 class TestMisPtas:
@@ -77,7 +78,7 @@ class TestMisPtas:
             opt = oracles.brute_mis(oracles.rect_graph(inst.items))[0]
             for eps in (0.1, 0.3, 0.5):
                 sol = mis_ptas(inst.items, SolveConfig(epsilon=eps), ctx=ctx)
-                assert sol.certified_independent
+                assert verify_independent_rects(list(inst.items), sol.chosen)
                 assert sol.value >= math.ceil((1 - eps) * opt)
                 assert sol.value <= opt
 
@@ -458,7 +459,7 @@ class TestSeparatorTree:
         problems = check_separator(ctx.G, ctx.mu, r, F,
                                    points=getattr(ctx, "points", None))
         assert [p for p in problems if "2/3" not in p] == []
-        assert all(members for members, _ in r.units)
+        assert all(r.units)
 
     @settings(deadline=None)
     @given(MIS_INPUTS, st.data())
@@ -469,8 +470,55 @@ class TestSeparatorTree:
         opt = oracles.brute_mis(oracles.rect_graph(rects))[0]
         for t0 in (1, 4):
             sol = mis_exact(rects, SolveConfig(base_threshold=t0), ctx=ctx)
-            assert sol.certified_independent
+            assert verify_independent_rects(rects, sol.chosen)
             assert sol.value == opt, t0
+
+
+class TestRetire:
+    """The PTAS pays for a separator through ``retire``: one Helly point per
+    unit when piercing, and per unit at most one disc for a measure part or
+    four for a chordal unit when covering by discs."""
+
+    @pytest.mark.parametrize("style", ["uniform", "clustered", "chain"])
+    def test_pierce_retire_pays_one_point_per_unit(self, style):
+        ctx = PierceContext(instances.generate("rects", 150, 41, style).items)
+        nodes = tree_nodes(ctx)
+        assert nodes
+        for _, cut in nodes:
+            points, hit = ctx.retire(cut)
+            assert len(points) == len(cut.units)
+            assert cut.s & ~hit == 0
+
+    @pytest.mark.parametrize("style", ["uniform", "clustered", "chain"])
+    def test_cover_retire_pays_per_route(self, style):
+        ctx = CoverContext(instances.generate("points", 150, 42, style).items)
+        routes = set()
+        for _, cut in tree_nodes(ctx):
+            routes.add(cut.route)
+            discs, hit = ctx.retire(cut)
+            per_unit = 1 if cut.route == LENGTH_WINDOW else 4
+            assert len(discs) <= per_unit * len(cut.units)
+            assert cut.s & ~hit == 0
+        assert CHORDAL in routes
+
+
+class TestInfeasibleSolution:
+    """Every solver re-checks its answer and raises a typed error when the
+    check fails."""
+
+    @pytest.mark.parametrize("solve, verifier, kind", [
+        (mis_exact, "verify_independent_rects", "rects"),
+        (mis_ptas, "verify_independent_rects", "rects"),
+        (pierce_exact, "verify_piercing", "rects"),
+        (pierce_ptas, "verify_piercing", "rects"),
+        (disccover_exact, "verify_disc_cover", "points"),
+        (disccover_ptas, "verify_disc_cover", "points"),
+    ])
+    def test_failed_check_raises(self, solve, verifier, kind, monkeypatch):
+        items = instances.generate(kind, 12, 3).items
+        monkeypatch.setattr(solvers, verifier, lambda *args: False)
+        with pytest.raises(InfeasibleSolution, match=solve.__name__):
+            solve(items, SolveConfig(epsilon=0.5))
 
 
 class TestBitmaskSets:
