@@ -198,6 +198,10 @@ def _cmd_bench(args) -> int:
         hits = sorted(globlib.glob(pat))
         if not hits and os.path.exists(pat):
             hits = [pat]
+        if not hits and not globlib.has_magic(pat):
+            # a wildcard may match nothing; a plain path must exist
+            print(f"cliquesep: no such file: {pat}", file=sys.stderr)
+            return EXIT_INPUT
         paths.extend(hits)
     try:
         results = [_profile_file(p, args.t0) for p in paths]

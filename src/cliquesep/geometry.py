@@ -333,8 +333,6 @@ def greedy_cover_and_is_rects(rects: Sequence[Rect]):
     odd = frozenset(i for line, i in witnesses if line % 2)
     even = frozenset(i for line, i in witnesses if not line % 2)
     witness = odd if len(odd) > len(even) else even
-    if not witness and witnesses:
-        witness = frozenset(i for _, i in witnesses[:1])
     return cover, witness
 
 

@@ -112,57 +112,47 @@ def _window_cut(frame: Frame, F: int) -> Optional[Cut]:
     """Remove a window of consecutive strips that meet F.
 
     Edges of G[F] span at most l of those strips, so the strips before and
-    after a window of l strips cannot interact.  Among balanced windows the
-    one of minimum measure wins; if no window of width l balances, the width
-    grows until the (always balanced) full-range window is reached.
+    after a window of l strips cannot interact.  The measure before a window
+    only grows as it moves right and the measure after it only shrinks, so
+    the window from strip i to strip j balances exactly when i <= ``last``
+    and j >= ``first``; the width is the least one of at least l with a
+    balanced window, and among those windows the one of minimum measure
+    wins, ties going to the better-balanced, then leftmost one.
     """
     parts, after = _strips(frame, F)
     k = len(parts)
     if k == 0:
         return None
-    length = _length(frame, parts, after)
     mu_of = frame.mu_of
     total = mu_of(F)
     before = [0] + [F ^ rest for rest in after]  # the strips before each
     mu_before = [mu_of(a) for a in before]
     mu_after = [mu_of(b) for b in after]
+    # both exist: nothing lies before strip 0 or after strip k - 1
+    last = max(i for i in range(k + 1) if 3 * mu_before[i] <= 2 * total)
+    first = min(j for j in range(k) if 3 * mu_after[j] <= 2 * total)
+    w = max(_length(frame, parts, after), first - last + 1)
 
-    def larger_side(i, j):
-        """The larger measure of the strips < i and > j, when balanced."""
-        wa, wb = mu_before[i], mu_after[j]
-        if 3 * wa <= 2 * total and 3 * wb <= 2 * total:
-            return max(wa, wb)
-        return None
+    def key(i):
+        j = i + w - 1
+        return mu_of(F ^ before[i] ^ after[j]), max(mu_before[i], mu_after[j])
 
-    for w in range(length, k + 1):
-        # ties among equal-cost windows go to the better-balanced, then
-        # leftmost one; a window of width 0 is an edgeless gap between
-        # strips i - 1 and i, an empty separator (the gap after the last
-        # strip leaves all of F on one side and never balances)
-        best = None
-        for i in range(w == 0, k - w + 1):
-            larger = larger_side(i, i + w - 1)
-            if larger is None:
-                continue
-            a, b = before[i], after[i + w - 1]
-            s = F ^ a ^ b
-            key = (mu_of(s), larger, i)
-            if best is None or key < best[0]:
-                best = (key, s, a, b)
-        if best is None:
-            continue
-        _key, s, a, b = best
-        # one unit per measure part meeting s: mu_of(s) of them
-        return Cut(s, tuple(frame.parts(s)), a, b, LENGTH_WINDOW)
-    return None
+    # a window of width 0 is an edgeless gap between strips i - 1 and i, an
+    # empty separator (the gaps before strip 0 and after strip k - 1 leave
+    # all of F on one side and never balance)
+    i = min(range(max(0, first - w + 1), min(last, k - w) + 1), key=key)
+    a, b = before[i], after[i + w - 1]
+    s = F ^ a ^ b
+    # one unit per measure part meeting s: mu_of(s) of them
+    return Cut(s, tuple(frame.parts(s)), a, b, LENGTH_WINDOW)
 
 
 def separate_mask(frame: Frame, F: int) -> Cut:
     """Best of both routes on the mask F by unit count; CHORDAL wins ties.
 
     The chordal route is skipped when the frame has no intervals.  The
-    length route alone always succeeds when some strip meets F, falling
-    back to the full-range window.  It runs first: a strip cover that misses
+    length route always succeeds when some strip meets F, since the window
+    of all those strips leaves both sides empty.  It runs first: a strip cover that misses
     part of F raises ``ValueError`` there, and one that misses all of F
     raises :class:`NoSeparatorFound`, before the chordal route would split
     a clique by strips.

@@ -578,31 +578,16 @@ def mis_ptas(rects: Sequence[Rect], cfg: SolveConfig,
 # bound, an independent set of G[uncovered].
 
 
-class _CoverSearch:
-    def __init__(self, item_choices, choice_items, lower_bound):
-        self.item_choices = item_choices  # item -> ascending choice ids
-        self.choice_items = choice_items  # choice id -> mask of items
-        self.lower_bound = lower_bound    # (mask of items, need) -> int
-
-    def greedy(self, items: int) -> list[int]:
-        picked = []
-        uncovered = items
-        while uncovered:
-            target = (uncovered & -uncovered).bit_length() - 1
-            best = max(self.item_choices[target], key=lambda c: (
-                (self.choice_items[c] & uncovered).bit_count(), -c))
-            picked.append(best)
-            uncovered &= ~self.choice_items[best]
-        return picked
-
-
-def _split_search(search: _CoverSearch, mandatory: int, rest: int,
-                  solve_rest) -> list[int]:
+def _split_search(ctx, mandatory: int, rest: int, solve_rest) -> list[int]:
     """B&B over the mandatory items; leftovers go to the side recursion.
 
-    A leaf passes every item as mandatory and solves no rest.  A node is cut
-    when ``search.lower_bound(uncovered, need)`` reaches ``need``, the number
-    of picks still allowed below it for a strict improvement.  Any valid
+    ``ctx.search()`` gives each item's ascending choice ids, each choice's
+    mask of items and the lower bound.  A leaf passes every item as
+    mandatory and solves no rest.  The incumbent starts as the greedy cover
+    that takes, for the lowest-id uncovered item, its choice covering the
+    most uncovered items (lowest id on ties).  A node is cut when
+    ``lower_bound(uncovered, need)`` reaches ``need``, the number of picks
+    still allowed below it for a strict improvement.  Any valid
     lower bound returns the same answer: a cut subtree holds no cover smaller
     than ``best`` at the time of the cut, ``best`` is replaced only by a
     strictly smaller cover, and ``solve_rest`` is a function of its argument;
@@ -611,8 +596,15 @@ def _split_search(search: _CoverSearch, mandatory: int, rest: int,
     node are the distinct effects on the uncovered items, each taken with its
     lowest choice id, largest effect first.
     """
-    best = search.greedy(mandatory | rest)
-    choice_items = search.choice_items
+    item_choices, choice_items, lower_bound = ctx.search()
+    best = []
+    uncovered = mandatory | rest
+    while uncovered:
+        target = (uncovered & -uncovered).bit_length() - 1
+        pick = max(item_choices[target], key=lambda c: (
+            (choice_items[c] & uncovered).bit_count(), -c))
+        best.append(pick)
+        uncovered &= ~choice_items[pick]
 
     def rec(uncov_mand: int, uncov_rest: int, picked: list[int]):
         nonlocal best
@@ -623,11 +615,11 @@ def _split_search(search: _CoverSearch, mandatory: int, rest: int,
             return
         uncovered = uncov_mand | uncov_rest
         need = len(best) - len(picked)
-        if search.lower_bound(uncovered, need) >= need:
+        if lower_bound(uncovered, need) >= need:
             return
         effects: dict[int, int] = {}
         target = (uncov_mand & -uncov_mand).bit_length() - 1
-        for c in search.item_choices[target]:
+        for c in item_choices[target]:
             effects.setdefault(choice_items[c] & uncovered, c)
         for eff, c in sorted(effects.items(),
                              key=lambda e: (-e[0].bit_count(), e[1])):
@@ -644,10 +636,10 @@ def _cover_exact(ctx, F: int, cfg: SolveConfig, trace,
     """Optimal cover of the items in the mask F by ``ctx.candidates``, as
     their ids."""
     def leaf(F, depth):
-        return _split_search(ctx.search(), F, 0, lambda rest: [])
+        return _split_search(ctx, F, 0, lambda rest: [])
 
     def split(F, cut, recurse):
-        return _split_search(ctx.search(), cut.s, F & ~cut.s, recurse)
+        return _split_search(ctx, cut.s, F & ~cut.s, recurse)
 
     return _divide(ctx, F, cfg.base_threshold, leaf, split, trace, depth)
 
@@ -703,9 +695,9 @@ class PierceContext(RectContext):
         return self._lower_bound(
             sorted(_ids(F), key=self._right_rank.__getitem__), F, need)
 
-    def search(self) -> _CoverSearch:
-        return _CoverSearch(self.rect_points, self.point_rects,
-                            self.disjoint_lower_bound)
+    def search(self):
+        """(rectangle -> point ids, point -> rectangle mask, lower bound)."""
+        return self.rect_points, self.point_rects, self.disjoint_lower_bound
 
     def retire(self, cut: Cut):
         """One Helly point per unit of the separator (each a rectangle
@@ -774,9 +766,9 @@ class CoverContext(PointContext):
         the packing by id first, then by least degree if short of ``need``."""
         return self._lower_bound(_ids(F), F, need)
 
-    def search(self) -> _CoverSearch:
-        return _CoverSearch(self.point_discs, self.disc_points,
-                            self.scatter_lower_bound)
+    def search(self):
+        """(point -> disc ids, disc -> point mask, lower bound)."""
+        return self.point_discs, self.disc_points, self.scatter_lower_bound
 
     def candidate_covering(self, group: int) -> int:
         """A candidate disc covering the whole group mask (must exist

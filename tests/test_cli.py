@@ -199,6 +199,13 @@ class TestBench:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows == [["file", "n", "mu", "length", "cost", "route"]]
 
+    def test_missing_file_is_input_error(self, tmp_path, capsys):
+        code, out, err = run(["bench-separator", str(tmp_path / "nope.inst")],
+                             capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith("cliquesep: ") and err.count("\n") == 1
+
     def test_chain_rows_cost_one(self, tmp_path, capsys):
         p = tmp_path / "chain.inst"
         instances.save(instances.generate("rects", 40, 0, "chain"), p)

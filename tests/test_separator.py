@@ -2,13 +2,14 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cliquesep import instances
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.graphs import (Frame, Graph, OrderedCliqueCover,
                               RestrictionMeasure, _ids, _mask)
 from cliquesep.separator import (CHORDAL, LENGTH_WINDOW, Cut,
-                                 NoSeparatorFound, _chordal_cut,
+                                 NoSeparatorFound, _chordal_cut, _window_cut,
                                  check_separator, separate, separate_mask)
 from cliquesep.solvers import PointContext, RectContext, separation_profile
 
@@ -22,9 +23,12 @@ def path_intervals(n):
     return [(i, i + 1) for i in range(n)]
 
 
+def singletons(n):
+    return OrderedCliqueCover(tuple(frozenset({v}) for v in range(n)))
+
+
 def singleton_measure(G):
-    parts = tuple(frozenset({v}) for v in range(G.n))
-    return RestrictionMeasure(OrderedCliqueCover(parts))
+    return RestrictionMeasure(singletons(G.n))
 
 
 def pair_cover(pairs):
@@ -36,7 +40,80 @@ def window_route(G, cover, mu):
     return separate_mask(Frame(G, None, cover, mu), (1 << G.n) - 1)
 
 
+def reference_window(G, strips, mu, F):
+    """The length route as a search over widths: from the edge-gap length l
+    up to the number k of strips meeting F, the first width with a balanced
+    window, and at that width the window of least (measure, larger side,
+    start); the strips are sets, cut to F."""
+    vs = set(_ids(F))
+    parts = [p & vs for p in strips.parts if p & vs]
+    k = len(parts)
+    if k == 0:
+        return None
+    rank = {v: i for i, p in enumerate(parts) for v in p}
+    length = max((rank[v] - rank[u] for u in vs for v in G.adj[u] & vs),
+                 default=0)
+    total = mu.of(vs)
+    for w in range(length, k + 1):
+        best = None
+        for i in range(w == 0, k - w + 1):
+            a, b = set().union(*parts[:i]), set().union(*parts[i + w:])
+            larger = max(mu.of(a), mu.of(b))
+            if 3 * larger > 2 * total:
+                continue
+            s = vs - a - b
+            key = (mu.of(s), larger, i)
+            if best is None or key < best[0]:
+                best = (key, s, a, b)
+        if best is not None:
+            _, s, a, b = best
+            units = tuple(_mask(s & p) for p in mu.cover.parts if s & p)
+            return Cut(_mask(s), units, _mask(a), _mask(b), LENGTH_WINDOW)
+    return None
+
+
+def runs(items, ends):
+    """The ordered cover of ``items`` cut before each index in ``ends``."""
+    bounds = [0] + sorted(ends) + [len(items)]
+    return OrderedCliqueCover(tuple(frozenset(items[x:y])
+                                    for x, y in zip(bounds, bounds[1:])))
+
+
+@st.composite
+def window_cases(draw):
+    """(G, strip cover, measure, F): both covers are arbitrary ordered
+    partitions of the vertices, the edges arbitrary, F nonempty."""
+    n = draw(st.integers(1, 12))
+    cuts = st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
+    strips = runs(draw(st.permutations(range(n))), draw(cuts))
+    measure = runs(draw(st.permutations(range(n))), draw(cuts))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(u, v) for u, v in draw(st.lists(pairs, max_size=2 * n)) if u < v}
+    F = draw(st.integers(1, (1 << n) - 1))
+    return (Graph(n, sorted(edges)), strips, RestrictionMeasure(measure), F)
+
+
 class TestLengthWindowRoute:
+    # edgeless: a gap of width 0 between two strips balances
+    @example((Graph(4), singletons(4), RestrictionMeasure(singletons(4)),
+              0b1111))
+    # balance-limited: l = 1, but each measure part meets strips on both
+    # sides of the middle, so the window must hold strips 1 and 2
+    @example((Graph(4, [(0, 1)]), singletons(4),
+              RestrictionMeasure(pair_cover([(0, 2), (1, 3)])), 0b1111))
+    # full window: edgeless, but either strip alone meets both measure parts
+    @example((Graph(4), pair_cover([(0, 1), (2, 3)]),
+              RestrictionMeasure(pair_cover([(0, 2), (1, 3)])), 0b1111))
+    # length-limited: the edge 0-4 makes l = 4, and the window may start at
+    # strip 0, before the first strip whose followers balance
+    @example((Graph(5, [(0, 4)]), singletons(5),
+              RestrictionMeasure(singletons(5)), 0b11111))
+    @given(window_cases())
+    def test_window_matches_width_search(self, case):
+        G, strips, mu, F = case
+        frame = Frame(G, None, strips, mu)
+        assert _window_cut(frame, F) == reference_window(G, strips, mu, F)
+
     def test_balanced_window_of_singleton_parts(self):
         # five parts of measure one each: the middle window wins
         G = path(5)
@@ -67,7 +144,7 @@ class TestLengthWindowRoute:
             assert len({mu.part_of[v] for v in _ids(members)}) == 1
 
     def test_always_succeeds_via_full_window(self):
-        # a clique cannot be split, so the full-range window is the fallback
+        # a clique cannot be split, so the window is the full range
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
         cov = OrderedCliqueCover((frozenset({0, 1, 2}),))
         res = window_route(G, cov, singleton_measure(G))
