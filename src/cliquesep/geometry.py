@@ -131,13 +131,18 @@ class Disc:
         # lowest terms, multiplying |p - center|^2 <= S^2/4 by 4*a^2*b^2*rd
         # turns it into  i*sqrt(m) <= k - c*(X^2 + Y^2)  for the integers
         # X = a*p.x - x0, Y = a*p.y - y0, i = ix*X + iy*Y and m = rn*rd.
-        a = math.lcm(self.ax.denominator, self.ay.denominator)
-        b = math.lcm(self.bx.denominator, self.by.denominator)
-        u, v = int(self.bx * b), int(self.by * b)
+        # Every product is of numerators and denominators, so no Fraction
+        # arithmetic runs.
+        ax, ay, bx, by = self.ax, self.ay, self.bx, self.by
+        a = math.lcm(ax.denominator, ay.denominator)
+        b = math.lcm(bx.denominator, by.denominator)
+        u = bx.numerator * (b // bx.denominator)
+        v = by.numerator * (b // by.denominator)
         rn, rd = self.r.numerator, self.r.denominator
         k = a * a * (SCALE * SCALE * b * b * rd - 4 * rn * (u * u + v * v))
         object.__setattr__(self, "_ints", (
-            a, int(self.ax * a), int(self.ay * a), 4 * b * b * rd, k,
+            a, ax.numerator * (a // ax.denominator),
+            ay.numerator * (a // ay.denominator), 4 * b * b * rd, k,
             -8 * a * b * u, -8 * a * b * v, rn * rd))
 
     @classmethod
@@ -341,10 +346,17 @@ def candidate_discs(points: Sequence[PointSite],
     """Unit-diameter discs through each adjacent point pair, plus one disc
     centered at every point; at most 2|E| + n after deduplication.
 
-    For an edge xy the two centers are the intersections of the radius-1/2
-    circles about x and y; they coincide when the distance is exactly one.
-    Duplicate points add no pair discs: the disc centered on a point already
-    covers its copies.
+    For an edge pq, with u = q - p, the two centers are the intersections
+    of the radius-1/2 circles about p and q: (p + q)/2 +/- (-u_y, u_x)*sqrt(r)
+    with r = (1 - |u|^2) / (4|u|^2); they coincide when the distance is
+    exactly one, and r = 0.  Duplicate points add no pair discs: the disc
+    centered on a point already covers its copies.
+
+    The discs are deduplicated and sorted on the integer key
+    ``(px + qx, py + qy, bx, by)``, ``(2x, 2y, 0, 0)`` for a point's own
+    disc, and each kept one is built once, after the sort.  This is
+    :meth:`Disc.key` order: the first two entries are twice ax and ay, and r
+    is 0 exactly when bx = by = 0 and is otherwise fixed by bx^2 + by^2.
 
     Returns the discs in key order and, for each, the mask of the points it
     covers (bit w for point w).  A disc centered on or passing through a
@@ -352,18 +364,18 @@ def candidate_discs(points: Sequence[PointSite],
     closed neighbourhood in G; each mask tests just that neighbourhood, for
     the generator of least degree.
     """
-    seen: dict[tuple, tuple[Disc, int]] = {}  # key -> (disc, generator)
+    seen: dict[tuple[int, int, int, int], int] = {}  # key -> generator
     adj = G.adj_mask
     deg = [a.bit_count() for a in adj]
 
-    def add(d: Disc, u: int):
-        key = d.key()
+    def add(key: tuple[int, int, int, int], u: int):
         old = seen.get(key)
-        if old is None or deg[u] < deg[old[1]]:
-            seen[key] = (d, u)
+        if old is None or deg[u] < deg[old]:
+            seen[key] = u
 
     for i, p in enumerate(points):
-        add(Disc.rational(p.x, p.y), i)
+        add((2 * p.x, 2 * p.y, 0, 0), i)
+    square = SCALE * SCALE
     for u, v in G.edges():
         p, q = points[u], points[v]
         ux = q.x - p.x
@@ -372,17 +384,24 @@ def candidate_discs(points: Sequence[PointSite],
         if d2 == 0:
             continue
         gen = u if deg[u] <= deg[v] else v
-        mx = Fraction(p.x + q.x, 2)
-        my = Fraction(p.y + q.y, 2)
-        k = Fraction(SCALE * SCALE - d2, 4 * d2)
-        if k == 0:
-            add(Disc.rational(mx, my), gen)
+        sx, sy = p.x + q.x, p.y + q.y
+        if d2 == square:
+            add((sx, sy, 0, 0), gen)
         else:
-            add(Disc(mx, my, Fraction(-uy), Fraction(ux), k), gen)
-            add(Disc(mx, my, Fraction(uy), Fraction(-ux), k), gen)
+            add((sx, sy, -uy, ux), gen)
+            add((sx, sy, uy, -ux), gen)
     discs, masks = [], []
-    for key in sorted(seen):
-        d, u = seen[key]
+    # discs that follow each other in key order with the same midpoint, or
+    # the same |u|^2, share those Fraction objects, as a pair's two do
+    centre = norm = None
+    for (sx, sy, bx, by), u in sorted(seen.items()):
+        if centre != (sx, sy):
+            centre = sx, sy
+            ax, ay = Fraction(sx, 2), Fraction(sy, 2)
+        if norm != bx * bx + by * by:
+            norm = bx * bx + by * by
+            r = Fraction(square - norm, 4 * norm) if norm else Fraction(0)
+        d = Disc(ax, ay, Fraction(bx), Fraction(by), r)
         discs.append(d)
         masks.append(sum(1 << w for w in _ids(adj[u] | 1 << u)
                          if d.covers(points[w])))

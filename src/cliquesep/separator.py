@@ -118,32 +118,65 @@ def _window_cut(frame: Frame, F: int) -> Optional[Cut]:
     and j >= ``first``; the width is the least one of at least l with a
     balanced window, and among those windows the one of minimum measure
     wins, ties going to the better-balanced, then leftmost one.
+
+    The measure parts each strip meets are listed once.  The measures
+    before and after each strip are running counts of the distinct parts
+    met so far, from either end, and a window's measure is a count of the
+    parts its strips meet, kept as the window slides right.
     """
     parts, after = _strips(frame, F)
     k = len(parts)
     if k == 0:
         return None
-    mu_of = frame.mu_of
-    total = mu_of(F)
-    before = [0] + [F ^ rest for rest in after]  # the strips before each
-    mu_before = [mu_of(a) for a in before]
-    mu_after = [mu_of(b) for b in after]
+    part_of, part_mask = frame.part_of, frame.part_mask
+    meets = []  # the measure parts each strip meets
+    for strip in parts:
+        ids = []
+        while strip:
+            p = part_of[(strip & -strip).bit_length() - 1]
+            strip &= ~part_mask[p]
+            ids.append(p)
+        meets.append(ids)
+    met: set[int] = set()
+    mu_before = [0]  # the parts met before strip i
+    for ids in meets:
+        met.update(ids)
+        mu_before.append(len(met))
+    met.clear()
+    mu_after = [0] * k  # the parts met after strip j
+    for j in range(k - 1, 0, -1):
+        met.update(meets[j])
+        mu_after[j - 1] = len(met)
+    total = mu_before[k]
     # both exist: nothing lies before strip 0 or after strip k - 1
     last = max(i for i in range(k + 1) if 3 * mu_before[i] <= 2 * total)
     first = min(j for j in range(k) if 3 * mu_after[j] <= 2 * total)
     w = max(_length(frame, parts, after), first - last + 1)
-
-    def key(i):
-        j = i + w - 1
-        return mu_of(F ^ before[i] ^ after[j]), max(mu_before[i], mu_after[j])
-
     # a window of width 0 is an edgeless gap between strips i - 1 and i, an
     # empty separator (the gaps before strip 0 and after strip k - 1 leave
     # all of F on one side and never balance)
-    i = min(range(max(0, first - w + 1), min(last, k - w) + 1), key=key)
-    a, b = before[i], after[i + w - 1]
+    lo, hi = max(0, first - w + 1), min(last, k - w)
+    inside: dict[int, int] = {}  # part -> the window's strips meeting it
+
+    def slide(t: int, step: int):
+        for p in meets[t]:
+            inside[p] = inside.get(p, 0) + step
+            if not inside[p]:
+                del inside[p]
+
+    for t in range(lo, lo + w):
+        slide(t, 1)
+    keys = []
+    for i in range(lo, hi + 1):
+        if i > lo:  # strip i - 1 leaves, strip i + w - 1 joins (at w = 0
+            # they are one strip, and the two slides cancel)
+            slide(i - 1, -1)
+            slide(i + w - 1, 1)
+        keys.append((len(inside), max(mu_before[i], mu_after[i + w - 1]), i))
+    i = min(keys)[2]
+    a, b = (F ^ after[i - 1] if i else 0), after[i + w - 1]
     s = F ^ a ^ b
-    # one unit per measure part meeting s: mu_of(s) of them
+    # one unit per measure part meeting s: the window's count of them
     return Cut(s, tuple(frame.parts(s)), a, b, LENGTH_WINDOW)
 
 

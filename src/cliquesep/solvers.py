@@ -149,15 +149,18 @@ def verify_piercing(rects: Sequence[Rect], points: Sequence[PointSite]) -> bool:
 def _centre_cells(d: Disc) -> list[tuple[int, int]]:
     """Every unit cell ``(x // SCALE, y // SCALE)`` the centre of ``d`` may
     lie in: with r = rn/rd and s = isqrt(rn*rd), sqrt(r) lies in
-    [s/rd, (s+1)/rd], which bounds each coordinate in exact rationals."""
+    [s/rd, (s+1)/rd], which bounds each coordinate a + b*sqrt(r); over the
+    common denominator of a, b and rd the bounds' cells are integer floor
+    divisions."""
     rn, rd = d.r.numerator, d.r.denominator
     s = math.isqrt(rn * rd)
-    lo, hi = Fraction(s, rd), Fraction(s + 1, rd)
 
     def cells(a, b):
-        ends = (a + b * lo, a + b * hi)
-        return range(math.floor(min(ends) / SCALE),
-                     math.floor(max(ends) / SCALE) + 1)
+        base = a.numerator * b.denominator * rd
+        step = b.numerator * a.denominator
+        ends = (base + step * s, base + step * (s + 1))
+        unit = a.denominator * b.denominator * rd * SCALE
+        return range(min(ends) // unit, max(ends) // unit + 1)
 
     return [(x, y) for x in cells(d.ax, d.bx) for y in cells(d.ay, d.by)]
 
@@ -775,11 +778,12 @@ class CoverContext(PointContext):
         whenever the group fits in some unit-diameter disc, by the
         replacement argument).  Such a disc covers the group's lowest item,
         so only its discs are scanned, in ascending order: the pick is the
-        first covering candidate overall."""
+        first covering candidate overall.  Raises
+        :class:`InfeasibleSolution` when none does."""
         for c in self.point_discs[(group & -group).bit_length() - 1]:
             if not group & ~self.disc_points[c]:
                 return c
-        raise AssertionError("no candidate disc covers a coverable group")
+        raise InfeasibleSolution("no candidate disc covers a coverable group")
 
     def retire(self, cut: Cut):
         """Candidate discs covering the separator's units, and the mask of

@@ -105,6 +105,34 @@ class TestSolve:
         assert out == ""
         assert "infeasible solution" in err and err.count("\n") == 1
 
+    def test_uncoverable_group_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a connected half-unit lattice of measure 100, above the PTAS leaf
+        # at eps 0.5, so the root separator is retired before any leaf;
+        # the lowest point of that separator is dropped from every
+        # candidate's mask, and no candidate covers its group any more
+        points = tuple(PointSite(i % 10 * SCALE // 2, i // 10 * SCALE // 2)
+                       for i in range(100))
+        f = tmp_path / "lattice.inst"
+        instances.save(Instance("points", points), f)
+        ctx = solvers.CoverContext(points)
+        s = ctx.separate_subset((1 << len(points)) - 1).s
+        lowest = s & -s
+        build = solvers.CoverContext.__init__
+
+        def dropping(self, points):
+            build(self, points)
+            self.disc_points = [m & ~lowest for m in self.disc_points]
+
+        monkeypatch.setattr(solvers.CoverContext, "__init__", dropping)
+        with pytest.raises(solvers.InfeasibleSolution):
+            solvers.disccover_ptas(points, SolveConfig(epsilon=0.5))
+        code, out, err = run(["solve", str(f), "--solver", "cover-ptas",
+                              "--epsilon", "0.5"], capsys)
+        assert code == cli.EXIT_INFEASIBLE
+        assert out == ""
+        assert err == ("cliquesep: no candidate disc covers a coverable "
+                       "group\n")
+
     def test_ptas_without_epsilon_is_input_error(self, rect_file, capsys):
         code, out, err = run(["solve", rect_file, "--solver", "mis-ptas"],
                              capsys)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cliquesep.geometry import (SCALE, Disc, PointSite, Rect, candidate_discs,
                                 candidate_pierce_points,
@@ -373,6 +373,23 @@ HALF_STEPS = [(dx * s, dy * t) for dx, dy in [(SCALE // 2, 0), (0, SCALE // 2),
               for s in (1, -1) for t in (1, -1)]
 
 
+# any rational, of either sign; r = 0 often
+RATIONAL = st.fractions()
+ROOT = st.one_of(st.just(Fraction(0)), st.fractions(min_value=0))
+
+
+def reference_ints(d: Disc) -> tuple:
+    """``Disc._ints`` in Fraction arithmetic: each lowest common
+    denominator times its fractions."""
+    a = math.lcm(d.ax.denominator, d.ay.denominator)
+    b = math.lcm(d.bx.denominator, d.by.denominator)
+    u, v = int(d.bx * b), int(d.by * b)
+    rn, rd = d.r.numerator, d.r.denominator
+    k = a * a * (SCALE * SCALE * b * b * rd - 4 * rn * (u * u + v * v))
+    return (a, int(d.ax * a), int(d.ay * a), 4 * b * b * rd, k,
+            -8 * a * b * u, -8 * a * b * v, rn * rd)
+
+
 def near_center(d: Disc) -> tuple[int, int]:
     """The lattice point nearest the disc's center (the center itself when
     it is a lattice point: a square r has an exact float root)."""
@@ -439,6 +456,13 @@ class TestDiscCovers:
             p = PointSite(far + x, far + y)
             assert d.covers(p) == surd_covers(d, p)
 
+    @example(Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0),
+             0)
+    @given(RATIONAL, RATIONAL, RATIONAL, RATIONAL, ROOT, FAR)
+    def test_ints_match_fraction_formula(self, ax, ay, bx, by, r, far):
+        d = Disc(far + ax, ay - far, bx, by, r)
+        assert d._ints == reference_ints(d)
+
     def test_duplicate_points(self):
         p = PointSite(10 ** 12, -10 ** 12)
         pts = [p, p, PointSite(p.x + SCALE, p.y)]
@@ -457,12 +481,18 @@ class TestCandidateMasks:
     # collinear points and unit distances common
     RECT = st.tuples(st.integers(0, 8), st.integers(1, 5), st.integers(0, 8),
                      st.integers(0, 2))
+    # lattices of either sign, also moved far out (FAR), where a sign or a
+    # large magnitude would break an integer key order that differed from
+    # the Fraction one
     POINT = st.one_of(
-        st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
-            lambda t: PointSite(t[0] * SCALE // 4, t[1] * SCALE // 4)),
-        st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
-            lambda t: PointSite(t[0] * SCALE // 10, t[1] * SCALE // 10)),
-        st.tuples(st.integers(0, 3 * SCALE), st.integers(0, 3 * SCALE)).map(
+        st.tuples(st.integers(-12, 12), st.integers(-12, 12), FAR).map(
+            lambda t: PointSite(t[0] * SCALE // 4 + t[2],
+                                t[1] * SCALE // 4 - t[2])),
+        st.tuples(st.integers(-30, 30), st.integers(-30, 30), FAR).map(
+            lambda t: PointSite(t[0] * SCALE // 10 + t[2],
+                                t[1] * SCALE // 10 - t[2])),
+        st.tuples(st.integers(-3 * SCALE, 3 * SCALE),
+                  st.integers(-3 * SCALE, 3 * SCALE)).map(
             lambda t: PointSite(*t)))
 
     @staticmethod

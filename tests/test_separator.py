@@ -108,11 +108,38 @@ class TestLengthWindowRoute:
     # strip 0, before the first strip whose followers balance
     @example((Graph(5, [(0, 4)]), singletons(5),
               RestrictionMeasure(singletons(5)), 0b11111))
+    # sliding: the part {0, 1, 3} meets strips 0, 1 and 3, and l = 3; the
+    # window [1, 3] wins the tie with [2, 4] only if the part still counts
+    # in [2, 4] once strip 1 leaves it
+    @example((Graph(5, [(0, 3), (1, 2), (2, 3)]), singletons(5),
+              RestrictionMeasure(pair_cover([(0, 1, 3), (2, 4)])), 0b11111))
     @given(window_cases())
     def test_window_matches_width_search(self, case):
         G, strips, mu, F = case
         frame = Frame(G, None, strips, mu)
         assert _window_cut(frame, F) == reference_window(G, strips, mu, F)
+
+    def test_window_measures_are_counted_not_measured(self, monkeypatch):
+        # the prefix, suffix and window measures come from one listing of
+        # the parts each strip meets, not from Frame.mu_of on masks
+        calls = 0
+        mu_of = Frame.mu_of
+
+        def counting(self, F):
+            nonlocal calls
+            calls += 1
+            return mu_of(self, F)
+
+        contexts = [RectContext(instances.generate("rects", 200, 17).items),
+                    PointContext(instances.generate("points", 200, 17).items)]
+        monkeypatch.setattr(Frame, "mu_of", counting)
+        for ctx in contexts:
+            cut = _window_cut(ctx, (1 << len(ctx.adj_mask)) - 1)
+            assert cut.side_a and cut.side_b
+            _window_cut(ctx, cut.side_a)
+            _window_cut(ctx, cut.side_b)
+        assert calls == 0
+        assert contexts[0].mu_of(cut.s) and calls == 1  # the patch is live
 
     def test_balanced_window_of_singleton_parts(self):
         # five parts of measure one each: the middle window wins

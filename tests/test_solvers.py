@@ -247,6 +247,24 @@ class TestCandidateContexts:
             cls(instances.generate("points", 80, 32).items)
         assert calls["greedy_disc_cover"] == 0
 
+    def test_disc_candidates_and_check_use_no_fraction_arithmetic(
+            self, monkeypatch):
+        # candidates are keyed, sorted and tested on integers, and the
+        # check's cell bounds are integer floor divisions: no Fraction is
+        # hashed, ordered or used in + - * / on the way
+        def no_fraction(*args):
+            raise AssertionError("Fraction arithmetic in the disc-cover path")
+
+        points = instances.generate("points", 200, 36).items
+        for name in ("__hash__", "__lt__", "__le__", "__gt__", "__ge__",
+                     "__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(Fraction, name, no_fraction)
+        with pytest.raises(AssertionError, match="Fraction arithmetic"):
+            Fraction(1, 2) + 1  # the patch is live
+        ctx = CoverContext(points)
+        assert verify_disc_cover(ctx.points, ctx.candidates)
+
     def test_solvers_read_only_neighbour_masks(self, monkeypatch):
         # the frozenset view of G is for oracles and tests; no solve builds
         # it, and no solve turns a vertex mask into a frozenset
@@ -520,6 +538,15 @@ class TestInfeasibleSolution:
         with pytest.raises(InfeasibleSolution, match=solve.__name__):
             solve(items, SolveConfig(epsilon=0.5))
 
+    def test_uncoverable_group_raises(self):
+        # with point 0 dropped from every candidate's mask, no candidate
+        # covers the group {0}
+        ctx = CoverContext(instances.generate("points", 30, 3).items)
+        assert ctx.candidate_covering(1) == ctx.point_discs[0][0]
+        ctx.disc_points = [m & ~1 for m in ctx.disc_points]
+        with pytest.raises(InfeasibleSolution, match="no candidate disc"):
+            ctx.candidate_covering(1)
+
 
 class TestBitmaskSets:
     """``_divide`` holds vertex sets as int bitmasks (bit v is item v)."""
@@ -636,6 +663,22 @@ class TestVerifyPiercing:
         assert verify_piercing(rects, points) == all_pairs
 
 
+def reference_centre_cells(d):
+    """``solvers._centre_cells`` in Fraction arithmetic: the bounds s/rd
+    and (s+1)/rd on sqrt(r), and the floor of each coordinate's bounds over
+    SCALE."""
+    rn, rd = d.r.numerator, d.r.denominator
+    s = math.isqrt(rn * rd)
+    lo, hi = Fraction(s, rd), Fraction(s + 1, rd)
+
+    def cells(a, b):
+        ends = (a + b * lo, a + b * hi)
+        return range(math.floor(min(ends) / SCALE),
+                     math.floor(max(ends) / SCALE) + 1)
+
+    return [(x, y) for x in cells(d.ax, d.bx) for y in cells(d.ay, d.by)]
+
+
 class TestVerifyDiscCover:
     # negative and far lattice points, so centres fall on and across cell
     # lines; a fifth-unit lattice adds 3-4-5 unit distances
@@ -664,6 +707,19 @@ class TestVerifyDiscCover:
     # bounds on b*sqrt(r) then span several cells
     WIDE = st.one_of(st.integers(-8, 8).map(lambda k: Fraction(k * SCALE)),
                      st.fractions(-8 * SCALE, 8 * SCALE, max_denominator=5))
+
+    # b is bounded so that a centre spans few cells; a, r and the far
+    # offset are not
+    @example(Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0),
+             0)
+    @given(st.fractions(), st.fractions(),
+           st.fractions(-8 * SCALE, 8 * SCALE),
+           st.fractions(-8 * SCALE, 8 * SCALE),
+           st.one_of(st.just(Fraction(0)), st.fractions(min_value=0)),
+           st.sampled_from([0, 10 ** 12 * SCALE, -10 ** 12 * SCALE]))
+    def test_centre_cells_match_fraction_bounds(self, ax, ay, bx, by, r, far):
+        d = geometry.Disc(ax + far, ay - far, bx, by, r)
+        assert solvers._centre_cells(d) == reference_centre_cells(d)
 
     @example(Fraction(0), Fraction(0), Fraction(8 * SCALE), Fraction(0), Fraction(2))
     @given(st.fractions(-3 * SCALE, 3 * SCALE, max_denominator=12),
