@@ -14,7 +14,7 @@ def main():
     ctx = RectContext(inst.items)
     _, witness = greedy_cover_and_is_rects(inst.items)
     print(f"instance: {inst.n} rectangles, "
-          f"{len(ctx.measure_cover.parts)} greedy cover parts, "
+          f"{len(ctx.part_mask)} greedy cover parts, "
           f"greedy independent witness {len(witness)}")
 
     t = time.perf_counter()

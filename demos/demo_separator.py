@@ -8,7 +8,7 @@ from cliquesep.solvers import RectContext, separation_profile
 
 def show(title, inst):
     ctx = RectContext(inst.items)
-    print(f"\n== {title}: n={inst.n}, measure={len(ctx.measure_cover.parts)}")
+    print(f"\n== {title}: n={inst.n}, measure={len(ctx.part_mask)}")
     rows = separation_profile(ctx)
     if not rows:
         print("  instance is below the leaf threshold; no separators needed")

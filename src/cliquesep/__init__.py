@@ -2,15 +2,15 @@
 with exact and approximate solvers for three geometric packing/covering
 problems on unit-height rectangles and unit-diameter discs."""
 
-from .graphs import (Graph, OrderedCliqueCover, RestrictionMeasure,
-                     check_measure_axioms, cover_length, verify_clique_cover)
+from .graphs import (Frame, Graph, check_measure_axioms, cover_length,
+                     verify_clique_cover)
 from .geometry import (SCALE, Disc, PointSite, Rect,
                        candidate_discs, candidate_pierce_points,
                        greedy_cover_and_is_rects, greedy_disc_cover,
                        helly_point, rect_intersection_graph,
                        strip_cover_rects, unit_distance_graph,
                        vertical_strip_cover_points)
-from .separator import Cut, NoSeparatorFound, check_separator, separate
+from .separator import Cut, NoSeparatorFound, check_separator, separate_mask
 from .solvers import (CoverSolution, InfeasibleSolution, MisSolution,
                       PierceSolution, SolveConfig, disccover_exact,
                       disccover_ptas, mis_exact, mis_ptas, pierce_exact,
@@ -21,13 +21,13 @@ from .instances import Instance, generate, load, parse, save, serialize
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "OrderedCliqueCover", "RestrictionMeasure",
-    "check_measure_axioms", "cover_length", "verify_clique_cover",
+    "Frame", "Graph", "check_measure_axioms", "cover_length",
+    "verify_clique_cover",
     "SCALE", "Disc", "PointSite", "Rect", "candidate_discs",
     "candidate_pierce_points", "greedy_cover_and_is_rects",
     "greedy_disc_cover", "helly_point", "rect_intersection_graph",
     "strip_cover_rects", "unit_distance_graph", "vertical_strip_cover_points",
-    "Cut", "NoSeparatorFound", "check_separator", "separate",
+    "Cut", "NoSeparatorFound", "check_separator", "separate_mask",
     "CoverSolution", "InfeasibleSolution", "MisSolution", "PierceSolution",
     "SolveConfig", "disccover_exact", "disccover_ptas", "mis_exact", "mis_ptas",
     "pierce_exact", "pierce_ptas", "verify_disc_cover",

@@ -23,12 +23,14 @@ point falls in exactly one of them, and cell indices are integer floor
 divisions.
 
 For each instance the separator engine needs the intersection graph G, the
-intervals of a chordal supergraph G2 (an interval graph), and the ordered
-strip cover of a second supergraph G1.  Neither supergraph is built: the
-intervals and the strip cover are all of them that the engine reads.  G is
-built once per instance, as the int neighbour masks a
-:class:`~cliquesep.graphs.Graph` stores: the sweeps set the bits of each pair
-they find, with no edge list or per-vertex set in between.
+intervals of a chordal supergraph G2 (an interval graph), the ordered
+strip cover of a second supergraph G1, and the clique partition behind the
+measure.  Neither supergraph is built: the intervals and the strip cover are
+all of them that the engine reads.  G is built once per instance, as the int
+neighbour masks a :class:`~cliquesep.graphs.Graph` stores: the sweeps set
+the bits of each pair they find, with no edge list or per-vertex set in
+between.  The covers come out as ordered tuples of part masks, bit i for
+item i, which is the form the engine's frame holds them in.
 """
 from __future__ import annotations
 
@@ -38,13 +40,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import Graph, OrderedCliqueCover, _ids
+from .graphs import Graph, _ids
 
 SCALE = 10 ** 6  # ticks per geometric unit
 
 
 def parse_coord(text: str) -> int:
-    """Exact decimal string -> scaled integer.  At most 6 fractional digits."""
+    """Exact decimal string of ASCII digits -> scaled integer.  At most 6
+    fractional digits."""
     text = text.strip()
     neg = text.startswith("-")
     if neg or text.startswith("+"):
@@ -57,7 +60,9 @@ def parse_coord(text: str) -> int:
         whole, frac = body, ""
     if len(frac) > 6:
         raise ValueError(f"coordinate {text!r} has more than 6 fractional digits")
-    if not (whole or frac) or not (whole + frac).isdigit():
+    digits = whole + frac
+    # str.isdigit and int also take non-ASCII digits such as "١" and "²"
+    if not digits or not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"malformed coordinate {text!r}")
     value = int(whole or "0") * SCALE + int((frac + "000000")[:6])
     return -value if neg else value
@@ -261,23 +266,25 @@ def x_chordal_graph(rects: Sequence[Rect]) -> list[tuple[int, int]]:
     return [(r.x_lo, r.x_hi) for r in rects]
 
 
-def strip_cover_rects(rects: Sequence[Rect]) -> OrderedCliqueCover:
-    """The ordered strip cover (G1) of rectangles, by stab line.
+def strip_cover_rects(rects: Sequence[Rect]) -> tuple[int, ...]:
+    """The ordered strip cover (G1) of rectangles, by stab line, as part
+    masks (bit i for rectangle i).
 
     Part i collects the rectangles whose lowest stabbing integer line is the
     i-th occupied line.  Each part is a clique of G1, where rectangles are
     adjacent iff their vertical extents overlap; G1 itself is never built.
     Intersecting rectangles land at most one part apart.
     """
-    by_line: dict[int, list[int]] = {}
+    by_line: dict[int, int] = {}
     for i, r in enumerate(rects):
-        by_line.setdefault(r.stab_line, []).append(i)
-    return OrderedCliqueCover(tuple(frozenset(by_line[line])
-                                    for line in sorted(by_line)))
+        line = r.stab_line
+        by_line[line] = by_line.get(line, 0) | 1 << i
+    return tuple(by_line[line] for line in sorted(by_line))
 
 
-def vertical_strip_cover_points(points: Sequence[PointSite]) -> OrderedCliqueCover:
-    """The ordered strip cover (G1) of points, by vertical unit strip.
+def vertical_strip_cover_points(points: Sequence[PointSite]) -> tuple[int, ...]:
+    """The ordered strip cover (G1) of points, by vertical unit strip, as
+    part masks (bit i for point i).
 
     Strip s holds the x with ``s*SCALE + 1/2 <= x < (s+1)*SCALE + 1/2``, that
     is ``(2x - 1) // (2*SCALE) == s``; parts are the nonempty strips, left to
@@ -285,11 +292,11 @@ def vertical_strip_cover_points(points: Sequence[PointSite]) -> OrderedCliqueCov
     indices differ by at most one; G1 itself is never built.  Points within
     one unit land at most one part apart.
     """
-    by_strip: dict[int, list[int]] = {}
+    by_strip: dict[int, int] = {}
     for i, p in enumerate(points):
-        by_strip.setdefault((2 * p.x - 1) // (2 * SCALE), []).append(i)
-    return OrderedCliqueCover(tuple(frozenset(by_strip[s])
-                                    for s in sorted(by_strip)))
+        s = (2 * p.x - 1) // (2 * SCALE)
+        by_strip[s] = by_strip.get(s, 0) | 1 << i
+    return tuple(by_strip[s] for s in sorted(by_strip))
 
 
 def y_chordal_graph_points(points: Sequence[PointSite]) -> list[tuple[int, int]]:
@@ -310,35 +317,29 @@ def greedy_cover_and_is_rects(rects: Sequence[Rect]):
     its witness.  Witnesses from the larger of the odd/even line classes are
     pairwise disjoint, so |witness| >= |cover| / 2 and |cover| <= 2*alpha(G).
 
-    Returns (cover, witness) where cover is an OrderedCliqueCover whose parts
-    are cliques of the intersection graph and witness is a frozenset of rect
-    indices.
+    Returns (cover, witness) where cover is a tuple of part masks (bit i
+    for rectangle i), each a clique of the intersection graph, and witness
+    is a frozenset of rect indices.
     """
     by_line: dict[int, list[int]] = {}
     for i, r in enumerate(rects):
         by_line.setdefault(r.stab_line, []).append(i)
-    parts: list[frozenset[int]] = []
+    parts: list[int] = []
     witnesses: list[tuple[int, int]] = []  # (line, rect id)
     for line in sorted(by_line):
         ids = sorted(by_line[line], key=lambda i: (rects[i].x_hi, i))
-        current: list[int] = []
         cut = None
         for i in ids:
             if cut is None or rects[i].x_lo > cut:
-                if current:
-                    parts.append(frozenset(current))
-                current = [i]
+                parts.append(1 << i)
                 cut = rects[i].x_hi
                 witnesses.append((line, i))
             else:
-                current.append(i)
-        if current:
-            parts.append(frozenset(current))
-    cover = OrderedCliqueCover(tuple(parts))
+                parts[-1] |= 1 << i
     odd = frozenset(i for line, i in witnesses if line % 2)
     even = frozenset(i for line, i in witnesses if not line % 2)
     witness = odd if len(odd) > len(even) else even
-    return cover, witness
+    return tuple(parts), witness
 
 
 def candidate_discs(points: Sequence[PointSite],
@@ -423,16 +424,17 @@ def greedy_disc_cover(points: Sequence[PointSite]) -> list[Disc]:
 
 
 def quarter_cell_partition(points: Sequence[PointSite]):
-    """Nonempty quarter cells with their point-index groups, in key order.
+    """Nonempty quarter cells with their point-index groups as masks (bit i
+    for point i), in key order.
 
     The quarter cell of (x, y) is ``((2x - 1) // SCALE, (2y - 1) // SCALE)``:
     half-unit cells on the half-tick grid.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[int, int], int] = {}
     for i, p in enumerate(points):
-        groups.setdefault(((2 * p.x - 1) // SCALE, (2 * p.y - 1) // SCALE),
-                          []).append(i)
-    return [(key, frozenset(ids)) for key, ids in sorted(groups.items())]
+        key = ((2 * p.x - 1) // SCALE, (2 * p.y - 1) // SCALE)
+        groups[key] = groups.get(key, 0) | 1 << i
+    return sorted(groups.items())
 
 
 def candidate_pierce_points(

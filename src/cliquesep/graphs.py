@@ -1,28 +1,30 @@
-"""Graphs, ordered clique covers, the edge-gap length statistic, and restriction measures.
+"""Graphs, ordered clique covers, the edge-gap length statistic, and the
+frame the separator engine reads.
 
 A :class:`Graph` stores its adjacency as int neighbour masks, one per vertex
 (bit w of ``adj_mask[v]`` is the edge vw); the geometry builders fill them
 directly in their sweeps, and the solvers read nothing else.  Its ``adj``
 tuple of frozensets is a view derived on first access, for the oracles, the
-tests and the frozenset helpers below (:func:`components_within`,
-:func:`check_measure_axioms`); no induced subgraph is ever built.
+tests and :func:`components_within`; no induced subgraph is ever built.
 
-An ordered clique cover is a plain ordered partition of vertex ids; it holds no
-graph.  The separator's auxiliary graph G1 exists only through such a cover,
-the ordered strip cover: :func:`cover_length` measures how far the edges of G
-reach across its parts, and no G1 graph is ever built.
-
-A restriction measure counts how many parts of a fixed clique partition touch a
-vertex set.  It is monotone, subadditive, and exactly additive across edgeless
-splits, which is what the separator engine relies on.
+An ordered clique cover is a tuple of disjoint int part masks (bit v of a
+part is vertex v), in order; it holds no graph, and
+:func:`verify_clique_cover` checks it against one.  The separator's
+auxiliary graph G1 exists only through such a cover, the ordered strip
+cover: :func:`cover_length` measures how far the edges of G reach across its
+parts, and no G1 graph is ever built.
 
 A :class:`Frame` holds one instance as the separator engine reads it: vertex
-sets are int bitmasks (bit v is vertex v), and the graph (the masks of
-:class:`Graph`, shared as they are), the strip cover and the measure are held
-as masks over the same ids, so a subproblem is a mask and nothing is
-relabelled or rebuilt for it.  Every vertex must lie in a measure part; a
-frame refuses a measure cover that misses one with ``ValueError``.  Each
-solver context is a frame, built when the context is constructed.
+sets are int bitmasks, and the graph (the masks of :class:`Graph`, shared as
+they are), the strip cover and the partition behind the measure are held as
+masks over the same ids, so a subproblem is a mask and nothing is relabelled
+or rebuilt for it.  Its :meth:`Frame.mu_of` is the restriction measure: the
+number of measure parts that touch a vertex set.  It is monotone,
+subadditive, and exactly additive across edgeless splits, which is what the
+engine relies on and :func:`check_measure_axioms` samples.  Every vertex
+must lie in a measure part; a frame refuses a measure cover that misses one
+with ``ValueError``.  Each solver context is a frame, built when the context
+is constructed.
 """
 from __future__ import annotations
 
@@ -117,59 +119,32 @@ def components_within(adj, members: frozenset) -> list[frozenset]:
     return comps
 
 
-@dataclass(frozen=True)
-class OrderedCliqueCover:
-    """An ordered partition of a vertex set into parts meant to be cliques.
-
-    ``index_of`` maps each vertex to the index of its part.  The cover holds
-    no graph: use :func:`verify_clique_cover` to check it against one.
-    """
-
-    parts: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(frozenset(p) for p in self.parts))
-
-    @property
-    def index_of(self) -> dict[int, int]:
-        cached = getattr(self, "_index_of", None)
-        if cached is None:
-            cached = {}
-            for i, p in enumerate(self.parts):
-                for v in p:
-                    if v in cached:
-                        raise ValueError(f"vertex {v} appears in two parts")
-                    cached[v] = i
-            object.__setattr__(self, "_index_of", cached)
-        return cached
-
-    def __len__(self):
-        return len(self.parts)
-
-
-def verify_clique_cover(G: Graph, cover: OrderedCliqueCover, explain: bool = False):
-    """True iff the parts are disjoint cliques of G covering all its vertices.
+def verify_clique_cover(G: Graph, parts, explain: bool = False):
+    """True iff the part masks are disjoint cliques of G covering all its
+    vertices.
 
     With ``explain=True`` returns (ok, detail) where detail names the violation.
     """
-    seen: set[int] = set()
-    for i, part in enumerate(cover.parts):
-        for v in part:
-            if v < 0 or v >= G.n:
-                return (False, f"vertex {v} out of range") if explain else False
-            if v in seen:
-                return (False, f"vertex {v} in two parts") if explain else False
-            seen.add(v)
-        members = sorted(part)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                u, w = members[a], members[b]
-                if not G.has_edge(u, w):
-                    detail = f"part {i}: {u},{w} not adjacent"
-                    return (False, detail) if explain else False
-    if len(seen) != G.n:
-        missing = next(v for v in range(G.n) if v not in seen)
-        return (False, f"vertex {missing} uncovered") if explain else False
+    n, adj = G.n, G.adj_mask
+    seen = 0
+    for i, part in enumerate(parts):
+        shared, stray = part & seen, part >> n << n
+        if shared or stray:
+            low = shared or stray  # shared vertices lie below the stray ones
+            v = (low & -low).bit_length() - 1
+            why = "in two parts" if shared else "out of range"
+            return (False, f"vertex {v} {why}") if explain else False
+        seen |= part
+        for u in _ids(part):
+            apart = (part & ~adj[u]) >> (u + 1)  # later members, not adjacent
+            if apart:
+                w = u + (apart & -apart).bit_length()
+                detail = f"part {i}: {u},{w} not adjacent"
+                return (False, detail) if explain else False
+    missing = ~seen & ((1 << n) - 1)
+    if missing:
+        v = (missing & -missing).bit_length() - 1
+        return (False, f"vertex {v} uncovered") if explain else False
     return (True, None) if explain else True
 
 
@@ -181,48 +156,24 @@ class LengthReport:
     witness_edge: Optional[tuple[int, int]]
 
 
-def cover_length(G: Graph, cover: OrderedCliqueCover) -> LengthReport:
-    """max over edges xy of G of |index_of(x) - index_of(y)|.
+def cover_length(G: Graph, parts) -> LengthReport:
+    """max over edges xy of G of the gap between the indices of the parts
+    holding x and y.
 
-    The cover may be a clique cover of a supergraph of G (such as G1); every
-    vertex of G must be covered.
+    The part masks may cover a supergraph of G (such as G1); every vertex of
+    G must be covered.
     """
-    idx = cover.index_of
+    idx = _index(parts, G.n)
+    if None in idx:
+        raise ValueError(f"vertex {idx.index(None)} of G missing from cover")
     best = 0
     witness = None
     for u, v in G.edges():
-        if u not in idx or v not in idx:
-            missing = u if u not in idx else v
-            raise ValueError(f"vertex {missing} of G missing from cover")
         gap = abs(idx[u] - idx[v])
         if gap > best or witness is None:
             best = gap
             witness = (u, v)
-    # edgeless G still needs the coverage precondition to hold
-    if witness is None:
-        for v in range(G.n):
-            if v not in idx:
-                raise ValueError(f"vertex {v} of G missing from cover")
     return LengthReport(best, witness)
-
-
-@dataclass(frozen=True)
-class RestrictionMeasure:
-    """mu(F) = number of parts of a fixed clique partition of G touching F."""
-
-    cover: OrderedCliqueCover
-
-    @property
-    def part_of(self) -> dict[int, int]:
-        return self.cover.index_of
-
-    def of(self, s: Iterable[int]) -> int:
-        part_of = self.part_of
-        return len({part_of[v] for v in s})
-
-    @property
-    def total(self) -> int:
-        return len(self.cover.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +201,19 @@ def _members(mask: int) -> frozenset:
     return frozenset(_ids(mask))
 
 
-def _indexed(cover: OrderedCliqueCover, n: int) -> tuple[list, list[int]]:
-    """Each vertex's part index (None when uncovered) and each part's mask."""
-    index_of = cover.index_of
-    return [index_of.get(v) for v in range(n)], [_mask(p) for p in cover.parts]
+def _index(parts, n: int) -> list:
+    """Each vertex's part index (None outside every part), for disjoint
+    part masks over the vertices 0..n-1."""
+    index: list = [None] * n
+    for i, part in enumerate(parts):
+        ids = _ids(part)
+        if ids and ids[-1] >= n:
+            raise ValueError(f"vertex {ids[-1]} out of range")
+        for v in ids:
+            if index[v] is not None:
+                raise ValueError(f"vertex {v} appears in two parts")
+            index[v] = i
+    return index
 
 
 class Frame:
@@ -266,21 +226,25 @@ class Frame:
     subproblem is then just a mask F of vertices: the engine reads the parts
     that meet F off these masks (:meth:`strips`, :meth:`parts`,
     :meth:`mu_of`), and no subgraph or relabelled cover is built per call.
+    ``strip_mask`` and ``part_mask`` are the two ordered covers as the
+    builders return them, tuples of part masks; a part index is a position
+    in them.
     """
 
     __slots__ = ("adj_mask", "intervals", "strip_of", "strip_mask",
                  "unstripped", "part_of", "part_mask")
 
-    def __init__(self, G: Graph, intervals, strip_cover: OrderedCliqueCover,
-                 mu: RestrictionMeasure):
+    def __init__(self, G: Graph, intervals, strips, parts):
         if intervals is not None and len(intervals) != G.n:
             raise ValueError("need one interval per vertex of G")
         self.adj_mask = G.adj_mask
         self.intervals = intervals
-        self.strip_of, self.strip_mask = _indexed(strip_cover, G.n)
+        self.strip_mask = tuple(strips)
+        self.strip_of = _index(self.strip_mask, G.n)
         self.unstripped = _mask(v for v, k in enumerate(self.strip_of)
                                 if k is None)
-        self.part_of, self.part_mask = _indexed(mu.cover, G.n)
+        self.part_mask = tuple(parts)
+        self.part_of = _index(self.part_mask, G.n)
         if None in self.part_of:
             raise ValueError(f"vertex {self.part_of.index(None)} of G "
                              "missing from cover")
@@ -325,14 +289,20 @@ class AxiomReport:
     failure: Optional[str]
 
 
-def check_measure_axioms(mu: RestrictionMeasure, G: Graph, trials: int = 1000,
+def check_measure_axioms(parts, G: Graph, trials: int = 1000,
                          seed: int = 0) -> AxiomReport:
-    """Sample random subgraph pairs and test the three measure axioms.
+    """Sample random subgraph pairs and test the three measure axioms on
+    :meth:`Frame.mu_of` over the part masks, the measure the engine reads.
 
     (i) monotonicity over nested pairs, (ii) subadditivity over arbitrary
     pairs, (iii) exact additivity over disjoint pairs with no joining edge.
     The report carries the first counterexample found, if any.
     """
+    mu_of = Frame(G, None, (), parts).mu_of
+
+    def mu(vs) -> int:
+        return mu_of(_mask(vs))
+
     rng = random.Random(seed)
     n = G.n
     verts = list(range(n))
@@ -341,13 +311,13 @@ def check_measure_axioms(mu: RestrictionMeasure, G: Graph, trials: int = 1000,
         # (i) nested pair
         b = rng.sample(verts, rng.randint(0, n))
         a = [v for v in b if rng.random() < 0.5]
-        if mu.of(a) > mu.of(b):
+        if mu(a) > mu(b):
             return AxiomReport(False, checked, f"monotonicity: A={sorted(a)} B={sorted(b)}")
         checked += 1
         # (ii) arbitrary pair
         x = rng.sample(verts, rng.randint(0, n))
         y = rng.sample(verts, rng.randint(0, n))
-        if mu.of(set(x) | set(y)) > mu.of(x) + mu.of(y):
+        if mu(set(x) | set(y)) > mu(x) + mu(y):
             return AxiomReport(False, checked, f"subadditivity: A={sorted(x)} B={sorted(y)}")
         checked += 1
         # (iii) edgeless disjoint split: group components of a random subset
@@ -358,7 +328,7 @@ def check_measure_axioms(mu: RestrictionMeasure, G: Graph, trials: int = 1000,
             half = len(comps) // 2
             left = frozenset().union(*comps[:half])
             right = frozenset().union(*comps[half:])
-            if mu.of(left | right) != mu.of(left) + mu.of(right):
+            if mu(left | right) != mu(left) + mu(right):
                 return AxiomReport(False, checked,
                                    f"additivity: A={sorted(left)} B={sorted(right)}")
             checked += 1

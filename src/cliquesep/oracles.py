@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geometry import SCALE, Disc, PointSite, Rect, candidate_discs, sq_dist
-from .graphs import Graph, OrderedCliqueCover, cover_length, verify_clique_cover
+from .graphs import Graph, _index, cover_length, verify_clique_cover
 
 
 class TooLargeError(ValueError):
@@ -295,18 +295,19 @@ class OrderCheck:
         return self.irreflexive and self.transitive and self.incomparability_matches
 
 
-def order_from_length1_cover(G: Graph, cover: OrderedCliqueCover) -> OrderCheck:
-    """x < y iff x's part precedes y's and xy is a non-edge.
+def order_from_length1_cover(G: Graph, parts) -> OrderCheck:
+    """x < y iff x's part precedes y's and xy is a non-edge, for an ordered
+    clique cover of G given as part masks.
 
     Verifies that the relation is a strict order whose incomparability graph
     is exactly G, which is the constructive content of the length-1 case.
     """
-    ok, detail = verify_clique_cover(G, cover, explain=True)
+    ok, detail = verify_clique_cover(G, parts, explain=True)
     if not ok:
         raise ValueError(f"not a clique cover of G: {detail}")
-    if cover_length(G, cover).value > 1:
+    if cover_length(G, parts).value > 1:
         raise ValueError("cover has length greater than 1")
-    idx = cover.index_of
+    idx = _index(parts, G.n)
     rel = frozenset((x, y) for x in range(G.n) for y in range(G.n)
                     if idx[x] < idx[y] and not G.has_edge(x, y))
     order = StrictOrder(G.n, rel)

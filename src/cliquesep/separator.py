@@ -16,10 +16,10 @@ The engine, :func:`separate_mask`, runs on a :class:`~cliquesep.graphs.Frame`
 (a solver context is one), and a subproblem is a vertex mask F over it in
 global ids: the strip and measure parts that meet F, the sides and the
 units are read off the frame's masks, so no subgraph, relabelled cover or id
-map is built per call.  A :class:`Cut` of masks is the one separator type:
-the engine returns it, the whole-graph entry point :func:`separate` (which
-builds a frame and runs the engine on every vertex) returns it, and
-:func:`check_separator` checks it against a mask F.
+map is built per call.  To separate a whole graph, build its frame from G,
+the intervals and the two covers' part masks, and pass it every vertex.  A
+:class:`Cut` of masks is the one separator type: the engine returns it, and
+:func:`check_separator` checks it against a frame and a mask F.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import chordal
 from .geometry import SCALE
-from .graphs import Frame, Graph, OrderedCliqueCover, RestrictionMeasure, _ids
+from .graphs import Frame, _ids
 
 CHORDAL = "CHORDAL"
 LENGTH_WINDOW = "LENGTH-WINDOW"
@@ -212,49 +212,37 @@ def _diagnostic(frame: Frame, F: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the whole-graph entry point and the contract checker
+# the contract checker
 
 
-def separate(G: Graph, g1_cover: OrderedCliqueCover,
-             intervals: Optional[Sequence[tuple[int, int]]],
-             mu: RestrictionMeasure) -> Cut:
-    """:func:`separate_mask` on all of G.
-
-    ``intervals`` (the interval model of G2, one per vertex) may be None to
-    skip the chordal route.
-    """
-    frame = Frame(G, intervals, g1_cover, mu)
-    return separate_mask(frame, (1 << G.n) - 1)
-
-
-def check_separator(G: Graph, mu: RestrictionMeasure, cut: Cut,
-                    F: Optional[int] = None,
+def check_separator(frame: Frame, cut: Cut, F: Optional[int] = None,
                     points: Optional[Sequence] = None) -> list[str]:
     """Contract violations of a :class:`Cut` for the subproblem on the mask
-    F (all of G by default), empty when valid.
+    F (every vertex of the frame by default), empty when valid.
 
     Checks the three-way partition of F, the edge cut, the 2/3 balance, that
     the units exactly cover the separator and that each unit is what its
-    route makes: a LENGTH-WINDOW unit lies in one part of ``mu`` (a
+    route makes: a LENGTH-WINDOW unit lies in one measure part (a
     MEASURE-PART unit), and a CHORDAL unit is a clique of G (G-CLIQUE) or,
     when ``points`` (items with ``x``/``y``, indexed like G) are given, fits
     a unit box of them (UNIT-BOX).
     """
     problems = []
+    adj = frame.adj_mask
     if F is None:
-        F = (1 << G.n) - 1
+        F = (1 << len(adj)) - 1
     s, side_a, side_b = cut.s, cut.side_a, cut.side_b
     if s | side_a | side_b != F:
         problems.append("s, side_a, side_b do not partition F")
     if s & side_a or s & side_b or side_a & side_b:
         problems.append("s, side_a, side_b overlap")
     crossing = next(((u, v) for u in _ids(side_a)
-                     for v in _ids(G.adj_mask[u] & side_b)), None)
+                     for v in _ids(adj[u] & side_b)), None)
     if crossing is not None:
         problems.append(f"edge {crossing} crosses the sides")
-    total = mu.of(_ids(F))
+    total = frame.mu_of(F)
     for name, side in (("side_a", side_a), ("side_b", side_b)):
-        if 3 * mu.of(_ids(side)) > 2 * total:
+        if 3 * frame.mu_of(side) > 2 * total:
             problems.append(f"{name} exceeds 2/3 of the measure")
     covered = 0
     for members in cut.units:
@@ -263,10 +251,10 @@ def check_separator(G: Graph, mu: RestrictionMeasure, cut: Cut,
         covered |= members
         mem = _ids(members)
         if cut.route == LENGTH_WINDOW:
-            if len({mu.part_of[v] for v in mem}) > 1:
+            if frame.mu_of(members) > 1:
                 problems.append("MEASURE-PART unit spans two measure parts")
         elif points is None:
-            if any(members & ~G.adj_mask[v] != 1 << v for v in mem):
+            if any(members & ~adj[v] != 1 << v for v in mem):
                 problems.append(f"G-CLIQUE unit not a clique: {mem}")
         elif mem:
             xs = [points[v].x for v in mem]

@@ -9,7 +9,9 @@ minimizers (piercing and disc cover) run a separator-guided branch-and-bound
 with certified pruning; the maximizer (independent set) enumerates independent
 selections inside the separator and solves the two sides of each apart.
 A solver context holds the one-time structures of an instance and is the
-:class:`~cliquesep.graphs.Frame` the separator engine reads.
+:class:`~cliquesep.graphs.Frame` the separator engine reads, built in its
+constructor from the geometry builders' covers, which are part masks
+already.
 
 Every solver separates each node of one separator tree once: a subproblem
 strictly inside a node reuses the node's separator restricted to it.  That
@@ -46,7 +48,7 @@ from .geometry import (SCALE, Disc, PointSite, Rect,
                        rect_intersection_graph, strip_cover_rects,
                        unit_distance_graph, vertical_strip_cover_points,
                        x_chordal_graph, y_chordal_graph_points)
-from .graphs import Frame, OrderedCliqueCover, RestrictionMeasure, _ids, _mask
+from .graphs import Frame, _ids, _mask
 from .separator import LENGTH_WINDOW, Cut, separate_mask, strip_length
 
 TraceHook = Callable[[int, int, str, int], None]
@@ -209,16 +211,12 @@ def _holders(masks, n: int) -> list[tuple[int, ...]]:
 
 
 class _BaseContext(Frame):
-    """The one-time structures of an instance: G, the interval model of G2,
-    the strip cover and the measure, read by :meth:`_read`, and the frame of
-    them the separator engine reads, built by :meth:`_frame`.  A covering
-    context builds its candidate sets between the two, which keeps the
-    frame's masks out of the candidate builders' peak memory."""
+    """The one-time structures of an instance: G, and the frame of it the
+    separator engine reads, built from the interval model of G2, the strip
+    cover and the measure partition as the geometry builders return them.
+    A covering context adds its candidate sets."""
 
     kind = "?"
-
-    def _frame(self) -> None:
-        Frame.__init__(self, self.G, self.intervals, self.strip_cover, self.mu)
 
     def components(self, F: int) -> list[int]:
         """The components of G[F] for a mask F, as masks ordered by lowest
@@ -307,33 +305,22 @@ class RectContext(_BaseContext):
     kind = "rects"
 
     def __init__(self, rects: Sequence[Rect]):
-        self._read(rects)
-        self._frame()
-
-    def _read(self, rects: Sequence[Rect]) -> None:
         self.rects = list(rects)
         self.G = rect_intersection_graph(self.rects)
-        self.intervals = x_chordal_graph(self.rects)
-        self.strip_cover = strip_cover_rects(self.rects)
-        self.measure_cover, _ = greedy_cover_and_is_rects(self.rects)
-        self.mu = RestrictionMeasure(self.measure_cover)
+        super().__init__(self.G, x_chordal_graph(self.rects),
+                         strip_cover_rects(self.rects),
+                         greedy_cover_and_is_rects(self.rects)[0])
 
 
 class PointContext(_BaseContext):
     kind = "points"
 
     def __init__(self, points: Sequence[PointSite]):
-        self._read(points)
-        self._frame()
-
-    def _read(self, points: Sequence[PointSite]) -> None:
         self.points = list(points)
         self.G = unit_distance_graph(self.points)
-        self.intervals = y_chordal_graph_points(self.points)
-        self.strip_cover = vertical_strip_cover_points(self.points)
-        self.measure_cover = OrderedCliqueCover(
-            tuple(group for _, group in quarter_cell_partition(self.points)))
-        self.mu = RestrictionMeasure(self.measure_cover)
+        super().__init__(self.G, y_chordal_graph_points(self.points),
+                         vertical_strip_cover_points(self.points),
+                         [g for _, g in quarter_cell_partition(self.points)])
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +371,7 @@ def _divide(ctx, F: int, threshold, leaf, split,
     its parent's measure, and F is a leaf once its node's measure is at most
     ``threshold``.
     """
-    tree: dict = {}  # node -> (separator, vertex -> child component)
+    tree: dict = {}  # node -> (separator, child component masks)
     memo: dict = {}
     parts: dict = {}  # a disconnected set -> its components
 
@@ -411,14 +398,14 @@ def _divide(ctx, F: int, threshold, leaf, split,
         if ctx.mu_of(F) <= threshold:
             out = leaf(F, depth)
         else:
+            # a connected F inside the parent's sides lies in one child
             node = F if parent is None else \
-                tree[parent][1][(F & -F).bit_length() - 1]
+                next(c for c in tree[parent][1] if c & F)
             if node not in tree:
                 cut = ctx.separate_subset(node)
                 if trace is not None:
                     trace(depth, ctx.mu_of(node), cut.route, cut.cost)
-                children = ctx.components(cut.side_a | cut.side_b)
-                tree[node] = cut, {v: c for c in children for v in _ids(c)}
+                tree[node] = cut, ctx.components(cut.side_a | cut.side_b)
             cut = tree[node][0]
             if F != node:  # F is a subset of node
                 cut = _restricted_separator(cut, F)
@@ -683,13 +670,12 @@ class PierceContext(RectContext):
     :func:`_distinct` for why the others are never chosen)."""
 
     def __init__(self, rects: Sequence[Rect]):
-        self._read(rects)
+        super().__init__(rects)
         self.candidates, self.point_rects = candidate_pierce_points(self.rects)
         self.rect_points = _holders(self.point_rects, len(self.rects))
         by_right = sorted(range(len(self.rects)), key=lambda i: (
             self.rects[i].x_hi, self.rects[i].y_lo, i))
         self._right_rank = {i: rank for rank, i in enumerate(by_right)}
-        self._frame()
 
     def disjoint_lower_bound(self, F: int, need: int) -> int:
         """Pairwise-disjoint rectangles in F each need their own point: the
@@ -758,11 +744,10 @@ def _quarter_groups(ctx: CoverContext, members: int) -> list[int]:
 
 class CoverContext(PointContext):
     def __init__(self, points: Sequence[PointSite]):
-        self._read(points)
+        super().__init__(points)
         self.candidates, self.disc_points = _distinct(
             *candidate_discs(self.points, self.G))
         self.point_discs = _holders(self.disc_points, len(self.points))
-        self._frame()
 
     def scatter_lower_bound(self, F: int, need: int) -> int:
         """Points pairwise farther than one unit each need their own disc:

@@ -13,8 +13,7 @@ import pytest
 from cliquesep import instances, oracles
 from cliquesep.geometry import (candidate_discs, greedy_cover_and_is_rects,
                                 greedy_disc_cover)
-from cliquesep.graphs import (Graph, OrderedCliqueCover, check_measure_axioms,
-                              cover_length)
+from cliquesep.graphs import Graph, _mask, check_measure_axioms, cover_length
 from cliquesep.separator import check_separator
 from cliquesep.solvers import (PointContext, RectContext, SolveConfig,
                                disccover_exact, disccover_ptas, mis_exact,
@@ -74,7 +73,7 @@ def bench_profiles():
 
     def sweep(ctx, label):
         def validator(F, res):
-            for msg in check_separator(ctx.G, ctx.mu, res, F,
+            for msg in check_separator(ctx, res, F,
                                        getattr(ctx, "points", None)):
                 violations.append(f"{label}: {msg}")
         rows.extend(separation_profile(ctx, validator=validator))
@@ -160,12 +159,12 @@ def test_criterion_5_structural_constants(cover_suite):
         inst = instances.generate("rects", 10 + 3 * seed, 5000 + seed,
                                   STYLES[seed % 2])
         ctx = RectContext(inst.items)
-        if cover_length(ctx.G, ctx.strip_cover).value > 1:
+        if cover_length(ctx.G, ctx.strip_mask).value > 1:
             bad_len += 1
     for inst, _ in cover_suite:
         pts = list(inst.items)
         ctx = PointContext(pts)
-        if cover_length(ctx.G, ctx.strip_cover).value > 1:
+        if cover_length(ctx.G, ctx.strip_mask).value > 1:
             bad_len += 1
         beta = oracles.brute_clique_cover(ctx.G)
         if len(greedy_disc_cover(pts)) > 16 * beta:
@@ -189,7 +188,7 @@ def test_criterion_6_order_theory():
         if val > 1:
             continue
         checked += 1
-        cov = OrderedCliqueCover(parts)
+        cov = tuple(_mask(p) for p in parts)
         if not oracles.order_from_length1_cover(G, cov).ok:
             failed += 1
     rng = random.Random(0)
@@ -217,7 +216,8 @@ def test_criterion_7_measure_axioms():
         inst = instances.generate("rects", 10 + 2 * seed, 6000 + seed,
                                   STYLES[seed % 2])
         ctx = RectContext(inst.items)
-        rep = check_measure_axioms(ctx.mu, ctx.G, trials=100, seed=seed)
+        rep = check_measure_axioms(ctx.part_mask, ctx.G, trials=100,
+                                   seed=seed)
         checked += rep.checked
         if not rep.ok:
             failures.append(rep.failure)
@@ -225,7 +225,8 @@ def test_criterion_7_measure_axioms():
         inst = instances.generate("points", 10 + 2 * seed, 7000 + seed,
                                   STYLES[seed % 2])
         ctx = PointContext(inst.items)
-        rep = check_measure_axioms(ctx.mu, ctx.G, trials=100, seed=seed)
+        rep = check_measure_axioms(ctx.part_mask, ctx.G, trials=100,
+                                   seed=seed)
         checked += rep.checked
         if not rep.ok:
             failures.append(rep.failure)

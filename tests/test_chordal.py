@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cliquesep.chordal import _clique_path, clique_cut
-from cliquesep.graphs import (Frame, Graph, OrderedCliqueCover,
-                              RestrictionMeasure, _members, components_within)
+from cliquesep.graphs import (Frame, Graph, _mask, _members,
+                              components_within)
 from cliquesep.oracles import (NotChordalError, interval_graph,
                                maximal_cliques_chordal, mcs_order)
 
@@ -19,8 +19,13 @@ def path(n):
 
 
 def singleton_measure(G):
-    parts = tuple(frozenset({v}) for v in range(G.n))
-    return RestrictionMeasure(OrderedCliqueCover(parts))
+    return tuple(1 << v for v in range(G.n))
+
+
+def measure(parts, vs):
+    """The number of part masks meeting the vertex set ``vs``."""
+    m = _mask(vs)
+    return sum(1 for p in parts if p & m)
 
 
 @st.composite
@@ -118,8 +123,7 @@ def interval_measure(ivs, draw):
                 parts[-1] = cur
                 continue
         parts.append([i])
-    return RestrictionMeasure(OrderedCliqueCover(tuple(frozenset(p)
-                                                       for p in parts)))
+    return tuple(_mask(p) for p in parts)
 
 
 @st.composite
@@ -143,11 +147,11 @@ def reference_pick(ivs, mu):
     the lighter side (ties to the one with fewer vertices, then side a);
     returns that key and the two sides, or None."""
     H = interval_graph(ivs)
-    total = mu.of(range(H.n))
+    total = measure(mu, range(H.n))
     best = None
     for K in maximal_cliques_chordal(H, mcs_order(H)):
         comps = components_within(H.adj, frozenset(range(H.n)) - K)
-        weights = [mu.of(c) for c in comps]
+        weights = [measure(mu, c) for c in comps]
         sides = [set(), set()]
         w = [0, 0]
         for i in sorted(range(len(comps)), key=lambda i: (-weights[i], min(comps[i]))):
@@ -165,12 +169,12 @@ def cut_everything(ivs, G, mu):
     """:func:`clique_cut` on every vertex of G, with ``ivs[v]`` the closed
     interval of v: (clique, side_a, side_b, larger measure), the sets as
     frozensets and the larger measure that of the heavier side, or None."""
-    found = clique_cut(Frame(G, ivs, OrderedCliqueCover(()), mu),
+    found = clique_cut(Frame(G, ivs, (), mu),
                        (1 << G.n) - 1)
     if found is None:
         return None
     clique, a, b = map(_members, found)
-    return clique, a, b, max(mu.of(a), mu.of(b))
+    return clique, a, b, max(measure(mu, a), measure(mu, b))
 
 
 class TestBalancedCliqueSeparator:
@@ -219,9 +223,9 @@ class TestBalancedCliqueSeparator:
             _, side_a, side_b, _ = found
             for u in side_a:
                 assert not (G.adj[u] & side_b)
-            total = mu.of(range(n))
-            assert 3 * mu.of(side_a) <= 2 * total
-            assert 3 * mu.of(side_b) <= 2 * total
+            total = measure(mu, range(n))
+            assert 3 * measure(mu, side_a) <= 2 * total
+            assert 3 * measure(mu, side_b) <= 2 * total
 
     def test_rejects_g_edge_outside_h(self):
         G = path(3)
@@ -231,7 +235,7 @@ class TestBalancedCliqueSeparator:
 
     def test_rejects_measure_part_outside_a_clique(self):
         ivs = [(0, 1), (2, 3)]
-        mu = RestrictionMeasure(OrderedCliqueCover((frozenset({0, 1}),)))
+        mu = (0b11,)
         with pytest.raises(ValueError):
             cut_everything(ivs, Graph(2), mu)
 
@@ -241,7 +245,7 @@ class TestBalancedCliqueSeparator:
         G = interval_graph(ivs)
         found = cut_everything(ivs, G, mu)
         cliques = maximal_cliques_chordal(G, mcs_order(G))
-        frame = Frame(G, ivs, OrderedCliqueCover(()), mu)
+        frame = Frame(G, ivs, (), mu)
         swept = [_members(K) for K, _, _ in _clique_path(frame, range(len(ivs)))]
         assert sorted(map(sorted, swept)) == sorted(map(sorted, cliques))
         best = reference_pick(ivs, mu)

@@ -14,7 +14,8 @@ from cliquesep.geometry import (SCALE, Disc, PointSite, Rect, candidate_discs,
                                 strip_cover_rects, unit_distance_graph,
                                 vertical_strip_cover_points,
                                 x_chordal_graph, y_chordal_graph_points)
-from cliquesep.graphs import Graph, cover_length, verify_clique_cover
+from cliquesep.graphs import (Graph, _ids, _mask, cover_length,
+                              verify_clique_cover)
 from cliquesep import oracles
 from cliquesep.oracles import interval_graph, mcs_order, pierce_grid
 from cliquesep.solvers import CoverContext, _distinct
@@ -65,8 +66,12 @@ class TestCoords:
             parse_coord("0.1234567")
 
     def test_garbage_rejected(self):
-        for bad in ("", "abc", "1.2.3", "--1"):
-            with pytest.raises(ValueError):
+        # int accepts any Unicode decimal digit and str.isdigit superscripts
+        # too: Arabic-Indic "1.5" and "3", "1.5" with an Arabic-Indic 5, and
+        # a superscript 2
+        for bad in ("", "abc", "1.2.3", "--1", "\u0661.\u0665", "\u0663",
+                    "\u00b2", "1.\u0665"):
+            with pytest.raises(ValueError, match="malformed coordinate"):
                 parse_coord(bad)
 
 
@@ -224,8 +229,8 @@ class TestStripCovers:
         pts = [PointSite(x, y) for x in coords for y in coords[::3]]
         cov = vertical_strip_cover_points(pts)
         strips = sorted({grid_cell(p.x, SCALE) for p in pts})
-        assert cov.parts == tuple(
-            frozenset(i for i, p in enumerate(pts) if grid_cell(p.x, SCALE) == s)
+        assert cov == tuple(
+            _mask(i for i, p in enumerate(pts) if grid_cell(p.x, SCALE) == s)
             for s in strips)
         assert cover_length(unit_distance_graph(pts), cov).value <= 1
         q, half = Fraction(SCALE, 2), Fraction(1, 2)
@@ -233,7 +238,7 @@ class TestStripCovers:
         for i, p in enumerate(pts):
             cells.setdefault((grid_cell(p.x, q), grid_cell(p.y, q)), set()).add(i)
         assert quarter_cell_partition(pts) == [
-            (key, frozenset(ids)) for key, ids in sorted(cells.items())]
+            (key, _mask(ids)) for key, ids in sorted(cells.items())]
         discs = greedy_disc_cover(pts)
         assert [d.key() for d in discs] == [
             Disc.rational(half + (qx + half) * q, half + (qy + half) * q).key()
@@ -248,8 +253,8 @@ class TestGreedyCoverRects:
             rects = random_rects(rng, 60)
             cov, witness = greedy_cover_and_is_rects(rects)
             assert verify_clique_cover(rect_intersection_graph(rects), cov)
-            for part in cov.parts:
-                helly_point([rects[i] for i in part])  # raises if not a clique
+            for part in cov:  # helly_point raises if not a clique
+                helly_point([rects[i] for i in _ids(part)])
 
     def test_witness_is_independent_and_half_of_cover(self):
         rng = random.Random(9)
@@ -260,11 +265,11 @@ class TestGreedyCoverRects:
             for a in range(len(ids)):
                 for b in range(a + 1, len(ids)):
                     assert not rects[ids[a]].intersects(rects[ids[b]])
-            assert 2 * len(witness) >= len(cov.parts)
+            assert 2 * len(witness) >= len(cov)
 
     def test_single_rect(self):
         cov, witness = greedy_cover_and_is_rects([Rect(0, SCALE, 0)])
-        assert len(cov.parts) == 1 and witness == frozenset({0})
+        assert cov == (1,) and witness == frozenset({0})
 
 
 class TestCandidateDiscs:
@@ -579,11 +584,11 @@ class TestGreedyDiscCover:
     def test_quarter_partition_covers_indices(self):
         rng = random.Random(14)
         pts = random_points(rng, 30)
-        seen = set()
+        seen = 0
         for _, group in quarter_cell_partition(pts):
             assert not (seen & group)
             seen |= group
-        assert seen == set(range(len(pts)))
+        assert seen == (1 << len(pts)) - 1
 
 
 class TestPierceCandidates:

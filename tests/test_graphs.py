@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from cliquesep.graphs import (Graph, OrderedCliqueCover, RestrictionMeasure,
-                              check_measure_axioms, components_within,
-                              cover_length, verify_clique_cover)
+from cliquesep.graphs import (Frame, Graph, _mask, check_measure_axioms,
+                              components_within, cover_length,
+                              verify_clique_cover)
 
 
 def path(n):
@@ -80,72 +80,130 @@ class TestGraph:
             sorted(map(sorted, set(group.values())))
 
 
+def masks(*parts):
+    """An ordered clique cover as part masks, from its parts as sets."""
+    return tuple(_mask(p) for p in parts)
+
+
+def singletons(n):
+    return tuple(1 << v for v in range(n))
+
+
+def reference_verify(G, parts):
+    """(ok, detail) of :func:`verify_clique_cover`, pair by pair: each part
+    member by member, in order, for range and overlap, then its member pairs
+    in order for adjacency, then every vertex for coverage."""
+    seen = set()
+    for i, part in enumerate(parts):
+        members = [v for v in range(part.bit_length()) if part >> v & 1]
+        for v in members:
+            if v >= G.n:
+                return False, f"vertex {v} out of range"
+            if v in seen:
+                return False, f"vertex {v} in two parts"
+            seen.add(v)
+        for a, u in enumerate(members):
+            for w in members[a + 1:]:
+                if not G.has_edge(u, w):
+                    return False, f"part {i}: {u},{w} not adjacent"
+    for v in range(G.n):
+        if v not in seen:
+            return False, f"vertex {v} uncovered"
+    return True, None
+
+
 class TestCliqueCover:
     def test_verify_accepts_partition_into_cliques(self):
         G = path(3)
-        cov = OrderedCliqueCover((frozenset({0, 1}), frozenset({2})))
-        assert verify_clique_cover(G, cov)
+        assert verify_clique_cover(G, masks({0, 1}, {2}))
 
     def test_verify_rejects_non_clique_part(self):
         G = path(3)
-        cov = OrderedCliqueCover((frozenset({0, 2}), frozenset({1})))
-        assert not verify_clique_cover(G, cov)
+        assert not verify_clique_cover(G, masks({0, 2}, {1}))
 
     def test_verify_rejects_missing_vertex(self):
         G = path(3)
-        cov = OrderedCliqueCover((frozenset({0, 1}),))
-        ok, why = verify_clique_cover(G, cov, explain=True)
+        ok, why = verify_clique_cover(G, masks({0, 1}), explain=True)
         assert not ok and "uncovered" in why
 
     def test_overlapping_parts_rejected(self):
         G = clique(3)
-        cov = OrderedCliqueCover((frozenset({0, 1}), frozenset({1, 2})))
-        with pytest.raises(ValueError):
-            cov.index_of
+        cov = masks({0, 1}, {1, 2})
+        assert verify_clique_cover(G, cov, explain=True) == \
+            (False, "vertex 1 in two parts")
+        with pytest.raises(ValueError, match="vertex 1 appears in two parts"):
+            cover_length(G, cov)
+        with pytest.raises(ValueError, match="vertex 1 appears in two parts"):
+            Frame(G, None, cov, singletons(3))
+        with pytest.raises(ValueError, match="vertex 1 appears in two parts"):
+            Frame(G, None, singletons(3), cov)
+
+    @given(graphs(max_n=7).flatmap(lambda G: st.tuples(st.just(G), st.one_of(
+        # any masks, and parts of at most two members, which are often
+        # cliques and overlap; bits at or above n in both
+        st.lists(st.integers(0, (1 << (G.n + 1)) - 1)
+                 | st.sets(st.integers(0, G.n + 1), max_size=2).map(_mask),
+                 max_size=G.n + 2),
+        # the parts of a random labelling: disjoint and covering, cliques
+        # or not
+        st.lists(st.integers(0, G.n), min_size=G.n, max_size=G.n).map(
+            lambda label: [_mask(v for v in range(G.n) if label[v] == k)
+                           for k in sorted(set(label))])))))
+    # vertex 0 is in two parts and vertex 3 out of range: the overlap,
+    # the lower of the two, is reported
+    @example((path(3), [0b0001, 0b1001]))
+    def test_verify_matches_pairwise_check(self, case):
+        # overlaps, non-cliques, uncovered vertices, bits out of range and
+        # valid covers all occur
+        G, parts = case
+        assert verify_clique_cover(G, parts, explain=True) == \
+            reference_verify(G, parts)
+        assert verify_clique_cover(G, parts) == reference_verify(G, parts)[0]
 
 
 class TestCoverLength:
     def test_single_clique_single_part_is_zero(self):
         G = clique(4)
-        cov = OrderedCliqueCover((frozenset(range(4)),))
-        assert cover_length(G, cov).value == 0
+        assert cover_length(G, masks(range(4))).value == 0
 
     def test_path_pairs_cover_is_one(self):
         G = path(4)
-        cov = OrderedCliqueCover((frozenset({0, 1}), frozenset({2, 3})))
-        rep = cover_length(G, cov)
+        rep = cover_length(G, masks({0, 1}, {2, 3}))
         assert rep.value == 1
         assert rep.witness_edge == (1, 2)
 
     def test_edgeless_graph_has_length_zero(self):
         G = Graph(3)
-        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(3)))
-        assert cover_length(G, cov).value == 0
+        assert cover_length(G, singletons(3)).value == 0
 
     def test_missing_vertex_raises(self):
         G = path(3)
-        cov = OrderedCliqueCover((frozenset({0, 1}),))
-        with pytest.raises(ValueError):
-            cover_length(G, cov)
+        with pytest.raises(ValueError, match="vertex 2 of G missing"):
+            cover_length(G, masks({0, 1}))
+
+    def test_vertex_out_of_range_raises(self):
+        G = path(3)
+        with pytest.raises(ValueError, match="vertex 3 out of range"):
+            cover_length(G, masks({0, 1}, {2, 3}))
+        with pytest.raises(ValueError, match="vertex 3 out of range"):
+            Frame(G, None, (), masks({0, 1}, {2, 3}))
 
     def test_gap_counts_part_indices(self):
         G = Graph(5, [(0, 4)])
-        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(5)))
-        assert cover_length(G, cov).value == 4
+        assert cover_length(G, singletons(5)).value == 4
 
 
 class TestRestrictionMeasure:
-    def mu_for(self, G, parts):
-        return RestrictionMeasure(OrderedCliqueCover(parts))
+    """The measure is :meth:`Frame.mu_of` over the partition's part masks."""
 
     def test_counts_touched_parts(self):
         G = path(4)
-        mu = self.mu_for(G, (frozenset({0, 1}), frozenset({2, 3})))
-        assert mu.of([]) == 0
-        assert mu.of([0]) == 1
-        assert mu.of([0, 1]) == 1
-        assert mu.of([1, 2]) == 2
-        assert mu.total == 2
+        frame = Frame(G, None, (), masks({0, 1}, {2, 3}))
+        assert frame.mu_of(0) == 0
+        assert frame.mu_of(_mask([0])) == 1
+        assert frame.mu_of(_mask([0, 1])) == 1
+        assert frame.mu_of(_mask([1, 2])) == 2
+        assert len(frame.part_mask) == 2
 
     @given(graphs(max_n=8), st.integers(0, 2 ** 30))
     def test_axioms_hold_for_any_clique_partition(self, G, seed):
@@ -158,15 +216,13 @@ class TestRestrictionMeasure:
             for u in sorted(left - {v}):
                 if all(G.has_edge(u, w) for w in part):
                     part.add(u)
-            parts.append(frozenset(part))
+            parts.append(part)
             left -= part
-        mu = self.mu_for(G, tuple(parts))
-        rep = check_measure_axioms(mu, G, trials=60, seed=seed)
+        rep = check_measure_axioms(masks(*parts), G, trials=60, seed=seed)
         assert rep.ok, rep.failure
 
     def test_axiom_checker_reports_counts(self):
         G = path(6)
-        mu = self.mu_for(G, (frozenset({0, 1}), frozenset({2, 3}),
-                             frozenset({4, 5})))
-        rep = check_measure_axioms(mu, G, trials=100, seed=1)
+        rep = check_measure_axioms(masks({0, 1}, {2, 3}, {4, 5}), G,
+                                   trials=100, seed=1)
         assert rep.ok and rep.checked >= 200

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cliquesep.geometry import SCALE, PointSite, Rect
-from cliquesep.graphs import Graph, OrderedCliqueCover
+from cliquesep.graphs import Graph, _mask
 from cliquesep.oracles import (StrictOrder, TooLargeError, brute_clique_cover,
                                brute_disccover, brute_length, brute_mis,
                                brute_pierce, interval_graph, interval_order,
@@ -145,7 +145,7 @@ class TestBruteLength:
                      if rng.random() < 0.5]
             G = Graph(n, edges)
             val, parts = brute_length(G, G, witness=True)
-            cov = OrderedCliqueCover(parts)
+            cov = tuple(_mask(p) for p in parts)
             assert verify_clique_cover(G, cov)
             assert cover_length(G, cov).value <= max(val, 0)
 
@@ -157,29 +157,26 @@ class TestBruteLength:
 class TestOrderFromCover:
     def test_single_clique_gives_empty_order(self):
         G = clique(3)
-        cov = OrderedCliqueCover((frozenset({0, 1, 2}),))
-        chk = order_from_length1_cover(G, cov)
+        chk = order_from_length1_cover(G, (0b111,))
         assert chk.ok and chk.order.relation == frozenset()
 
     def test_path_three(self):
         G = path(3)
-        cov = OrderedCliqueCover((frozenset({0, 1}), frozenset({2})))
-        chk = order_from_length1_cover(G, cov)
+        chk = order_from_length1_cover(G, (0b011, 0b100))
         assert chk.ok
         assert chk.order.relation == frozenset({(0, 2)})
 
     def test_rejects_long_cover(self):
         G = Graph(3, [(0, 2)])
-        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(3)))
-        with pytest.raises(ValueError):
-            order_from_length1_cover(G, cov)
+        with pytest.raises(ValueError, match="length greater than 1"):
+            order_from_length1_cover(G, (0b001, 0b010, 0b100))
 
     @given(graphs(max_n=6))
     def test_any_length1_self_cover_yields_an_order(self, G):
         val, parts = brute_length(G, G, witness=True)
         if val > 1:
             return
-        cov = OrderedCliqueCover(parts)
+        cov = tuple(_mask(p) for p in parts)
         assert order_from_length1_cover(G, cov).ok
 
 

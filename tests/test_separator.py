@@ -6,11 +6,10 @@ from hypothesis import example, given, strategies as st
 
 from cliquesep import instances
 from cliquesep.geometry import SCALE, PointSite, Rect
-from cliquesep.graphs import (Frame, Graph, OrderedCliqueCover,
-                              RestrictionMeasure, _ids, _mask)
+from cliquesep.graphs import Frame, Graph, _ids, _mask
 from cliquesep.separator import (CHORDAL, LENGTH_WINDOW, Cut,
                                  NoSeparatorFound, _chordal_cut, _window_cut,
-                                 check_separator, separate, separate_mask)
+                                 check_separator, separate_mask)
 from cliquesep.solvers import PointContext, RectContext, separation_profile
 
 
@@ -24,50 +23,53 @@ def path_intervals(n):
 
 
 def singletons(n):
-    return OrderedCliqueCover(tuple(frozenset({v}) for v in range(n)))
-
-
-def singleton_measure(G):
-    return RestrictionMeasure(singletons(G.n))
+    return tuple(1 << v for v in range(n))
 
 
 def pair_cover(pairs):
-    return OrderedCliqueCover(tuple(frozenset(p) for p in pairs))
+    return tuple(_mask(p) for p in pairs)
 
 
-def window_route(G, cover, mu):
-    """The engine on all of G with no intervals: the length route alone."""
-    return separate_mask(Frame(G, None, cover, mu), (1 << G.n) - 1)
+def separate_all(G, strips, parts, intervals=None):
+    """The engine on all of G; with no intervals, the length route alone."""
+    return separate_mask(Frame(G, intervals, strips, parts), (1 << G.n) - 1)
+
+
+def measure(parts, vs):
+    """The number of parts meeting the vertex set ``vs``, counted here."""
+    m = _mask(vs)
+    return sum(1 for p in parts if p & m)
 
 
 def reference_window(G, strips, mu, F):
     """The length route as a search over widths: from the edge-gap length l
     up to the number k of strips meeting F, the first width with a balanced
     window, and at that width the window of least (measure, larger side,
-    start); the strips are sets, cut to F."""
+    start); the strips are sets, cut to F, and ``mu`` the measure's part
+    masks."""
     vs = set(_ids(F))
-    parts = [p & vs for p in strips.parts if p & vs]
+    parts = [set(_ids(p)) & vs for p in strips if p & F]
     k = len(parts)
     if k == 0:
         return None
     rank = {v: i for i, p in enumerate(parts) for v in p}
     length = max((rank[v] - rank[u] for u in vs for v in G.adj[u] & vs),
                  default=0)
-    total = mu.of(vs)
+    total = measure(mu, vs)
     for w in range(length, k + 1):
         best = None
         for i in range(w == 0, k - w + 1):
             a, b = set().union(*parts[:i]), set().union(*parts[i + w:])
-            larger = max(mu.of(a), mu.of(b))
+            larger = max(measure(mu, a), measure(mu, b))
             if 3 * larger > 2 * total:
                 continue
             s = vs - a - b
-            key = (mu.of(s), larger, i)
+            key = (measure(mu, s), larger, i)
             if best is None or key < best[0]:
                 best = (key, s, a, b)
         if best is not None:
             _, s, a, b = best
-            units = tuple(_mask(s & p) for p in mu.cover.parts if s & p)
+            units = tuple(_mask(s) & p for p in mu if _mask(s) & p)
             return Cut(_mask(s), units, _mask(a), _mask(b), LENGTH_WINDOW)
     return None
 
@@ -75,8 +77,7 @@ def reference_window(G, strips, mu, F):
 def runs(items, ends):
     """The ordered cover of ``items`` cut before each index in ``ends``."""
     bounds = [0] + sorted(ends) + [len(items)]
-    return OrderedCliqueCover(tuple(frozenset(items[x:y])
-                                    for x, y in zip(bounds, bounds[1:])))
+    return tuple(_mask(items[x:y]) for x, y in zip(bounds, bounds[1:]))
 
 
 @st.composite
@@ -86,33 +87,31 @@ def window_cases(draw):
     n = draw(st.integers(1, 12))
     cuts = st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
     strips = runs(draw(st.permutations(range(n))), draw(cuts))
-    measure = runs(draw(st.permutations(range(n))), draw(cuts))
+    parts = runs(draw(st.permutations(range(n))), draw(cuts))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = {(u, v) for u, v in draw(st.lists(pairs, max_size=2 * n)) if u < v}
     F = draw(st.integers(1, (1 << n) - 1))
-    return (Graph(n, sorted(edges)), strips, RestrictionMeasure(measure), F)
+    return (Graph(n, sorted(edges)), strips, parts, F)
 
 
 class TestLengthWindowRoute:
     # edgeless: a gap of width 0 between two strips balances
-    @example((Graph(4), singletons(4), RestrictionMeasure(singletons(4)),
-              0b1111))
+    @example((Graph(4), singletons(4), singletons(4), 0b1111))
     # balance-limited: l = 1, but each measure part meets strips on both
     # sides of the middle, so the window must hold strips 1 and 2
     @example((Graph(4, [(0, 1)]), singletons(4),
-              RestrictionMeasure(pair_cover([(0, 2), (1, 3)])), 0b1111))
+              pair_cover([(0, 2), (1, 3)]), 0b1111))
     # full window: edgeless, but either strip alone meets both measure parts
     @example((Graph(4), pair_cover([(0, 1), (2, 3)]),
-              RestrictionMeasure(pair_cover([(0, 2), (1, 3)])), 0b1111))
+              pair_cover([(0, 2), (1, 3)]), 0b1111))
     # length-limited: the edge 0-4 makes l = 4, and the window may start at
     # strip 0, before the first strip whose followers balance
-    @example((Graph(5, [(0, 4)]), singletons(5),
-              RestrictionMeasure(singletons(5)), 0b11111))
+    @example((Graph(5, [(0, 4)]), singletons(5), singletons(5), 0b11111))
     # sliding: the part {0, 1, 3} meets strips 0, 1 and 3, and l = 3; the
     # window [1, 3] wins the tie with [2, 4] only if the part still counts
     # in [2, 4] once strip 1 leaves it
     @example((Graph(5, [(0, 3), (1, 2), (2, 3)]), singletons(5),
-              RestrictionMeasure(pair_cover([(0, 1, 3), (2, 4)])), 0b11111))
+              pair_cover([(0, 1, 3), (2, 4)]), 0b11111))
     @given(window_cases())
     def test_window_matches_width_search(self, case):
         G, strips, mu, F = case
@@ -144,9 +143,7 @@ class TestLengthWindowRoute:
     def test_balanced_window_of_singleton_parts(self):
         # five parts of measure one each: the middle window wins
         G = path(5)
-        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(5)))
-        mu = singleton_measure(G)
-        res = window_route(G, cov, mu)
+        res = separate_all(G, singletons(5), singletons(5))
         assert res is not None
         assert res.s == _mask({2})
         assert res.side_a == _mask({0, 1})
@@ -156,25 +153,22 @@ class TestLengthWindowRoute:
 
     def test_edgeless_graph_gets_free_separator(self):
         G = Graph(4)
-        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(4)))
-        res = window_route(G, cov, singleton_measure(G))
+        res = separate_all(G, singletons(4), singletons(4))
         assert res is not None
         assert res.s == 0 and res.cost == 0
 
     def test_units_are_measure_parts(self):
         G = path(6)
-        g1 = OrderedCliqueCover(tuple(frozenset({i}) for i in range(6)))
-        mu = RestrictionMeasure(pair_cover([(0, 1), (2, 3), (4, 5)]))
-        res = window_route(G, g1, mu)
+        mu = pair_cover([(0, 1), (2, 3), (4, 5)])
+        res = separate_all(G, singletons(6), mu)
         assert res is not None and res.route == LENGTH_WINDOW
         for members in res.units:
-            assert len({mu.part_of[v] for v in _ids(members)}) == 1
+            assert measure(mu, _ids(members)) == 1
 
     def test_always_succeeds_via_full_window(self):
         # a clique cannot be split, so the window is the full range
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        cov = OrderedCliqueCover((frozenset({0, 1, 2}),))
-        res = window_route(G, cov, singleton_measure(G))
+        res = separate_all(G, pair_cover([(0, 1, 2)]), singletons(3))
         assert res is not None
         assert res.s == _mask({0, 1, 2})
         assert res.side_a == res.side_b == 0
@@ -183,21 +177,21 @@ class TestLengthWindowRoute:
 class TestChordalRoute:
     def test_path_clique_separator_costs_one(self):
         G = path(9)
-        cov = OrderedCliqueCover((frozenset(range(9)),))  # host ignored
-        mu = singleton_measure(G)
-        res = _chordal_cut(Frame(G, path_intervals(9), cov, mu), (1 << 9) - 1)
+        cov = (_mask(range(9)),)  # host ignored
+        frame = Frame(G, path_intervals(9), cov, singletons(9))
+        res = _chordal_cut(frame, (1 << 9) - 1)
         assert res is not None
         assert res.route == CHORDAL
         assert res.cost == 1
         assert res.units == (res.s,)
-        assert check_separator(G, mu, res) == []  # a G-clique
+        assert check_separator(frame, res) == []  # a G-clique
 
     def test_units_split_by_g1_part(self):
         # a triangle straddling two g1 parts yields two units
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
         g1 = pair_cover([(0, 1), (2,)])
         # (the length route alone would cut {2} off at cost 1)
-        frame = Frame(G, [(0, 1)] * 3, g1, singleton_measure(G))
+        frame = Frame(G, [(0, 1)] * 3, g1, singletons(3))
         res = _chordal_cut(frame, 0b111)
         assert res is not None
         sizes = sorted(m.bit_count() for m in res.units)
@@ -218,61 +212,54 @@ class TestSeparate:
 
     def test_no_candidates_raises_with_diagnostic(self):
         G = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        cov = OrderedCliqueCover(())
         for ivs in (None, [(0, 1)] * 3):
             with pytest.raises(NoSeparatorFound) as err:
-                separate(G, cov, ivs, singleton_measure(G))
+                separate_all(G, (), singletons(3), ivs)
             assert "n" in err.value.diagnostic
 
     def test_strip_cover_missing_a_vertex_raises(self):
         # the measure cover covers every vertex; the strip cover leaves 0
         # out, and 0 lies in the clique {0, 1} the chordal route would pick
         G = path(3)
-        cov = OrderedCliqueCover((frozenset({1}), frozenset({2})))
+        cov = pair_cover([(1,), (2,)])
         for ivs in (path_intervals(3), None):
             with pytest.raises(ValueError,
                                match="vertex 0 of G missing from cover"):
-                separate(G, cov, ivs, singleton_measure(G))
+                separate_all(G, cov, singletons(3), ivs)
 
     def test_measure_cover_missing_a_vertex_raises(self):
         # the strip cover covers every vertex; the measure cover leaves 3 out
         G = path(4)
-        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(4)))
-        mu = RestrictionMeasure(pair_cover([(0, 1), (2,)]))
+        mu = pair_cover([(0, 1), (2,)])
         for ivs in (path_intervals(4), None):
             with pytest.raises(ValueError,
                                match="vertex 3 of G missing from cover"):
-                separate(G, cov, ivs, mu)
+                separate_all(G, singletons(4), mu, ivs)
 
     def test_check_separator_passes_on_valid_results(self):
-        G = path(7)
-        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(7)))
-        mu = singleton_measure(G)
-        res = separate(G, cov, path_intervals(7), mu)
-        assert check_separator(G, mu, res) == []
+        frame = Frame(path(7), path_intervals(7), singletons(7), singletons(7))
+        res = separate_mask(frame, (1 << 7) - 1)
+        assert check_separator(frame, res) == []
 
     def test_check_separator_flags_crossing_edge(self):
-        G = path(3)
-        cov = OrderedCliqueCover(tuple(frozenset({i}) for i in range(3)))
-        mu = singleton_measure(G)
-        res = separate(G, cov, path_intervals(3), mu)
+        frame = Frame(path(3), path_intervals(3), singletons(3), singletons(3))
+        res = separate_mask(frame, 0b111)
         bad = Cut(s=0, units=(), side_a=_mask({0, 1}), side_b=_mask({2}),
                   route=res.route)
-        assert any("crosses" in p for p in check_separator(G, mu, bad))
+        assert any("crosses" in p for p in check_separator(frame, bad))
 
         # one bad result per other violation class, each a change to a valid
         # result on the path 0-1-2-3-4-5 with measure parts {0,1} {2,3} {4,5};
         # a CHORDAL unit is checked as a G-clique without points and against
         # a unit box with them
-        G = path(6)
-        mu = RestrictionMeasure(pair_cover([(0, 1), (2, 3), (4, 5)]))
+        frame = Frame(path(6), None, (), pair_cover([(0, 1), (2, 3), (4, 5)]))
         points = [PointSite(2 * i * SCALE, 0) for i in range(6)]  # 2 apart
         good = Cut(s=_mask({2, 3}), units=(_mask({2, 3}),),
                    side_a=_mask({0, 1}), side_b=_mask({4, 5}),
                    route=LENGTH_WINDOW)
-        assert check_separator(G, mu, good) == []
-        assert check_separator(G, mu, good, points=points) == []
-        assert check_separator(G, mu, good._replace(route=CHORDAL)) == []
+        assert check_separator(frame, good) == []
+        assert check_separator(frame, good, points=points) == []
+        assert check_separator(frame, good._replace(route=CHORDAL)) == []
         cases = [
             (dict(side_b=_mask({4})), None, None, "do not partition F"),
             ({}, _mask(range(5)), None, "do not partition F"),
@@ -295,7 +282,7 @@ class TestSeparate:
         ]
         for change, F, pts, expected in cases:
             bad = good._replace(**change)
-            problems = check_separator(G, mu, bad, F, pts)
+            problems = check_separator(frame, bad, F, pts)
             assert any(expected in p for p in problems), (expected, problems)
 
     def test_random_rect_instances_satisfy_contract(self):
@@ -313,7 +300,7 @@ class TestSeparate:
             if ctx.mu_of(F) < 2:
                 continue
             res = ctx.separate_subset(F)
-            assert check_separator(ctx.G, ctx.mu, res, F) == []
+            assert check_separator(ctx, res, F) == []
 
 
 def row_of_rects(n):
@@ -329,15 +316,15 @@ class TestSweepChecks:
         ctx = RectContext(row_of_rects(5))
         intervals = list(ctx.intervals)
         intervals[2] = (100 * SCALE, 101 * SCALE)  # now far from 1 and 3
-        frame = Frame(ctx.G, intervals, ctx.strip_cover, ctx.mu)
+        frame = Frame(ctx.G, intervals, ctx.strip_mask, ctx.part_mask)
         with pytest.raises(ValueError, match="joins disjoint intervals"):
             separate_mask(frame, _mask({1, 2, 3}))
         separate_mask(frame, _mask({3, 4}))  # 2 lies outside F
 
     def test_measure_part_without_a_common_point_raises(self):
         ctx = RectContext(row_of_rects(5))
-        mu = RestrictionMeasure(pair_cover([(0, 4), (1,), (2,), (3,)]))
-        frame = Frame(ctx.G, ctx.intervals, ctx.strip_cover, mu)
+        mu = pair_cover([(0, 4), (1,), (2,), (3,)])
+        frame = Frame(ctx.G, ctx.intervals, ctx.strip_mask, mu)
         with pytest.raises(ValueError, match="not an interval clique"):
             separate_mask(frame, _mask({0, 3, 4}))
         separate_mask(frame, _mask({1, 2, 3}))  # 0 and 4 outside F

@@ -474,7 +474,7 @@ class TestSeparatorTree:
                                 min_size=1))
         F = data.draw(st.sampled_from(ctx.components(solvers._mask(sub))))
         r = solvers._restricted_separator(cut, F)
-        problems = check_separator(ctx.G, ctx.mu, r, F,
+        problems = check_separator(ctx, r, F,
                                    points=getattr(ctx, "points", None))
         assert [p for p in problems if "2/3" not in p] == []
         assert all(r.units)
@@ -564,7 +564,8 @@ class TestBitmaskSets:
         comps = ctx.components(solvers._mask(sub))
         assert [_members(c) for c in comps] == \
             components_within(ctx.G.adj, frozenset(sub))
-        assert ctx.mu_of(solvers._mask(sub)) == ctx.mu.of(sub)
+        assert ctx.mu_of(solvers._mask(sub)) == \
+            len({ctx.part_of[v] for v in sub})
 
     # sha256 of the sorted chosen sets of the sweep below, recorded while the
     # recursion still held its vertex sets as frozensets

@@ -1,4 +1,5 @@
-"""Every imported name is used by the module that imports it.
+"""Every imported name is used by the module that imports it, and every
+name the package exports exists.
 
 A name counts as used when the module reads it anywhere, annotations
 included, or lists it in ``__all__``.
@@ -46,3 +47,13 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert unused == []
+
+
+def test_exported_names_resolve():
+    # a name left in __all__ after its definition is gone passes the check
+    # above, since __all__ counts as a use, and breaks star-imports
+    import cliquesep
+    missing = [name for name in cliquesep.__all__
+               if not hasattr(cliquesep, name)]
+    assert missing == []
+    assert len(set(cliquesep.__all__)) == len(cliquesep.__all__)
