@@ -29,6 +29,7 @@ ROWS = [
     ("points", 300, "clustered", "cover-exact", None, 60, 26, None, False),
     ("points", 2000, "uniform", "cover-ptas", 0.5, 60, 927, 60, False),
     ("rects", 8000, "uniform", "mis-ptas", 0.5, 60, 2296, 150, False),
+    ("rects", 8000, "chain", "mis-ptas", 0.5, 60, 4000, 60, False),
     ("rects", 8000, "uniform", "pierce-ptas", 0.5, 120, 2805, 150, False),
     ("points", 8000, "uniform", "cover-ptas", 0.5, 60, 3562, 150, False),
     ("points", 2000, "uniform", None, None, 60, None, None, True),

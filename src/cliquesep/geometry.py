@@ -38,6 +38,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .graphs import Graph, _ids
@@ -184,33 +185,42 @@ class Disc:
 def rect_intersection_graph(rects: Sequence[Rect]) -> Graph:
     """Edge iff closed rectangles intersect.
 
-    Only rectangles on the same or adjacent stab lines can meet, so a sweep
-    by left edge runs per line and per pair of adjacent lines, and sets the
-    neighbour-mask bits of every intersecting pair it meets.
+    Only rectangles on the same or adjacent stab lines can meet.  Two on the
+    same line always overlap vertically, so x decides alone: a sweep by left
+    edge keeps the open rectangles in a heap of right edges, and a rectangle
+    meets the open set when it starts (its earlier neighbours) and the ones
+    started while it was open when it closes (its later neighbours), with no
+    work per pair.  A sweep over each pair of adjacent lines tests the pairs
+    it meets one by one.
     """
     x_lo = [r.x_lo for r in rects]
     x_hi = [r.x_hi for r in rects]
     y_lo = [r.y_lo for r in rects]
-    line_of = [r.stab_line for r in rects]
+    line_of = [-((-y) // SCALE) for y in y_lo]
     by_line: dict[int, list[int]] = {}
     for i, line in enumerate(line_of):
         by_line.setdefault(line, []).append(i)
     adj = [0] * len(rects)
     for line, ids in by_line.items():
-        # Same line L: both y_lo lie in ((L-1)*SCALE, L*SCALE], so the two
-        # rectangles always overlap vertically and x decides alone.
-        active: list[int] = []
+        # Same line L: both y_lo lie in ((L-1)*SCALE, L*SCALE].  ``started``
+        # holds every rectangle started so far; a heap entry keeps the
+        # value it had when its rectangle opened, so on closing
+        # ``started ^ then`` is the rectangles started since.
+        heap: list[tuple[int, int, int]] = []
+        open_ = started = 0
         for i in sorted(ids, key=x_lo.__getitem__):
-            x, bit, mask = x_lo[i], 1 << i, 0
-            keep = []
-            for j in active:
-                if x_hi[j] >= x:
-                    adj[j] |= bit
-                    mask |= 1 << j
-                    keep.append(j)
-            adj[i] |= mask
-            keep.append(i)
-            active = keep
+            x = x_lo[i]
+            while heap and heap[0][0] < x:
+                _, j, then = heappop(heap)
+                adj[j] |= started ^ then
+                open_ ^= 1 << j
+            bit = 1 << i
+            adj[i] |= open_
+            open_ |= bit
+            started |= bit
+            heappush(heap, (x_hi[i], i, started))
+        for _, j, then in heap:
+            adj[j] |= started ^ then
         # Lines L and L+1: x must overlap and y_lo differ by at most SCALE.
         above = by_line.get(line + 1)
         if above is None:
@@ -218,12 +228,13 @@ def rect_intersection_graph(rects: Sequence[Rect]) -> Graph:
         act: list[list[int]] = [[], []]  # active on line L, on line L+1
         for i in sorted(ids + above, key=x_lo.__getitem__):
             x, y, bit, mask = x_lo[i], y_lo[i], 1 << i, 0
+            lo, hi = y - SCALE, y + SCALE
             side = line_of[i] - line
             keep = []
             for j in act[1 - side]:
                 if x_hi[j] >= x:
                     keep.append(j)
-                    if abs(y_lo[j] - y) <= SCALE:
+                    if lo <= y_lo[j] <= hi:
                         adj[j] |= bit
                         mask |= 1 << j
             act[1 - side] = keep
@@ -277,7 +288,7 @@ def strip_cover_rects(rects: Sequence[Rect]) -> tuple[int, ...]:
     """
     by_line: dict[int, int] = {}
     for i, r in enumerate(rects):
-        line = r.stab_line
+        line = -((-r.y_lo) // SCALE)  # r.stab_line
         by_line[line] = by_line.get(line, 0) | 1 << i
     return tuple(by_line[line] for line in sorted(by_line))
 
@@ -321,18 +332,20 @@ def greedy_cover_and_is_rects(rects: Sequence[Rect]):
     for rectangle i), each a clique of the intersection graph, and witness
     is a frozenset of rect indices.
     """
+    x_lo = [r.x_lo for r in rects]
+    x_hi = [r.x_hi for r in rects]
     by_line: dict[int, list[int]] = {}
     for i, r in enumerate(rects):
-        by_line.setdefault(r.stab_line, []).append(i)
+        by_line.setdefault(-((-r.y_lo) // SCALE), []).append(i)  # r.stab_line
     parts: list[int] = []
     witnesses: list[tuple[int, int]] = []  # (line, rect id)
     for line in sorted(by_line):
-        ids = sorted(by_line[line], key=lambda i: (rects[i].x_hi, i))
+        # ids ascend within a line and the sort is stable: (x_hi, id) order
         cut = None
-        for i in ids:
-            if cut is None or rects[i].x_lo > cut:
+        for i in sorted(by_line[line], key=x_hi.__getitem__):
+            if cut is None or x_lo[i] > cut:
                 parts.append(1 << i)
-                cut = rects[i].x_hi
+                cut = x_hi[i]
                 witnesses.append((line, i))
             else:
                 parts[-1] |= 1 << i

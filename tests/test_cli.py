@@ -160,6 +160,14 @@ class TestSolve:
                               "mis-exact"], capsys)
         assert code == cli.EXIT_INPUT
 
+    def test_file_not_utf8_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.inst"
+        p.write_bytes(b"cliquesep-instance v1\nkind rects\nrect 0 1 \xff\n")
+        code, out, err = run(["solve", str(p), "--solver", "mis-exact"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err == f"cliquesep: {p}: byte 42 is not UTF-8 (invalid start byte)\n"
+
     def test_malformed_file_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "bad.inst"
         for text, message in [
@@ -233,6 +241,14 @@ class TestBench:
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert err.startswith("cliquesep: ") and err.count("\n") == 1
+
+    def test_file_not_utf8_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.inst"
+        p.write_bytes(b"cliquesep-instance v1\nkind rects\nrect 0 1 \xff\n")
+        code, out, err = run(["bench-separator", str(p)], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err == f"cliquesep: {p}: byte 42 is not UTF-8 (invalid start byte)\n"
 
     def test_chain_rows_cost_one(self, tmp_path, capsys):
         p = tmp_path / "chain.inst"

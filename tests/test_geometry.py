@@ -164,6 +164,14 @@ LATTICE_POINT = st.tuples(st.integers(-8, 8), st.integers(-8, 8),
     lambda t: PointSite(t[0] * SCALE // t[2] + t[3], t[1] * SCALE // t[2]))
 
 
+# stab lines 0 and 1 only (y_lo in (-SCALE, SCALE]): every rectangle of a
+# line meets the same-line sweep's open set, which grows large
+TWO_LINE_RECT = st.tuples(st.integers(-8, 8), st.integers(1, 6), st.integers(-3, 4),
+                          st.sampled_from([-1, 0, 0, 1])).map(
+    lambda t: Rect(t[0] * SCALE // 4, (t[0] + t[1]) * SCALE // 4,
+                   min(t[2] * SCALE // 4 + t[3], SCALE)))
+
+
 def assert_same_graph(G, ref):
     assert G.n == ref.n
     assert G.adj_mask == ref.adj_mask
@@ -183,6 +191,19 @@ class TestBuildersBitForBit:
     def test_unit_distance_graph(self, pts, data):
         pts += data.draw(st.lists(st.sampled_from(pts), max_size=4))
         assert_same_graph(unit_distance_graph(pts), oracles.point_graph(pts))
+
+    @given(st.lists(TWO_LINE_RECT, min_size=1, max_size=60))
+    # a chain touching at x_hi == x_lo
+    @example([Rect(k * SCALE, (k + 1) * SCALE, 0) for k in range(6)])
+    # nested intervals
+    @example([Rect(-k * SCALE, k * SCALE, SCALE // 2) for k in range(1, 6)])
+    # equal left edges
+    @example([Rect(0, k * SCALE // 2, k % 2) for k in range(1, 7)])
+    # across lines 0 and 1, y_lo apart by exactly SCALE and by SCALE + 1
+    @example([Rect(0, SCALE, 0), Rect(0, SCALE, SCALE),
+              Rect(0, SCALE, -1), Rect(SCALE, 2 * SCALE, SCALE)])
+    def test_rect_graph_on_two_stab_lines(self, rects):
+        assert_same_graph(rect_intersection_graph(rects), oracles.rect_graph(rects))
 
     def test_rect_boundaries(self):
         # touching corners, a gap of SCALE + 1 ticks, a negative corner, and
@@ -266,6 +287,29 @@ class TestGreedyCoverRects:
                 for b in range(a + 1, len(ids)):
                     assert not rects[ids[a]].intersects(rects[ids[b]])
             assert 2 * len(witness) >= len(cov)
+
+    @given(st.lists(LATTICE_RECT, min_size=1, max_size=24))
+    def test_sweep_order_and_parts(self, rects):
+        # per stab line in (x_hi, id) order, a part ends where a rectangle
+        # starts right of the first right edge of the part
+        parts, witness = [], []
+        for line in sorted({r.stab_line for r in rects}):
+            ids = [i for i, r in enumerate(rects) if r.stab_line == line]
+            cut = None
+            for i in sorted(ids, key=lambda i: (rects[i].x_hi, i)):
+                if cut is None or rects[i].x_lo > cut:
+                    parts.append(1 << i)
+                    cut = rects[i].x_hi
+                    witness.append((line, i))
+                else:
+                    parts[-1] |= 1 << i
+        odd = frozenset(i for line, i in witness if line % 2)
+        even = frozenset(i for line, i in witness if not line % 2)
+        assert greedy_cover_and_is_rects(rects) == (
+            tuple(parts), odd if len(odd) > len(even) else even)
+        assert strip_cover_rects(rects) == tuple(
+            _mask(i for i, r in enumerate(rects) if r.stab_line == line)
+            for line in sorted({r.stab_line for r in rects}))
 
     def test_single_rect(self):
         cov, witness = greedy_cover_and_is_rects([Rect(0, SCALE, 0)])
