@@ -23,6 +23,7 @@ ROWS = [
     ("rects", 300, "uniform", "mis-exact", None, 60, 97, None, False),
     ("rects", 400, "uniform", "mis-exact", None, 60, 123, None, False),
     ("rects", 120, "uniform", "pierce-exact", None, 60, 39, None, False),
+    ("rects", 300, "uniform", "pierce-exact", None, 60, 97, None, False),
     ("rects", 2000, "uniform", "mis-ptas", 0.5, 60, 573, None, True),
     ("rects", 2000, "uniform", "pierce-ptas", 0.5, 60, 685, 200, False),
     ("rects", 4000, "clustered", "mis-ptas", 0.5, 60, 141, 45, False),

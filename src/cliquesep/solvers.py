@@ -585,6 +585,17 @@ def _split_search(ctx, mandatory: int, rest: int, solve_rest) -> list[int]:
     valid bound cuts it, and ends on the same ``best``.  The branches at a
     node are the distinct effects on the uncovered items, each taken with its
     lowest choice id, largest effect first.
+
+    An effect inside one already searched at the node is skipped, which
+    keeps the same answer too.  A strict subset has fewer items, so its
+    superset's branch comes first, and once that subtree is searched
+    ``best`` is at most its optimum.  The skipped branch leaves a superset
+    of those uncovered items, and ``solve_rest`` is exact, so an optimum
+    only grows with what is left: the skipped branch could never strictly
+    improve ``best``.  What the skip does change is the work: separations
+    reached only inside skipped branches are no longer made, nor traced, and
+    one first reached inside a skipped branch is traced where it is next
+    reached.
     """
     item_choices, choice_items, lower_bound = ctx.search()
     best = []
@@ -611,8 +622,12 @@ def _split_search(ctx, mandatory: int, rest: int, solve_rest) -> list[int]:
         target = (uncov_mand & -uncov_mand).bit_length() - 1
         for c in item_choices[target]:
             effects.setdefault(choice_items[c] & uncovered, c)
+        kept: list[int] = []
         for eff, c in sorted(effects.items(),
                              key=lambda e: (-e[0].bit_count(), e[1])):
+            if any(not eff & ~k for k in kept):
+                continue  # dominated by a branch already searched
+            kept.append(eff)
             picked.append(c)
             rec(uncov_mand & ~eff, uncov_rest & ~eff, picked)
             picked.pop()

@@ -335,6 +335,11 @@ SMALL_RECT = st.builds(lambda x, w, y: Rect(x, x + w, y), QUARTER,
                        st.integers(1, 8).map(lambda k: k * SCALE // 4), QUARTER)
 SMALL_POINT = st.builds(PointSite, QUARTER, QUARTER)
 LINE_POINT = st.builds(PointSite, QUARTER, st.just(0))  # collinear
+# twentieths of a unit: fewer coincidences than the quarter lattice
+FINE = st.integers(0, 80).map(lambda k: k * SCALE // 20)
+FINE_RECT = st.builds(lambda x, w, y: Rect(x, x + w, y), FINE,
+                      st.integers(4, 40).map(lambda k: k * SCALE // 20), FINE)
+FINE_POINT = st.builds(PointSite, FINE, FINE)
 
 
 class TestCoveringSearch:
@@ -408,6 +413,29 @@ class TestCoveringSearch:
         F, need = solvers._mask(F), len(F) + 1
         assert ctx.independent_lower_bound(F, need) <= opt
         assert ctx.scatter_lower_bound(F, need) <= opt
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(["rects", "points"]), st.data())
+    def test_exact_covers_match_brute_force(self, kind, data):
+        # base_threshold=1 splits every node of measure above 1, so the
+        # search runs on separators with the sides left to the recursion
+        if kind == "rects":
+            items = data.draw(st.lists(st.one_of(SMALL_RECT, FINE_RECT),
+                                       min_size=1, max_size=10))
+            items += data.draw(st.lists(st.sampled_from(items), max_size=4))
+            ctx, solve = PierceContext(items), pierce_exact
+            opt = oracles.brute_pierce(items)[0]
+        else:
+            items = data.draw(st.lists(
+                st.one_of(SMALL_POINT, LINE_POINT, FINE_POINT),
+                min_size=1, max_size=7))
+            items += data.draw(st.lists(st.sampled_from(items), max_size=3))
+            ctx, solve = CoverContext(items), disccover_exact
+            opt = oracles.brute_disccover(items)[0]
+        for t0 in (SolveConfig().base_threshold, 1):
+            # each solver raises InfeasibleSolution on an answer that misses
+            assert solve(items, SolveConfig(base_threshold=t0),
+                         ctx=ctx).value == opt, t0
 
 
 def staircase(k, step, width, rise):
@@ -588,7 +616,8 @@ class TestBitmaskSets:
 
     # sha256 of the chosen point lists of the sweep below, recorded while
     # PierceContext still deduplicated the whole corner grid.  Exact and
-    # eps 0.3 stop at n=90: at n=150 they take over a minute together.
+    # eps 0.3 stop at n=90 as they did then, when n=150 took them over a
+    # minute together.
     PIERCE_SWEEP_SHA256 = ("bf8f6e31cc4e7adeaf4f6de6cfe1e440"
                            "0e8118ab1889191755bd7ac6adc677ce")
 
