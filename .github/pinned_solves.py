@@ -31,7 +31,8 @@ ROWS = [
     ("points", 2000, "uniform", "cover-ptas", 0.5, 60, 927, 60, False),
     ("rects", 8000, "uniform", "mis-ptas", 0.5, 60, 2296, 150, False),
     ("rects", 8000, "chain", "mis-ptas", 0.5, 60, 4000, 60, False),
-    ("rects", 8000, "uniform", "pierce-ptas", 0.5, 120, 2805, 150, False),
+    ("rects", 8000, "uniform", "pierce-ptas", 0.5, 120, 2800, 150, False),
+    ("rects", 8000, "chain", "pierce-ptas", 0.5, 60, 4000, None, False),
     ("points", 8000, "uniform", "cover-ptas", 0.5, 60, 3562, 150, False),
     ("points", 2000, "uniform", None, None, 60, None, None, True),
 ]

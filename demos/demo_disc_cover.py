@@ -4,8 +4,8 @@ Run: python3 demos/demo_disc_cover.py
 """
 import time
 
-from cliquesep import (SolveConfig, disccover_exact, disccover_ptas,
-                       greedy_disc_cover, instances)
+from cliquesep import SolveConfig, disccover_exact, disccover_ptas, instances
+from cliquesep.geometry import quarter_cell_partition
 from cliquesep.oracles import brute_clique_cover, brute_disccover
 from cliquesep.solvers import CoverContext
 
@@ -19,7 +19,8 @@ def main():
     print(f"small instance (n={small.n}): exact={sol.value}, brute={opt}")
     print(f"  candidate discs: {len(ctx.candidates)} (bound 2|E|+n = "
           f"{2 * ctx.G.m + ctx.G.n})")
-    print(f"  quarter-cell cover: {len(greedy_disc_cover(small.items))} discs "
+    cells = len(quarter_cell_partition(small.items))
+    print(f"  quarter-cell cover: {cells} discs "
           f"(bound 16*cliquecover = {16 * beta})")
     for d in sol.discs:
         cx, cy = d.center_float()

@@ -6,8 +6,7 @@ from .graphs import (Frame, Graph, check_measure_axioms, cover_length,
                      verify_clique_cover)
 from .geometry import (SCALE, Disc, PointSite, Rect,
                        candidate_discs, candidate_pierce_points,
-                       greedy_cover_and_is_rects, greedy_disc_cover,
-                       helly_point, rect_intersection_graph,
+                       greedy_cover_and_is_rects, rect_intersection_graph,
                        strip_cover_rects, unit_distance_graph,
                        vertical_strip_cover_points)
 from .separator import Cut, NoSeparatorFound, check_separator, separate_mask
@@ -25,8 +24,8 @@ __all__ = [
     "verify_clique_cover",
     "SCALE", "Disc", "PointSite", "Rect", "candidate_discs",
     "candidate_pierce_points", "greedy_cover_and_is_rects",
-    "greedy_disc_cover", "helly_point", "rect_intersection_graph",
-    "strip_cover_rects", "unit_distance_graph", "vertical_strip_cover_points",
+    "rect_intersection_graph", "strip_cover_rects", "unit_distance_graph",
+    "vertical_strip_cover_points",
     "Cut", "NoSeparatorFound", "check_separator", "separate_mask",
     "CoverSolution", "InfeasibleSolution", "MisSolution", "PierceSolution",
     "SolveConfig", "disccover_exact", "disccover_ptas", "mis_exact", "mis_ptas",

@@ -422,20 +422,6 @@ def candidate_discs(points: Sequence[PointSite],
     return discs, masks
 
 
-def greedy_disc_cover(points: Sequence[PointSite]) -> list[Disc]:
-    """Feasible cover: one disc per nonempty quarter cell, centered there.
-
-    Quarter cell q spans ``[q*SCALE/2 + 1/2, (q+1)*SCALE/2 + 1/2)`` per axis,
-    so its center is ``((2q + 1)*SCALE + 2) / 4``.  A quarter cell has
-    diagonal sqrt(1/2) < 1, so its centered unit-diameter disc covers it; any
-    clique of the distance graph fits a 1x1 box and hence touches at most four
-    unit cells, giving |C| <= 16 * cliquecover(G).
-    """
-    return [Disc.rational(Fraction((2 * qx + 1) * SCALE + 2, 4),
-                          Fraction((2 * qy + 1) * SCALE + 2, 4))
-            for (qx, qy), _ in quarter_cell_partition(points)]
-
-
 def quarter_cell_partition(points: Sequence[PointSite]):
     """Nonempty quarter cells with their point-index groups as masks (bit i
     for point i), in key order.
@@ -493,19 +479,3 @@ def candidate_pierce_points(
             if mask and mask not in first:
                 first[mask] = PointSite(x, ys[k])
     return list(first.values()), list(first)
-
-
-def helly_point(rects_clique: Sequence[Rect]) -> PointSite:
-    """A point in the common intersection of pairwise-intersecting rectangles.
-
-    Axis-parallel boxes have the Helly property in the plane, so
-    (max x_lo, max y_lo) works; raises if the input is not a clique.
-    """
-    if not rects_clique:
-        raise ValueError("empty rectangle family")
-    x = max(r.x_lo for r in rects_clique)
-    y = max(r.y_lo for r in rects_clique)
-    for r in rects_clique:
-        if not r.contains_point(x, y):
-            raise ValueError("rectangles are not pairwise intersecting")
-    return PointSite(x, y)

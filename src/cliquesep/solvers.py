@@ -6,7 +6,8 @@ when its restriction measure is small, and otherwise divide it through a
 balanced separator.  The problems differ only in their leaf and in how they
 combine a separator with the solutions of what it leaves behind.  The exact
 minimizers (piercing and disc cover) run a separator-guided branch-and-bound
-with certified pruning; the maximizer (independent set) enumerates independent
+with certified pruning, and their PTAS pays for each separator unit with a
+covering candidate; the maximizer (independent set) enumerates independent
 selections inside the separator and solves the two sides of each apart.
 A solver context holds the one-time structures of an instance and is the
 :class:`~cliquesep.graphs.Frame` the separator engine reads, built in its
@@ -43,8 +44,7 @@ from typing import Callable, Optional, Sequence
 
 from .geometry import (SCALE, Disc, PointSite, Rect,
                        candidate_discs, candidate_pierce_points,
-                       greedy_cover_and_is_rects,
-                       helly_point, quarter_cell_partition,
+                       greedy_cover_and_is_rects, quarter_cell_partition,
                        rect_intersection_graph, strip_cover_rects,
                        unit_distance_graph, vertical_strip_cover_points,
                        x_chordal_graph, y_chordal_graph_points)
@@ -214,7 +214,7 @@ class _BaseContext(Frame):
     """The one-time structures of an instance: G, and the frame of it the
     separator engine reads, built from the interval model of G2, the strip
     cover and the measure partition as the geometry builders return them.
-    A covering context adds its candidate sets."""
+    A covering context adds its candidate sets and ``search()``."""
 
     kind = "?"
 
@@ -299,6 +299,33 @@ class _BaseContext(Frame):
     def separate_subset(self, F: int) -> Cut:
         """Separator for the induced subproblem on the mask F."""
         return separate_mask(self, F)
+
+    def candidate_covering(self, group: int) -> int:
+        """A candidate covering the whole group mask.  It covers the group's
+        lowest item, so only that item's candidates are scanned, in
+        ascending order: the pick is the first covering candidate overall.
+        Raises :class:`InfeasibleSolution` when none does."""
+        item_choices, choice_items, _ = self.search()
+        for c in item_choices[(group & -group).bit_length() - 1]:
+            if not group & ~choice_items[c]:
+                return c
+        raise InfeasibleSolution(
+            f"no candidate {self.candidate_kind} covers a coverable group")
+
+    def unit_groups(self, cut: Cut, members: int) -> list[int]:
+        """The groups one candidate each pays for in a unit: the whole unit."""
+        return [members]
+
+    def retire(self, cut: Cut):
+        """The candidates covering the groups of the separator's units, and
+        the mask of every item they cover."""
+        choice_items = self.search()[1]
+        chosen = [self.candidate_covering(g) for members in cut.units
+                  for g in self.unit_groups(cut, members)]
+        covered = 0
+        for c in chosen:
+            covered |= choice_items[c]
+        return [self.candidates[c] for c in chosen], covered
 
 
 class RectContext(_BaseContext):
@@ -650,8 +677,9 @@ def _cover_exact(ctx, F: int, cfg: SolveConfig, trace,
 
 
 def _cover_ptas(ctx, cfg: SolveConfig, trace) -> list:
-    """(1+eps)-approximate cover, as candidate objects: each separator is
-    retired by ``ctx.retire`` and the sides recurse on what it leaves.
+    """(1+eps)-approximate cover, as candidate objects: ``ctx.retire`` pays
+    a covering candidate per separator unit (per quarter of a chordal
+    disc-cover unit) and the sides recurse on what it leaves.
 
     What a retirement leaves can lie strictly inside a tree node, and then
     gets the node's separator restricted to it (see :func:`_divide`).  The
@@ -682,7 +710,12 @@ class PierceContext(RectContext):
     """Piercing candidates from
     :func:`~cliquesep.geometry.candidate_pierce_points`: the first
     corner-grid point of each distinct set of rectangles hit (see
-    :func:`_distinct` for why the others are never chosen)."""
+    :func:`_distinct` for why the others are never chosen).  A separator
+    unit is a clique of G, and the corner (min x_hi, min y_hi) of its common
+    box is a grid point in every member (closed intervals that meet pairwise
+    have min hi >= max lo), so some candidate pierces the whole unit."""
+
+    candidate_kind = "point"
 
     def __init__(self, rects: Sequence[Rect]):
         super().__init__(rects)
@@ -702,17 +735,6 @@ class PierceContext(RectContext):
     def search(self):
         """(rectangle -> point ids, point -> rectangle mask, lower bound)."""
         return self.rect_points, self.point_rects, self.disjoint_lower_bound
-
-    def retire(self, cut: Cut):
-        """One Helly point per unit of the separator (each a rectangle
-        clique), and the mask of the rectangles of the cut (separator and
-        sides) those points pierce."""
-        points = [helly_point([self.rects[i] for i in _ids(members)])
-                  for members in cut.units]
-        hit = sum(1 << i for i in _ids(cut.s | cut.side_a | cut.side_b)
-                  if any(self.rects[i].contains_point(p.x, p.y)
-                         for p in points))
-        return points, hit
 
 
 def pierce_exact(rects: Sequence[Rect], cfg: Optional[SolveConfig] = None,
@@ -741,23 +763,9 @@ def pierce_ptas(rects: Sequence[Rect], cfg: SolveConfig,
 # disc cover (points)
 
 
-def _quarter_groups(ctx: CoverContext, members: int) -> list[int]:
-    """Split a unit's members mask at its bounding-box midpoints: at most
-    four group masks, each inside a half-unit square and hence
-    candidate-coverable."""
-    ids = _ids(members)
-    xs = [ctx.points[i].x for i in ids]
-    ys = [ctx.points[i].y for i in ids]
-    mx2 = min(xs) + max(xs)  # twice the midpoints
-    my2 = min(ys) + max(ys)
-    groups: dict[tuple[bool, bool], int] = {}
-    for i, x, y in zip(ids, xs, ys):
-        key = (2 * x > mx2, 2 * y > my2)
-        groups[key] = groups.get(key, 0) | 1 << i
-    return [g for _, g in sorted(groups.items())]
-
-
 class CoverContext(PointContext):
+    candidate_kind = "disc"
+
     def __init__(self, points: Sequence[PointSite]):
         super().__init__(points)
         self.candidates, self.disc_points = _distinct(
@@ -773,34 +781,24 @@ class CoverContext(PointContext):
         """(point -> disc ids, disc -> point mask, lower bound)."""
         return self.point_discs, self.disc_points, self.scatter_lower_bound
 
-    def candidate_covering(self, group: int) -> int:
-        """A candidate disc covering the whole group mask (must exist
-        whenever the group fits in some unit-diameter disc, by the
-        replacement argument).  Such a disc covers the group's lowest item,
-        so only its discs are scanned, in ascending order: the pick is the
-        first covering candidate overall.  Raises
-        :class:`InfeasibleSolution` when none does."""
-        for c in self.point_discs[(group & -group).bit_length() - 1]:
-            if not group & ~self.disc_points[c]:
-                return c
-        raise InfeasibleSolution("no candidate disc covers a coverable group")
-
-    def retire(self, cut: Cut):
-        """Candidate discs covering the separator's units, and the mask of
-        every point they cover.  A LENGTH-WINDOW unit is one quarter cell
-        and takes one disc; a CHORDAL unit fits a unit box and takes one
-        disc per quarter of it."""
-        chosen = []
-        for members in cut.units:
-            if cut.route == LENGTH_WINDOW:
-                groups = [members]
-            else:
-                groups = _quarter_groups(self, members)
-            chosen += [self.candidate_covering(g) for g in groups]
-        covered = 0
-        for c in chosen:
-            covered |= self.disc_points[c]
-        return [self.candidates[c] for c in chosen], covered
+    def unit_groups(self, cut: Cut, members: int) -> list[int]:
+        """A LENGTH-WINDOW unit is one quarter cell and takes one disc.  A
+        CHORDAL unit fits a unit box and is split at its bounding-box
+        midpoints: at most four groups, each inside a half-unit square.  A
+        group that fits a unit-diameter disc has a candidate covering it, by
+        the replacement argument."""
+        if cut.route == LENGTH_WINDOW:
+            return [members]
+        ids = _ids(members)
+        xs = [self.points[i].x for i in ids]
+        ys = [self.points[i].y for i in ids]
+        mx2 = min(xs) + max(xs)  # twice the midpoints
+        my2 = min(ys) + max(ys)
+        groups: dict[tuple[bool, bool], int] = {}
+        for i, x, y in zip(ids, xs, ys):
+            key = (2 * x > mx2, 2 * y > my2)
+            groups[key] = groups.get(key, 0) | 1 << i
+        return [g for _, g in sorted(groups.items())]
 
 
 def disccover_exact(points: Sequence[PointSite],

@@ -12,7 +12,7 @@ import pytest
 
 from cliquesep import instances, oracles
 from cliquesep.geometry import (candidate_discs, greedy_cover_and_is_rects,
-                                greedy_disc_cover)
+                                quarter_cell_partition)
 from cliquesep.graphs import Graph, _mask, check_measure_axioms, cover_length
 from cliquesep.separator import check_separator
 from cliquesep.solvers import (PointContext, RectContext, SolveConfig,
@@ -167,7 +167,7 @@ def test_criterion_5_structural_constants(cover_suite):
         if cover_length(ctx.G, ctx.strip_mask).value > 1:
             bad_len += 1
         beta = oracles.brute_clique_cover(ctx.G)
-        if len(greedy_disc_cover(pts)) > 16 * beta:
+        if len(quarter_cell_partition(pts)) > 16 * beta:
             bad_cover += 1
         if len(candidate_discs(pts, ctx.G)[0]) > 2 * ctx.G.m + ctx.G.n:
             bad_cand += 1

@@ -7,8 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from cliquesep.geometry import (SCALE, Disc, PointSite, Rect, candidate_discs,
                                 candidate_pierce_points,
-                                greedy_cover_and_is_rects, greedy_disc_cover,
-                                helly_point, parse_coord, format_coord,
+                                greedy_cover_and_is_rects, parse_coord,
+                                format_coord,
                                 quarter_cell_partition,
                                 rect_intersection_graph, sq_dist,
                                 strip_cover_rects, unit_distance_graph,
@@ -254,17 +254,12 @@ class TestStripCovers:
             _mask(i for i, p in enumerate(pts) if grid_cell(p.x, SCALE) == s)
             for s in strips)
         assert cover_length(unit_distance_graph(pts), cov).value <= 1
-        q, half = Fraction(SCALE, 2), Fraction(1, 2)
+        q = Fraction(SCALE, 2)
         cells: dict = {}
         for i, p in enumerate(pts):
             cells.setdefault((grid_cell(p.x, q), grid_cell(p.y, q)), set()).add(i)
         assert quarter_cell_partition(pts) == [
             (key, _mask(ids)) for key, ids in sorted(cells.items())]
-        discs = greedy_disc_cover(pts)
-        assert [d.key() for d in discs] == [
-            Disc.rational(half + (qx + half) * q, half + (qy + half) * q).key()
-            for qx, qy in sorted(cells)]
-        assert all(any(d.covers(p) for d in discs) for p in pts)
 
 
 class TestGreedyCoverRects:
@@ -274,8 +269,11 @@ class TestGreedyCoverRects:
             rects = random_rects(rng, 60)
             cov, witness = greedy_cover_and_is_rects(rects)
             assert verify_clique_cover(rect_intersection_graph(rects), cov)
-            for part in cov:  # helly_point raises if not a clique
-                helly_point([rects[i] for i in _ids(part)])
+            for part in cov:  # the common box's corner lies in every member
+                members = [rects[i] for i in _ids(part)]
+                x = min(r.x_hi for r in members)
+                y = min(r.y_hi for r in members)
+                assert all(r.contains_point(x, y) for r in members)
 
     def test_witness_is_independent_and_half_of_cover(self):
         rng = random.Random(9)
@@ -484,14 +482,16 @@ class TestDiscCovers:
 
     @given(FAR, st.lists(st.tuples(NEAR, NEAR), min_size=1, max_size=12))
     def test_greedy_half_tick_centers(self, far, offsets):
+        # the disc centred in each nonempty quarter cell: its centre is
+        # ((2q + 1)*SCALE + 2) / 4 per axis, half a tick off the lattice
         pts = [PointSite(far + x, far + y) for x, y in offsets]
-        discs = greedy_disc_cover(pts)
+        discs = [Disc.rational(Fraction((2 * qx + 1) * SCALE + 2, 4),
+                               Fraction((2 * qy + 1) * SCALE + 2, 4))
+                 for (qx, qy), _ in quarter_cell_partition(pts)]
         for d in discs:
             assert d.ax.denominator == 2 and d.ay.denominator == 2
             for r in pts + probes((int(d.ax), int(d.ay)), HALF_STEPS):
                 assert d.covers(r) == surd_covers(d, r)
-        for r in pts:
-            assert any(d.covers(r) for d in discs)
 
     @given(FAR, st.fractions(-3 * SCALE, 3 * SCALE, max_denominator=12),
            st.fractions(-3 * SCALE, 3 * SCALE, max_denominator=12),
@@ -612,18 +612,18 @@ class TestCandidateMasks:
 
 
 class TestGreedyDiscCover:
+    """The greedy cover takes one candidate disc per nonempty quarter cell."""
+
     def test_covers_all_points(self):
+        # a quarter cell has diameter below one unit, so some candidate disc
+        # covers its whole part: the one the PTAS pays for a window unit
         rng = random.Random(12)
         for trial in range(10):
             pts = random_points(rng, 30)
-            discs = greedy_disc_cover(pts)
-            for p in pts:
-                assert any(d.covers(p) for d in discs)
-
-    def test_one_disc_per_nonempty_quarter(self):
-        rng = random.Random(13)
-        pts = random_points(rng, 30)
-        assert len(greedy_disc_cover(pts)) == len(quarter_cell_partition(pts))
+            ctx = CoverContext(pts)
+            for _, part in quarter_cell_partition(pts):
+                d = ctx.candidates[ctx.candidate_covering(part)]
+                assert all(d.covers(pts[i]) for i in _ids(part))
 
     def test_quarter_partition_covers_indices(self):
         rng = random.Random(14)
@@ -650,13 +650,3 @@ class TestPierceCandidates:
         cands, _ = candidate_pierce_points(rects)
         assert any(all(r.contains_point(p.x, p.y) for r in rects)
                    for p in cands)
-
-    def test_helly_point_on_clique(self):
-        rects = [Rect(0, 2 * SCALE, 0), Rect(SCALE, 3 * SCALE, SCALE // 2),
-                 Rect(SCALE // 2, 4 * SCALE, SCALE // 4)]
-        p = helly_point(rects)
-        assert all(r.contains_point(p.x, p.y) for r in rects)
-
-    def test_helly_point_rejects_non_clique(self):
-        with pytest.raises(ValueError):
-            helly_point([Rect(0, SCALE, 0), Rect(3 * SCALE, 4 * SCALE, 0)])
