@@ -35,6 +35,10 @@ ROWS = [
     ("rects", 8000, "chain", "pierce-ptas", 0.5, 60, 4000, None, False),
     ("points", 8000, "uniform", "cover-ptas", 0.5, 60, 3562, 150, False),
     ("points", 2000, "uniform", None, None, 60, None, None, True),
+    # the chordal route makes every cut of a rect chain (1,023 calls, max
+    # ratio 0.4082) and 150 of the 435 cuts of a point chain (1.1339)
+    ("rects", 8000, "chain", None, None, 60, None, None, True),
+    ("points", 2000, "chain", None, None, 60, None, None, True),
 ]
 
 CLI = [sys.executable, "-m", "cliquesep.cli"]

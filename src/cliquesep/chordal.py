@@ -3,76 +3,22 @@
 The separator engine's chordal supergraph G2 is an interval graph, and
 :func:`clique_cut` works on its intervals alone: one sweep of the endpoints
 of a subproblem's members lists the maximal cliques left to right (a clique
-path), and the components left after removing one are runs of intervals on
-either side of it: one stack of components per side, built once per call,
-gives them for every clique and the sides of the winner.  G2 is never
-built.  The subproblem is a vertex mask F over a
-:class:`~cliquesep.graphs.Frame`, in global ids; every order and tie-break
-of the sweep is by coordinate and then by id, so it picks the same clique
-as a sweep of G[F] relabelled to 0..|F|-1 would.  The same sweep
-checks its input: a G-edge or a measure part inside F whose intervals share
-no point raises ``ValueError``.  The tests check the sweep against
-:func:`cliquesep.oracles.maximal_cliques_chordal` on G2 built by
-:func:`cliquesep.oracles.interval_graph`.
+path).  What a clique leaves are the intervals that ended before it and
+those that start after it, which share no point and so no edge; these are
+its two sides, with no components to find or pack.  G2 is never built.  The
+subproblem is a vertex mask F over a :class:`~cliquesep.graphs.Frame`, in
+global ids; every order and tie-break of the sweep is by coordinate and then
+by id, so it picks the same clique as a sweep of G[F] relabelled to
+0..|F|-1 would.  The same sweep checks its input: a G-edge or a measure part
+inside F whose intervals share no point raises ``ValueError``.  The tests
+check the sweep against :func:`cliquesep.oracles.maximal_cliques_chordal` on
+G2 built by :func:`cliquesep.oracles.interval_graph`.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import Frame, _ids, _mask
-
-
-def _pack_components(comps: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
-    """Greedy largest-first packing of components into two sides.
-
-    ``comps`` holds one (measure weight, smallest id, size) per component.
-    The weights are additive because every measure part (a clique of G,
-    hence of the interval graph) meets at most one component.  Returns the
-    larger side's weight and each component's side, 0 or 1.
-    """
-    order = sorted(range(len(comps)), key=lambda i: (-comps[i][0], comps[i][1]))
-    side = [0] * len(comps)
-    w = [0, 0]
-    size = [0, 0]
-    for i in order:
-        # lighter bin first, ties by vertex count, then bin 0
-        t = 1 if (w[1], size[1]) < (w[0], size[0]) else 0
-        side[i] = t
-        w[t] += comps[i][0]
-        size[t] += comps[i][2]
-    return max(w), side
-
-
-def _prefix_components(spans, part_of) -> tuple[list[int], list]:
-    """The components of every prefix of ``spans`` in right-end order.
-
-    ``spans`` holds one (right end, id, left end) per interval.  Returns
-    the ids in that order and ``tops``: ``tops[k]`` is the stack of
-    components of the first k intervals, as linked nodes (reach, measure
-    weight, smallest id, size, node below, start) with reach the largest
-    right end; a component's members are ``order[start:start + size]``.
-    Nodes are never changed, so every prefix keeps its stack.  An interval
-    whose right end is the largest so far overlaps a component iff its left
-    end is at most the component's reach, and the components it overlaps
-    are the top ones, which hold the latest runs of the order.
-    """
-    seen: set[int] = set()
-    top = None
-    tops = [top]
-    order = []
-    for k, (hi, i, lo) in enumerate(sorted(spans)):
-        order.append(i)
-        weight = int(part_of[i] not in seen)
-        seen.add(part_of[i])
-        first, size, start = i, 1, k
-        while top is not None and top[0] >= lo:
-            _, w, f, s, top, start = top
-            weight += w
-            first = min(first, f)
-            size += s
-        top = (hi, weight, first, size, top, start)
-        tops.append(top)
-    return order, tops
+from .graphs import Frame, _ids, _mask, _running_counts
 
 
 def _clique_path(frame: Frame, ids: list[int]):
@@ -117,69 +63,45 @@ def _clique_path(frame: Frame, ids: list[int]):
 
 
 def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int]]:
-    """Best 2/3-measure-balanced maximal clique of the interval graph on the
-    mask F, or None when F is empty or no clique balances.
+    """The maximal clique of the interval graph on the mask F whose larger
+    side has the least measure, or None when F is empty.
 
     Returns (clique, side_a, side_b) as masks.  Every edge of G inside F
     must join overlapping intervals, and every measure part must be an
-    interval clique inside F; :func:`_clique_path` checks both.  Every
-    maximal clique is evaluated: remove it, pack the components of the
-    remainder into two sides largest-first, and keep the clique whose
-    larger side is smallest, ties to the smaller clique, then the smaller
-    sorted member list.  A clique qualifies only when both sides
-    have measure at most 2/3 of F's (exact rational comparison
-    3*mu(side) <= 2*mu(F)).  A clique is not packed when a lower bound on
-    its larger side (the heaviest component, or half the remaining weight
-    rounded up) already rules it out; an equal bound is packed, so ties
-    break as before.
+    interval clique inside F; :func:`_clique_path` checks both.  A clique's
+    side_a is the intervals that ended before it, a prefix in right-end
+    order, and its side_b those that start after it, a suffix in left-end
+    order; their measures are running counts of the distinct parts met from
+    either end.  The clique whose larger side is smallest wins, ties to the
+    smaller clique, then the smaller sorted member list.
 
-    What is left of the clique at x are the intervals ending before x, a
-    prefix in right-end order, and those starting after x, a suffix in
-    left-end order; one stack pass each way gives the components of every
-    prefix and suffix, and the winner's sides are the components it packed.
+    The winner's sides both have measure at most half of F's.  A measure
+    part is an interval clique, so it lies inside one maximal clique K_j:
+    its members are open at K_j, so none ended before a clique up to K_j
+    and none starts after a clique from K_j on.  So no part meets both the
+    prefix before clique i + 1 and the suffix after clique i, and those two
+    measures add up to at most mu(F).  Take the first clique i whose
+    successor's prefix has measure above mu(F)/2 (or the last clique, whose
+    suffix is empty, if none has): its own prefix is at most mu(F)/2, and
+    its suffix at most mu(F) less the successor's prefix, below mu(F)/2.
     """
     ids = _ids(F)
     if not ids:
         return None
     intervals, part_of = frame.intervals, frame.part_of
     n = len(ids)
-    total = frame.mu_of(F)
-    by_end, before = _prefix_components(
-        [(intervals[i][1], i, intervals[i][0]) for i in ids], part_of)
-    by_start, after = _prefix_components(
-        [(-intervals[i][0], i, -intervals[i][1]) for i in ids], part_of)
+    by_end = sorted(ids, key=lambda i: (intervals[i][1], i))
+    by_start = sorted(ids, key=lambda i: (intervals[i][0], i))
+    before = _running_counts((part_of[i],) for i in by_end)
+    after = _running_counts((part_of[i],) for i in reversed(by_start))
 
-    best = None  # (larger, |K|, K, ends, starts, side of each component)
+    best = None  # (larger, |K|, K, ends, starts)
     for clique, ends, starts in _clique_path(frame, ids):
-        comps = []
-        heaviest = rest = 0
-        for top in (before[ends], after[n - starts]):
-            while top is not None:
-                comps.append(top[1:4])
-                heaviest = max(heaviest, top[1])
-                rest += top[1]
-                top = top[4]
-        # the larger side holds the heaviest component and half the rest
-        low = max(heaviest, (rest + 1) // 2)
-        if 3 * low > 2 * total or (best is not None and low > best[0]):
-            continue
-        larger, side = _pack_components(comps)
-        if 3 * larger <= 2 * total:
-            key = (larger, starts - ends)
-            # of two equal-size cliques, the one holding the lowest id that
-            # is not in both has the smaller sorted member list
-            if best is None or key < best[:2] or (
-                    key == best[:2] and clique & (d := clique ^ best[2]) & -d):
-                best = (larger, starts - ends, clique, ends, starts, side)
-    if best is None:
-        return None
-
-    _, _, clique, ends, starts, side = best
-    sides = [0, 0]
-    t = iter(side)  # the components in the order they were packed
-    for order, top in ((by_end, before[ends]), (by_start, after[n - starts])):
-        while top is not None:
-            sides[next(t)] |= _mask(order[top[5]:top[5] + top[3]])
-            top = top[4]
-    return clique, sides[0], sides[1]
-
+        key = (max(before[ends], after[n - starts]), starts - ends)
+        # of two equal-size cliques, the one holding the lowest id that
+        # is not in both has the smaller sorted member list
+        if best is None or key < best[:2] or (
+                key == best[:2] and clique & (d := clique ^ best[2]) & -d):
+            best = (*key, clique, ends, starts)
+    _, _, clique, ends, starts = best
+    return clique, _mask(by_end[:ends]), _mask(by_start[starts:])

@@ -282,6 +282,17 @@ def _split(F: int, index_of, masks) -> list[int]:
     return [piece for _, piece in pieces]
 
 
+def _running_counts(groups) -> list[int]:
+    """The number of distinct keys in each prefix of ``groups``, an iterable
+    of iterables of keys: entry k counts those of the first k groups."""
+    seen: set = set()
+    counts = [0]
+    for keys in groups:
+        seen.update(keys)
+        counts.append(len(seen))
+    return counts
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     ok: bool

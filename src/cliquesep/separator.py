@@ -6,11 +6,14 @@ built), the intervals of a chordal supergraph G2 (an interval graph, which is
 never built either), and a restriction measure, produce a vertex separator
 whose removal leaves two sides of measure at most 2/3 of the whole, together
 with a cover of the separator by units.  The chordal route removes a maximal
-clique of G2, found by sweeping its intervals, and covers it by one unit per
-strip it meets: a clique of G for rectangles, a set inside a unit box for
-points.  The length route removes a window of consecutive cover parts and
-covers it by one unit per measure part it meets.  A unit is a plain mask; the
-route that found it says which kind it is.  The cheaper valid candidate wins.
+clique of G2, found by sweeping its intervals: its sides are the intervals
+that end before the clique and those that start after it, and the best
+clique leaves at most half of the measure on each.  It covers the clique by
+one unit per strip it meets: a clique of G for rectangles, a set inside a
+unit box for points.  The length route removes a window of consecutive cover
+parts and covers it by one unit per measure part it meets.  A unit is a
+plain mask; the route that found it says which kind it is.  The cheaper
+valid candidate wins.
 
 The engine, :func:`separate_mask`, runs on a :class:`~cliquesep.graphs.Frame`
 (a solver context is one), and a subproblem is a vertex mask F over it in
@@ -27,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import chordal
 from .geometry import SCALE
-from .graphs import Frame, _ids
+from .graphs import Frame, _ids, _running_counts
 
 CHORDAL = "CHORDAL"
 LENGTH_WINDOW = "LENGTH-WINDOW"
@@ -58,13 +61,10 @@ class NoSeparatorFound(RuntimeError):
         self.diagnostic = diagnostic
 
 
-def _chordal_cut(frame: Frame, F: int) -> Optional[Cut]:
-    """Balanced maximal-clique separator of G2[F], covered by one unit per
-    strip the clique meets."""
-    found = chordal.clique_cut(frame, F)
-    if found is None:
-        return None
-    clique, a, b = found
+def _chordal_cut(frame: Frame, F: int) -> Cut:
+    """Balanced maximal-clique separator of G2[F] for a nonempty mask F,
+    covered by one unit per strip the clique meets."""
+    clique, a, b = chordal.clique_cut(frame, F)
     return Cut(clique, tuple(frame.strips(clique)), a, b, CHORDAL)
 
 
@@ -137,16 +137,9 @@ def _window_cut(frame: Frame, F: int) -> Optional[Cut]:
             strip &= ~part_mask[p]
             ids.append(p)
         meets.append(ids)
-    met: set[int] = set()
-    mu_before = [0]  # the parts met before strip i
-    for ids in meets:
-        met.update(ids)
-        mu_before.append(len(met))
-    met.clear()
-    mu_after = [0] * k  # the parts met after strip j
-    for j in range(k - 1, 0, -1):
-        met.update(meets[j])
-        mu_after[j - 1] = len(met)
+    mu_before = _running_counts(meets)  # the parts met before strip i
+    # the parts met after strip j
+    mu_after = _running_counts(reversed(meets))[k - 1::-1]
     total = mu_before[k]
     # both exist: nothing lies before strip 0 or after strip k - 1
     last = max(i for i in range(k + 1) if 3 * mu_before[i] <= 2 * total)
@@ -183,9 +176,10 @@ def _window_cut(frame: Frame, F: int) -> Optional[Cut]:
 def separate_mask(frame: Frame, F: int) -> Cut:
     """Best of both routes on the mask F by unit count; CHORDAL wins ties.
 
-    The chordal route is skipped when the frame has no intervals.  The
-    length route always succeeds when some strip meets F, since the window
-    of all those strips leaves both sides empty.  It runs first: a strip cover that misses
+    The chordal route is skipped when the frame has no intervals, and
+    otherwise always succeeds on a nonempty F.  The length route always
+    succeeds when some strip meets F, since the window of all those strips
+    leaves both sides empty.  It runs first: a strip cover that misses
     part of F raises ``ValueError`` there, and one that misses all of F
     raises :class:`NoSeparatorFound`, before the chordal route would split
     a clique by strips.
@@ -195,7 +189,7 @@ def separate_mask(frame: Frame, F: int) -> Cut:
         raise NoSeparatorFound(_diagnostic(frame, F))
     if frame.intervals is not None:
         cut = _chordal_cut(frame, F)
-        if cut is not None and cut.cost <= window.cost:
+        if cut.cost <= window.cost:
             return cut
     return window
 

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cliquesep.chordal import _clique_path, clique_cut
-from cliquesep.graphs import (Frame, Graph, _mask, _members,
-                              components_within)
+from cliquesep.graphs import Frame, Graph, _ids, _mask, _members
 from cliquesep.oracles import (NotChordalError, interval_graph,
                                maximal_cliques_chordal, mcs_order)
 
@@ -141,40 +140,45 @@ def interval_inputs(draw, max_n=12):
     return ivs, interval_measure(ivs, draw)
 
 
-def reference_pick(ivs, mu):
-    """The least (larger, |K|, sorted K) over the maximal cliques of the
-    interval graph, packing the components of the rest largest-first into
-    the lighter side (ties to the one with fewer vertices, then side a);
-    returns that key and the two sides, or None."""
-    H = interval_graph(ivs)
-    total = measure(mu, range(H.n))
+def reference_pick(ivs, mu, F):
+    """The least (larger, |K|, sorted K) over the maximal cliques K of the
+    interval graph on the members of the mask F, with side a the members
+    ending before K's last left end and side b those starting after its
+    first right end; returns that key, K and the two sides as frozensets."""
+    vs = _ids(F)
+    H = interval_graph([ivs[v] for v in vs])
     best = None
     for K in maximal_cliques_chordal(H, mcs_order(H)):
-        comps = components_within(H.adj, frozenset(range(H.n)) - K)
-        weights = [measure(mu, c) for c in comps]
-        sides = [set(), set()]
-        w = [0, 0]
-        for i in sorted(range(len(comps)), key=lambda i: (-weights[i], min(comps[i]))):
-            t = 1 if (w[1], len(sides[1])) < (w[0], len(sides[0])) else 0
-            w[t] += weights[i]
-            sides[t] |= comps[i]
-        if 3 * max(w) <= 2 * total:
-            key = (max(w), len(K), sorted(K))
-            if best is None or key < best[0]:
-                best = (key, sides)
+        K = frozenset(vs[i] for i in K)
+        last_lo = max(ivs[v][0] for v in K)
+        first_hi = min(ivs[v][1] for v in K)
+        a = frozenset(v for v in vs if ivs[v][1] < last_lo)
+        b = frozenset(v for v in vs if ivs[v][0] > first_hi)
+        key = (max(measure(mu, a), measure(mu, b)), len(K), sorted(K))
+        if best is None or key < best[0]:
+            best = (key, K, a, b)
     return best
 
 
-def cut_everything(ivs, G, mu):
-    """:func:`clique_cut` on every vertex of G, with ``ivs[v]`` the closed
-    interval of v: (clique, side_a, side_b, larger measure), the sets as
-    frozensets and the larger measure that of the heavier side, or None."""
-    found = clique_cut(Frame(G, ivs, (), mu),
-                       (1 << G.n) - 1)
+def cut_everything(ivs, G, mu, F=None):
+    """:func:`clique_cut` on the mask F (every vertex of G by default), with
+    ``ivs[v]`` the closed interval of v: (clique, side_a, side_b, larger
+    measure), the sets as frozensets and the larger measure that of the
+    heavier side, or None."""
+    if F is None:
+        F = (1 << G.n) - 1
+    found = clique_cut(Frame(G, ivs, (), mu), F)
     if found is None:
         return None
     clique, a, b = map(_members, found)
     return clique, a, b, max(measure(mu, a), measure(mu, b))
+
+
+@st.composite
+def interval_subsets(draw):
+    """An input of :func:`interval_inputs` and a nonempty mask F of it."""
+    ivs, mu = draw(interval_inputs())
+    return ivs, mu, draw(st.integers(1, (1 << len(ivs)) - 1))
 
 
 class TestBalancedCliqueSeparator:
@@ -218,14 +222,13 @@ class TestBalancedCliqueSeparator:
             G = interval_graph(ivs)
             mu = singleton_measure(G)
             found = cut_everything(ivs, G, mu)
-            if found is None:
-                continue
+            assert found is not None
             _, side_a, side_b, _ = found
             for u in side_a:
                 assert not (G.adj[u] & side_b)
             total = measure(mu, range(n))
-            assert 3 * measure(mu, side_a) <= 2 * total
-            assert 3 * measure(mu, side_b) <= 2 * total
+            assert 2 * measure(mu, side_a) <= total
+            assert 2 * measure(mu, side_b) <= total
 
     def test_rejects_g_edge_outside_h(self):
         G = path(3)
@@ -248,11 +251,20 @@ class TestBalancedCliqueSeparator:
         frame = Frame(G, ivs, (), mu)
         swept = [_members(K) for K, _, _ in _clique_path(frame, range(len(ivs)))]
         assert sorted(map(sorted, swept)) == sorted(map(sorted, cliques))
-        best = reference_pick(ivs, mu)
-        if best is None:
-            assert found is None
-            return
+        key, K, a, b = reference_pick(ivs, mu, (1 << len(ivs)) - 1)
+        clique, side_a, side_b, larger = found
+        assert (larger, len(clique), sorted(clique)) == key
+        assert (clique, side_a, side_b) == (K, a, b)
+
+    @given(interval_subsets())
+    def test_cut_halves_every_subset(self, case):
+        # never None on a nonempty F, each side carries at most half of
+        # mu(F), and the cut is the left/right reference's pick
+        ivs, mu, F = case
+        found = cut_everything(ivs, interval_graph(ivs), mu, F)
         assert found is not None
         clique, side_a, side_b, larger = found
-        assert (larger, len(clique), sorted(clique)) == best[0]
-        assert [side_a, side_b] == best[1]
+        assert 2 * larger <= measure(mu, _ids(F))
+        key, K, a, b = reference_pick(ivs, mu, F)
+        assert (larger, len(clique), sorted(clique)) == key
+        assert (clique, side_a, side_b) == (K, a, b)

@@ -1,15 +1,16 @@
 import hashlib
+import math
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st, target
 
 from cliquesep import instances
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.graphs import Frame, Graph, _ids, _mask
 from cliquesep.separator import (CHORDAL, LENGTH_WINDOW, Cut,
                                  NoSeparatorFound, _chordal_cut, _window_cut,
-                                 check_separator, separate_mask)
+                                 check_separator, separate_mask, strip_length)
 from cliquesep.solvers import PointContext, RectContext, separation_profile
 
 
@@ -332,13 +333,14 @@ class TestSweepChecks:
 
 class TestPinnedCuts:
     # sha256 of every separator profile row, and of every cut the profile
-    # makes in call order, over the sweep below; recorded while the engine
-    # still separated a relabelled induced subgraph per call, when each unit
-    # carried a label, now derived from the route and the kind of instance
-    ROWS_SHA256 = ("e155d000c268e5a23a9f86535cde62b0"
-                   "3431b74c2f0043b44811679876aaa9ca")
-    CUTS_SHA256 = ("a92960c8a4add8034eb7cc5b5b363c1b"
-                   "e7aff25e10a98e3edc5e5aae7df37b0d")
+    # makes in call order, over the sweep below; each unit's label is
+    # derived from the route and the kind of instance.  Recorded when the
+    # chordal route's sides became the intervals before and after the
+    # clique, in that order, in place of packed components
+    ROWS_SHA256 = ("94eaada1b2b2f21b11f034f4a665210f"
+                   "afb707aa1f5d472e3ce7d583aea86dae")
+    CUTS_SHA256 = ("3df28334d58b13f2c8c50a1a2c780407"
+                   "2d67e348c311542036f3906c27df3844")
 
     def test_profile_rows_and_cuts_are_pinned(self):
         rows_h, cuts_h = hashlib.sha256(), hashlib.sha256()
@@ -364,3 +366,54 @@ class TestPinnedCuts:
                             rows_h.update(repr(rows).encode())
         assert rows_h.hexdigest() == self.ROWS_SHA256
         assert cuts_h.hexdigest() == self.CUTS_SHA256
+
+
+@st.composite
+def strip_frames(draw):
+    """(frame, F) with an edge-gap length l of at most k, for k up to 6:
+    x-intervals for G2, a strip index per vertex for G1 (strips adjacent
+    when at most k apart), G joining overlapping intervals in one strip
+    always and in strips up to k apart at random, and as the measure each
+    strip's intervals by left end cut greedily into cliques of G."""
+    n = draw(st.integers(1, 120))
+    k = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    count = rng.randint(1, max(1, n // 4))
+    ivs = [(a := rng.randint(0, 3 * n), a + rng.randint(0, 12))
+           for _ in range(n)]
+    strip = [rng.randrange(count) for _ in range(n)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if ivs[u][0] <= ivs[v][1] and ivs[v][0] <= ivs[u][1]
+             and abs(strip[u] - strip[v]) <= k
+             and (strip[u] == strip[v] or rng.random() < 0.5)]
+    strips, parts = [], []
+    for t in range(count):
+        members = sorted((v for v in range(n) if strip[v] == t),
+                         key=lambda v: (ivs[v], v))
+        if members:
+            strips.append(_mask(members))
+        part, reach = [], None
+        for v in members:
+            if part and ivs[v][0] <= reach:
+                reach = min(reach, ivs[v][1])
+                part.append(v)
+            else:
+                if part:
+                    parts.append(_mask(part))
+                part, reach = [v], ivs[v][1]
+        if part:
+            parts.append(_mask(part))
+    frame = Frame(Graph(n, edges), ivs, strips, parts)
+    return frame, draw(st.integers(1, (1 << n) - 1))
+
+
+class TestLongStripEdges:
+    @settings(deadline=None, max_examples=150)
+    @given(strip_frames())
+    def test_cut_is_valid_and_within_the_cost_bound(self, case):
+        frame, F = case
+        cut = separate_mask(frame, F)
+        assert check_separator(frame, cut, F) == []
+        length = strip_length(frame, F)
+        target(float(length), label="l")
+        assert cut.cost <= 8 * math.sqrt(max(1, length) * frame.mu_of(F))

@@ -204,6 +204,93 @@ class TestDiscCoverPtas:
                 assert opt <= sol.value <= math.floor((1 + eps) * opt)
 
 
+FAR = 10 ** 12 * SCALE  # 10^12 units
+
+# rectangle families: (rects of n, the optimum of both MIS and piercing)
+DEGENERATE_RECTS = {
+    "identical": (lambda n: [Rect(0, SCALE, 0)] * n, lambda n: 1),
+    # one x-extent: G2 is complete, and its one clique leaves no side
+    "stacked": (lambda n: [Rect(0, 2 * SCALE, i * SCALE // 2)
+                           for i in range(n)], lambda n: -(-n // 3)),
+    "staircase": (lambda n: [Rect(i * SCALE // 2, i * SCALE // 2 + SCALE,
+                                  i * SCALE // 2) for i in range(n)],
+                  lambda n: -(-n // 3)),
+    # near (10^12, -10^12), x steps of 1/3 and bottoms 0, 1/2 and 1 above
+    # -10^12: rects i and j meet iff |i - j| <= 3, and the line 1 above
+    # -10^12 crosses every one
+    "far": (lambda n: [Rect(FAR + i * SCALE // 3,
+                            FAR + i * SCALE // 3 + SCALE,
+                            -FAR + i % 3 * SCALE // 2) for i in range(n)],
+            lambda n: -(-n // 4)),
+}
+
+# point families: (points of n, the optimum disc cover); a unit-diameter
+# disc holds at most three points of each, and three in a row fit one
+DEGENERATE_POINTS = {
+    "horizontal": (lambda n: [PointSite(i * SCALE // 2, 0) for i in range(n)],
+                   lambda n: -(-n // 3)),
+    "vertical": (lambda n: [PointSite(0, i * SCALE // 2) for i in range(n)],
+                 lambda n: -(-n // 3)),
+    "far": (lambda n: [PointSite(FAR + i * SCALE // 3,
+                                 -FAR + i % 2 * SCALE // 2)
+                       for i in range(n)], lambda n: -(-n // 3)),
+}
+
+
+def read_back(kind, items):
+    """``items`` as :func:`instances.parse` reads them from their
+    serialized instance."""
+    inst = instances.Instance(kind, tuple(items))
+    back = instances.parse(instances.serialize(inst))
+    assert back.items == inst.items
+    return list(back.items)
+
+
+class TestDegenerateInputs:
+    """Inputs where the interval model degenerates and clique ties abound,
+    parsed, solved by all six solvers and verified: the exact values match
+    the closed-form optimum, and the oracles where n fits their caps, and
+    each PTAS stays within its bound of the exact value."""
+
+    @pytest.mark.parametrize("n", [12, 60, 200])
+    @pytest.mark.parametrize("family", sorted(DEGENERATE_RECTS))
+    def test_rect_solvers(self, family, n):
+        build, opt = DEGENERATE_RECTS[family]
+        rects = read_back("rects", build(n))
+        mis, pierce = mis_exact(rects), pierce_exact(rects)
+        assert verify_independent_rects(rects, mis.chosen)
+        assert verify_piercing(rects, pierce.points)
+        assert mis.value == pierce.value == opt(n)
+        if n <= 14:
+            assert mis.value == oracles.brute_mis(oracles.rect_graph(rects))[0]
+            assert pierce.value == oracles.brute_pierce(rects)[0]
+        for eps in (0.3, 0.5):
+            cfg = SolveConfig(epsilon=eps)
+            sol = mis_ptas(rects, cfg)
+            assert verify_independent_rects(rects, sol.chosen)
+            assert math.ceil((1 - eps) * mis.value) <= sol.value <= mis.value
+            sol = pierce_ptas(rects, cfg)
+            assert verify_piercing(rects, sol.points)
+            assert pierce.value <= sol.value <= math.floor(
+                (1 + eps) * pierce.value)
+
+    @pytest.mark.parametrize("n", [10, 60, 200])
+    @pytest.mark.parametrize("family", sorted(DEGENERATE_POINTS))
+    def test_point_solvers(self, family, n):
+        build, opt = DEGENERATE_POINTS[family]
+        points = read_back("points", build(n))
+        exact = disccover_exact(points)
+        assert verify_disc_cover(points, exact.discs)
+        assert exact.value == opt(n)
+        if n <= 10:
+            assert exact.value == oracles.brute_disccover(points)[0]
+        for eps in (0.3, 0.5):
+            sol = disccover_ptas(points, SolveConfig(epsilon=eps))
+            assert verify_disc_cover(points, sol.discs)
+            assert exact.value <= sol.value <= math.floor(
+                (1 + eps) * exact.value)
+
+
 class TestCandidateContexts:
     def test_inverse_maps_and_covering_pick(self):
         for seed, style in enumerate(["uniform", "clustered", "chain"]):
@@ -806,10 +893,10 @@ class TestVerifyDiscCover:
 
 class TestRecursionShape:
     # sha256 of the trace rows (depth, measure, route, cost) of the sweep
-    # below, recorded while the rows were emitted by
-    # _BaseContext.separate_subset
-    TRACE_SHA256 = ("366560abbd18091a5fa84f6fd50e6c0b"
-                    "d74280340549c5e60d4b56a0106f49cf")
+    # below, recorded when the chordal route's sides became the intervals
+    # before and after the clique, in place of packed components
+    TRACE_SHA256 = ("27d6ade6263f41e43a3cf2fe5f3e94f2"
+                    "90a9ebfa6d741e021a11a591d2004158")
 
     def test_trace_rows_are_pinned(self):
         h = hashlib.sha256()
