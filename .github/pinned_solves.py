@@ -33,7 +33,7 @@ ROWS = [
     ("rects", 8000, "chain", "mis-ptas", 0.5, 60, 4000, 60, False),
     ("rects", 8000, "uniform", "pierce-ptas", 0.5, 120, 2800, 150, False),
     ("rects", 8000, "chain", "pierce-ptas", 0.5, 60, 4000, None, False),
-    ("points", 8000, "uniform", "cover-ptas", 0.5, 60, 3562, 150, False),
+    ("points", 8000, "uniform", "cover-ptas", 0.5, 60, 3562, 80, False),
     ("points", 2000, "uniform", None, None, 60, None, None, True),
     # the chordal route makes every cut of a rect chain (1,023 calls, max
     # ratio 0.4082) and 150 of the 435 cuts of a point chain (1.1339)

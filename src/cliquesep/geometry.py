@@ -9,9 +9,11 @@ denominators once, so testing a point against it is exact and uses integers
 only.
 
 The candidate builders are output sensitive: a candidate disc is tested only
-against the unit-distance neighbourhood of a point that generated it, and the
-piercing grid is swept one right edge at a time, visiting only the ends of
-the top-edge runs of the rectangles that span it.
+against the unit-distance neighbourhood of a point that generated it, on
+integer constants read off its integer key, and only the first disc of each
+distinct covered set is built; the piercing grid is swept one right edge at
+a time, keeping the ends of the top-edge runs of the rectangles that span
+it from one column to the next.
 
 All sets are closed: boundary contact counts as intersection/coverage, and a
 point pair at distance exactly one unit is adjacent.
@@ -122,7 +124,9 @@ class Disc:
     """Closed disc of unit diameter with center (ax + bx*sqrt(r), ay + by*sqrt(r)).
 
     Rational-centered discs have bx = by = 0 and r = 0.  The fields stay
-    rational; :meth:`covers` reads integer constants derived from them once.
+    rational; :meth:`covers` reads integer constants derived from them once,
+    when the disc is built, unless the builder hands them over as ``_ints``
+    (:func:`candidate_discs` derives them from its integer key).
     """
 
     ax: Fraction
@@ -130,9 +134,11 @@ class Disc:
     bx: Fraction
     by: Fraction
     r: Fraction
-    _ints: tuple = field(init=False, repr=False, compare=False)
+    _ints: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self._ints is not None:
+            return
         # With ax = x0/a, ay = y0/a, bx = u/b, by = v/b and r = rn/rd in
         # lowest terms, multiplying |p - center|^2 <= S^2/4 by 4*a^2*b^2*rd
         # turns it into  i*sqrt(m) <= k - c*(X^2 + Y^2)  for the integers
@@ -160,22 +166,50 @@ class Disc:
 
     def covers(self, p: PointSite) -> bool:
         """Exact test |p - center|^2 <= (SCALE/2)^2, in integers."""
-        a, x0, y0, c, k, ix, iy, m = self._ints
-        X = a * p.x - x0
-        Y = a * p.y - y0
-        d = k - c * (X * X + Y * Y)
-        i = ix * X + iy * Y
-        # decide i*sqrt(m) <= d
-        if i == 0 or m == 0:
-            return d >= 0
-        if i > 0:
-            return d >= 0 and i * i * m <= d * d
-        return d >= 0 or i * i * m >= d * d
+        return _covers(self._ints, p.x, p.y)
 
     def center_float(self) -> tuple[float, float]:
         s = math.sqrt(float(self.r))
         return (float(self.ax) + float(self.bx) * s,
                 float(self.ay) + float(self.by) * s)
+
+
+def _covers(ints: tuple, x: int, y: int) -> bool:
+    """Whether the disc with integer constants ``ints`` (``Disc._ints``)
+    covers the point (x, y): the one coverage test of the library."""
+    a, x0, y0, c, k, ix, iy, m = ints
+    X = a * x - x0
+    Y = a * y - y0
+    d = k - c * (X * X + Y * Y)
+    i = ix * X + iy * Y
+    # decide i*sqrt(m) <= d
+    if i == 0 or m == 0:
+        return d >= 0
+    if i > 0:
+        return d >= 0 and i * i * m <= d * d
+    return d >= 0 or i * i * m >= d * d
+
+
+def _key_ints(sx: int, sy: int, bx: int, by: int) -> tuple:
+    """``Disc._ints`` of the candidate disc with integer key
+    ``(sx, sy, bx, by)`` (see :func:`candidate_discs`), from the key alone.
+
+    Its center is (sx/2, sy/2) + (bx, by)*sqrt(r), with r = 0 when
+    bx = by = 0 and otherwise r = (S^2 - |b|^2) / (4|b|^2), S = SCALE.  So
+    the common denominator of the rational part is 2 when sx or sy is odd
+    and 1 otherwise, that of (bx, by) is 1, and r is put in lowest terms
+    with one gcd.
+    """
+    a = 2 if (sx | sy) & 1 else 1
+    x0, y0 = sx * a >> 1, sy * a >> 1
+    norm = bx * bx + by * by
+    if not norm:
+        return (a, x0, y0, 4, a * a * SCALE * SCALE, 0, 0, 0)
+    num, den = SCALE * SCALE - norm, 4 * norm
+    g = math.gcd(num, den)
+    rn, rd = num // g, den // g
+    return (a, x0, y0, 4 * rd, a * a * (SCALE * SCALE * rd - 4 * rn * norm),
+            -8 * a * bx, -8 * a * by, rn * rd)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +392,8 @@ def greedy_cover_and_is_rects(rects: Sequence[Rect]):
 def candidate_discs(points: Sequence[PointSite],
                     G: Graph) -> tuple[list[Disc], list[int]]:
     """Unit-diameter discs through each adjacent point pair, plus one disc
-    centered at every point; at most 2|E| + n after deduplication.
+    centered at every point: the first of each distinct set of points
+    covered, at most 2|E| + n of them.
 
     For an edge pq, with u = q - p, the two centers are the intersections
     of the radius-1/2 circles about p and q: (p + q)/2 +/- (-u_y, u_x)*sqrt(r)
@@ -366,17 +401,21 @@ def candidate_discs(points: Sequence[PointSite],
     exactly one, and r = 0.  Duplicate points add no pair discs: the disc
     centered on a point already covers its copies.
 
-    The discs are deduplicated and sorted on the integer key
+    The candidates are deduplicated and sorted on the integer key
     ``(px + qx, py + qy, bx, by)``, ``(2x, 2y, 0, 0)`` for a point's own
-    disc, and each kept one is built once, after the sort.  This is
-    :meth:`Disc.key` order: the first two entries are twice ax and ay, and r
-    is 0 exactly when bx = by = 0 and is otherwise fixed by bx^2 + by^2.
+    disc.  This is :meth:`Disc.key` order: the first two entries are twice
+    ax and ay, and r is 0 exactly when bx = by = 0 and is otherwise fixed
+    by bx^2 + by^2.  Each key's integer cover constants come from the key
+    itself (:func:`_key_ints`), so no ``Fraction`` is built, hashed or
+    compared to decide what a candidate covers.  A disc centered on or
+    passing through a point u lies within one unit of u, so it can cover
+    only points of u's closed neighbourhood in G; each mask tests just that
+    neighbourhood, for the generator of least degree.
 
-    Returns the discs in key order and, for each, the mask of the points it
-    covers (bit w for point w).  A disc centered on or passing through a
-    point u lies within one unit of u, so it can cover only points of u's
-    closed neighbourhood in G; each mask tests just that neighbourhood, for
-    the generator of least degree.
+    Returns, in key order, the first disc of each distinct mask and the
+    masks (bit w for point w).  Only those discs are built, with the
+    constants already derived handed over.  Discs with equal masks cover
+    the same points, so a covering search never needs the later ones.
     """
     seen: dict[tuple[int, int, int, int], int] = {}  # key -> generator
     adj = G.adj_mask
@@ -404,21 +443,36 @@ def candidate_discs(points: Sequence[PointSite],
         else:
             add((sx, sy, -uy, ux), gen)
             add((sx, sy, uy, -ux), gen)
-    discs, masks = [], []
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    near: dict[int, list[int]] = {}  # generator -> its closed neighbourhood
+    discs, masks, kept = [], [], set()
     # discs that follow each other in key order with the same midpoint, or
-    # the same |u|^2, share those Fraction objects, as a pair's two do
+    # the same |u|^2, share those Fraction objects, as a pair's two do, and
+    # every rational-centred disc shares one zero
+    zero = Fraction(0)
     centre = norm = None
     for (sx, sy, bx, by), u in sorted(seen.items()):
+        ints = _key_ints(sx, sy, bx, by)
+        nbrs = near.get(u)
+        if nbrs is None:
+            nbrs = near[u] = _ids(adj[u] | 1 << u)
+        mask = 0
+        for w in nbrs:
+            if _covers(ints, xs[w], ys[w]):
+                mask |= 1 << w
+        if mask in kept:
+            continue
+        kept.add(mask)
         if centre != (sx, sy):
             centre = sx, sy
             ax, ay = Fraction(sx, 2), Fraction(sy, 2)
         if norm != bx * bx + by * by:
             norm = bx * bx + by * by
-            r = Fraction(square - norm, 4 * norm) if norm else Fraction(0)
-        d = Disc(ax, ay, Fraction(bx), Fraction(by), r)
-        discs.append(d)
-        masks.append(sum(1 << w for w in _ids(adj[u] | 1 << u)
-                         if d.covers(points[w])))
+            r = Fraction(square - norm, 4 * norm) if norm else zero
+        b = (Fraction(bx), Fraction(by)) if norm else (zero, zero)
+        discs.append(Disc(ax, ay, *b, r, ints))
+        masks.append(mask)
     return discs, masks
 
 
@@ -446,31 +500,37 @@ def candidate_pierce_points(
 
     Returns the first point of each distinct set of rectangles hit, x-major
     then by y, and the sets as masks (bit i for rectangle i):
-    :func:`cliquesep.oracles.pierce_grid` deduplicated.  A sweep over the
-    right edges keeps the rectangles spanning the current x.  Each covers a
-    run of the sorted top edges, and toggling its bit at both ends of its
-    run gives the hit set along every run of the column.  The set is
-    constant along a run, so only its lowest top edge can be a first point:
-    the work grows with the spanning rectangles, not with the covered grid
-    points.
+    :func:`cliquesep.oracles.pierce_grid` deduplicated.  Each rectangle
+    covers a run of the sorted top edges, and toggling its bit at both ends
+    of its run gives the hit set along every run of a column.  A sweep over
+    the right edges keeps those toggles from one column to the next: a
+    rectangle is toggled in when the sweep reaches its left edge and out
+    once it has passed its right edge.  The set is constant along a run, so
+    only its lowest top edge can be a first point: the work grows with the
+    spanning rectangles, not with the covered grid points.
     """
     ys = sorted({r.y_hi for r in rects})
-    runs = [(bisect_left(ys, r.y_lo), bisect_right(ys, r.y_hi)) for r in rects]
     by_lo = sorted(range(len(rects)), key=lambda i: rects[i].x_lo)
+    by_hi: dict[int, list[int]] = {}
+    for i, r in enumerate(rects):
+        by_hi.setdefault(r.x_hi, []).append(i)
+    toggles: dict[int, int] = {}  # run end -> bits toggled there
+
+    def toggle(i: int):
+        r, bit = rects[i], 1 << i
+        for k in (bisect_left(ys, r.y_lo), bisect_right(ys, r.y_hi)):
+            t = toggles.get(k, 0) ^ bit
+            if t:
+                toggles[k] = t
+            else:
+                del toggles[k]
+
     first: dict[int, PointSite] = {}
-    active: list[int] = []
     nxt = 0
-    for x in sorted({r.x_hi for r in rects}):
+    for x in sorted(by_hi):
         while nxt < len(by_lo) and rects[by_lo[nxt]].x_lo <= x:
-            active.append(by_lo[nxt])
+            toggle(by_lo[nxt])
             nxt += 1
-        active = [i for i in active if rects[i].x_hi >= x]
-        toggles: dict[int, int] = {}
-        for i in active:
-            lo, hi = runs[i]
-            bit = 1 << i
-            toggles[lo] = toggles.get(lo, 0) ^ bit
-            toggles[hi] = toggles.get(hi, 0) ^ bit
         mask = 0
         # each bit toggles twice, so only the last key, the one that may be
         # len(ys), leaves the mask empty
@@ -478,4 +538,6 @@ def candidate_pierce_points(
             mask ^= toggles[k]
             if mask and mask not in first:
                 first[mask] = PointSite(x, ys[k])
+        for i in by_hi[x]:
+            toggle(i)
     return list(first.values()), list(first)

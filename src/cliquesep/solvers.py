@@ -190,17 +190,6 @@ def verify_disc_cover(points: Sequence[PointSite], discs: Sequence[Disc]) -> boo
 # solver contexts: one-time global structures per instance
 
 
-def _distinct(cands, masks):
-    """The lowest-id candidate of each distinct mask, and the masks, in id
-    order.  Candidates with equal masks have equal effects everywhere, and
-    every search and pick below breaks ties towards the lowest id, so the
-    others are never chosen."""
-    first: dict[int, int] = {}
-    for c, mask in enumerate(masks):
-        first.setdefault(mask, c)
-    return [cands[c] for c in first.values()], list(first)
-
-
 def _holders(masks, n: int) -> list[tuple[int, ...]]:
     """For each item 0..n-1, the ascending ids of the masks holding it."""
     out: list[list[int]] = [[] for _ in range(n)]
@@ -214,7 +203,11 @@ class _BaseContext(Frame):
     """The one-time structures of an instance: G, and the frame of it the
     separator engine reads, built from the interval model of G2, the strip
     cover and the measure partition as the geometry builders return them.
-    A covering context adds its candidate sets and ``search()``."""
+    A covering context adds its candidate sets and ``search()``.  Its
+    builder returns the first candidate of each distinct mask: candidates
+    with equal masks have equal effects everywhere, and every search and
+    pick below breaks ties towards the lowest id, so the later ones would
+    never be chosen."""
 
     kind = "?"
 
@@ -709,8 +702,7 @@ def _cover_ptas(ctx, cfg: SolveConfig, trace) -> list:
 class PierceContext(RectContext):
     """Piercing candidates from
     :func:`~cliquesep.geometry.candidate_pierce_points`: the first
-    corner-grid point of each distinct set of rectangles hit (see
-    :func:`_distinct` for why the others are never chosen).  A separator
+    corner-grid point of each distinct set of rectangles hit.  A separator
     unit is a clique of G, and the corner (min x_hi, min y_hi) of its common
     box is a grid point in every member (closed intervals that meet pairwise
     have min hi >= max lo), so some candidate pierces the whole unit."""
@@ -768,8 +760,7 @@ class CoverContext(PointContext):
 
     def __init__(self, points: Sequence[PointSite]):
         super().__init__(points)
-        self.candidates, self.disc_points = _distinct(
-            *candidate_discs(self.points, self.G))
+        self.candidates, self.disc_points = candidate_discs(self.points, self.G)
         self.point_discs = _holders(self.disc_points, len(self.points))
 
     def scatter_lower_bound(self, F: int, need: int) -> int:

@@ -16,9 +16,12 @@ from cliquesep.geometry import (SCALE, Disc, PointSite, Rect, candidate_discs,
                                 x_chordal_graph, y_chordal_graph_points)
 from cliquesep.graphs import (Graph, _ids, _mask, cover_length,
                               verify_clique_cover)
-from cliquesep import oracles
+from cliquesep import geometry, instances, oracles
 from cliquesep.oracles import interval_graph, mcs_order, pierce_grid
-from cliquesep.solvers import CoverContext, _distinct
+from cliquesep.solvers import CoverContext
+
+from candidate_reference import (all_discs, brute_discs, first_of_each_mask,
+                                 surd_covers)
 
 
 def random_rects(rng, n, box=None):
@@ -358,50 +361,6 @@ class TestCandidateDiscs:
                     assert exact == (approx <= margin)
 
 
-def surd_covers(d: Disc, p: PointSite) -> bool:
-    """Reference coverage test in Fraction surd arithmetic."""
-    dxa = Fraction(p.x) - d.ax
-    dya = Fraction(p.y) - d.ay
-    dxb = -d.bx
-    dyb = -d.by
-    rat = dxa * dxa + dya * dya + (dxb * dxb + dyb * dyb) * d.r
-    irr = 2 * (dxa * dxb + dya * dyb)
-    # decide rat + irr*sqrt(r) <= SCALE^2/4
-    bound = Fraction(SCALE * SCALE, 4)
-    gap = bound - rat
-    if irr == 0 or d.r == 0:
-        return gap >= 0
-    if irr > 0:
-        return gap >= 0 and irr * irr * d.r <= gap * gap
-    return gap >= 0 or irr * irr * d.r >= gap * gap
-
-
-def brute_discs(points):
-    """Candidate discs by key, each with the points generating it: one
-    centered at every point, and the one or two through every pair at
-    distance in (0, 1], from all pairs rather than the graph's edges."""
-    out: dict[tuple, tuple[Disc, set]] = {}
-
-    def add(d, gens):
-        out.setdefault(d.key(), (d, set()))[1].update(gens)
-
-    for i, p in enumerate(points):
-        add(Disc.rational(p.x, p.y), {i})
-    for i, p in enumerate(points):
-        for j in range(i + 1, len(points)):
-            q = points[j]
-            d2 = sq_dist(p, q)
-            if not 0 < d2 <= SCALE * SCALE:
-                continue
-            mx, my = Fraction(p.x + q.x, 2), Fraction(p.y + q.y, 2)
-            k = Fraction(SCALE * SCALE - d2, 4 * d2)
-            for sign in (1, -1):
-                bx = Fraction(sign * (p.y - q.y)) if k else Fraction(0)
-                by = Fraction(sign * (q.x - p.x)) if k else Fraction(0)
-                add(Disc(mx, my, bx, by, k), {i, j})
-    return out
-
-
 # offsets from the origin: zero, and far out in ticks and in units
 FAR = st.sampled_from([0, 10 ** 12, -10 ** 12, 10 ** 12 * SCALE,
                        -10 ** 12 * SCALE])
@@ -461,10 +420,23 @@ class TestDiscCovers:
         p = PointSite(far + x, far - y)
         q = PointSite(p.x + step[0], p.y + step[1])
         pts = [p, q]
-        discs, _ = candidate_discs(pts, unit_distance_graph(pts))
-        for d in discs:
+        for d, _ in brute_discs(pts).values():
             for r in pts + probes(near_center(d), extra + HALF_STEPS):
                 assert d.covers(r) == surd_covers(d, r)
+
+    @given(FAR, NEAR, NEAR, PAIR_STEP, st.lists(st.tuples(NEAR, NEAR), max_size=8))
+    def test_key_constants(self, far, x, y, step, extra):
+        # the builder's constants and coverage decisions come from the
+        # integer key alone; p and q lie on their pair discs' circles
+        p = PointSite(far + x, far - y)
+        q = PointSite(p.x + step[0], p.y + step[1])
+        pts = [p, q, p]
+        for d, _ in brute_discs(pts).values():
+            key = (int(2 * d.ax), int(2 * d.ay), int(d.bx), int(d.by))
+            ints = geometry._key_ints(*key)
+            assert ints == d._ints
+            for r in pts + probes(near_center(d), extra + HALF_STEPS):
+                assert geometry._covers(ints, r.x, r.y) == surd_covers(d, r)
 
     @given(FAR, NEAR, NEAR, st.sampled_from([1, 2, 3, 7, 10 ** 6]),
            st.lists(st.tuples(NEAR, NEAR), max_size=8))
@@ -572,19 +544,17 @@ class TestCandidateMasks:
         rects = [self.rect_of(t) for t in raw]
         rects += data.draw(st.lists(st.sampled_from(rects), max_size=3))
         points, masks = candidate_pierce_points(rects)
-        ref_points, ref_masks = _distinct(*pierce_grid(rects))
-        assert points == ref_points
-        assert masks == ref_masks
+        first = first_of_each_mask(*pierce_grid(rects))
+        assert points == list(first.values())
+        assert masks == list(first)
 
     @given(st.lists(POINT, min_size=1, max_size=12), st.data())
     def test_discs(self, pts, data):
         pts += data.draw(st.lists(st.sampled_from(pts), max_size=3))
         discs, masks = candidate_discs(pts, unit_distance_graph(pts))
-        brute = brute_discs(pts)
-        assert [d.key() for d in discs] == sorted(brute)
-        for d, mask in zip(discs, masks):
-            assert mask == sum(1 << i for i, p in enumerate(pts)
-                               if surd_covers(d, p))
+        first = first_of_each_mask(*all_discs(pts))
+        assert [d.key() for d in discs] == [d.key() for d in first.values()]
+        assert masks == list(first)
 
     def test_cover_context_tests_only_neighbourhoods(self, monkeypatch):
         rng = random.Random(16)
@@ -592,23 +562,38 @@ class TestCandidateMasks:
         pts += pts[:5]  # duplicates
         pts += [PointSite(i * SCALE // 2, 0) for i in range(6)]  # collinear
         calls = 0
-        covers = Disc.covers
+        covers = geometry._covers
 
-        def counting(self, p):
+        def counting(ints, x, y):
             nonlocal calls
             calls += 1
-            return covers(self, p)
+            return covers(ints, x, y)
 
-        monkeypatch.setattr(Disc, "covers", counting)
+        monkeypatch.setattr(geometry, "_covers", counting)
         ctx = CoverContext(pts)
         monkeypatch.undo()
         deg = [len(a) for a in ctx.G.adj]
+        # the builder tests the neighbourhood of a least-degree generator
+        # of every candidate key, and keeps one disc per distinct mask
         brute = brute_discs(pts)
-        # the context keeps one disc per distinct mask; the builder tests
-        # the neighbourhoods of every disc it lists
-        built = candidate_discs(pts, ctx.G)[0]
-        bound = sum(min(deg[g] for g in brute[d.key()][1]) + 1 for d in built)
-        assert calls <= bound < len(pts) * len(built) // 10
+        bound = sum(min(deg[g] for g in gens) + 1 for _, gens in brute.values())
+        assert calls <= bound < len(pts) * len(brute) // 10
+
+    def test_cover_context_builds_one_disc_per_mask(self, monkeypatch):
+        pts = list(instances.generate("points", 150, 1, "uniform").items)
+        pts += pts[:5]  # duplicates
+        built = 0
+        post_init = Disc.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        monkeypatch.setattr(Disc, "__post_init__", counting)
+        ctx = CoverContext(pts)
+        monkeypatch.undo()
+        assert built <= len(set(ctx.disc_points)) < len(brute_discs(pts))
 
 
 class TestGreedyDiscCover:

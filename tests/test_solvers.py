@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliquesep import geometry, instances, oracles, solvers
-from cliquesep.geometry import SCALE, PointSite, Rect, candidate_discs
+from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.graphs import Graph, _members, components_within
 from cliquesep.separator import CHORDAL, LENGTH_WINDOW, check_separator
 from cliquesep.solvers import (CoverContext, InfeasibleSolution,
@@ -16,6 +16,8 @@ from cliquesep.solvers import (CoverContext, InfeasibleSolution,
                                pierce_exact, pierce_ptas, separation_profile,
                                verify_disc_cover, verify_independent_rects,
                                verify_piercing)
+
+from candidate_reference import all_discs, brute_discs, first_of_each_mask
 
 
 def disjoint_rects(k):
@@ -386,7 +388,7 @@ def full_list_context(cls, items):
     and all, as the reference for the deduplicated one."""
     ctx = cls(items)
     if cls is CoverContext:
-        ctx.candidates, ctx.disc_points = candidate_discs(ctx.points, ctx.G)
+        ctx.candidates, ctx.disc_points = all_discs(ctx.points)
         masks, n = ctx.disc_points, len(ctx.points)
     else:
         ctx.candidates, ctx.point_rects = oracles.pierce_grid(ctx.rects)
@@ -404,13 +406,6 @@ def sub_masks(mask):
     """The mask, its lowest item alone and its two highest items."""
     ids = solvers._ids(mask)
     return {mask, solvers._mask(ids[:1]), solvers._mask(ids[-2:])}
-
-
-def first_of_each_mask(cands, masks):
-    first = {}
-    for c, mask in zip(cands, masks):
-        first.setdefault(mask, c)
-    return first
 
 
 # small coordinates in quarter units, so that items overlap, touch and repeat
@@ -845,7 +840,7 @@ class TestVerifyDiscCover:
     @settings(deadline=None)
     @given(st.lists(POINT, min_size=1, max_size=8), st.data())
     def test_matches_all_pairs_check(self, pts, data):
-        cands = candidate_discs(pts, oracles.point_graph(pts))[0]
+        cands = [d for d, _ in brute_discs(pts).values()]
         discs = data.draw(st.lists(st.sampled_from(cands), max_size=6))
         # pair discs pass through their generators, half a unit from the
         # centre; probe half a unit from each point, and a tick either way
