@@ -3,7 +3,8 @@
 Each row generates an instance (generator seed 42), runs one solver on it
 under a wall-time limit, and checks the reported value; some rows also bound
 the solver's own peak RSS, and some run ``bench-separator`` on the same
-instance and bound its ``max_cost_over_sqrt_l_mu`` by 8.  Prints one line per
+instance and bound its ``max_cost_over_sqrt_l_mu`` by 8 (and, where a row
+names a route, require every profiled cut to take it).  Prints one line per
 check and exits 1 if any fails.
 
 Run from the repository root:  PYTHONPATH=src python3 .github/pinned_solves.py
@@ -18,7 +19,8 @@ import threading
 import time
 
 # (kind, n, style, solver or None, epsilon, seconds, value, peak RSS MB or
-# None, also profile the separator)
+# None, also profile the separator: False, True, or the route every cut of
+# the profile must take)
 ROWS = [
     ("rects", 300, "uniform", "mis-exact", None, 60, 97, None, False),
     ("rects", 400, "uniform", "mis-exact", None, 60, 123, None, False),
@@ -37,7 +39,7 @@ ROWS = [
     ("points", 2000, "uniform", None, None, 60, None, None, True),
     # the chordal route makes every cut of a rect chain (1,023 calls, max
     # ratio 0.4082) and 150 of the 435 cuts of a point chain (1.1339)
-    ("rects", 8000, "chain", None, None, 60, None, None, True),
+    ("rects", 8000, "chain", None, None, 60, None, None, "CHORDAL"),
     ("points", 2000, "chain", None, None, 60, None, None, True),
 ]
 
@@ -91,9 +93,14 @@ def check_row(tmp, kind, n, style, solver, eps, seconds, value, rss_limit,
                 f"wall {wall:.1f}/{seconds} s")
         if good:
             with open(table) as f:
-                row = [r for r in csv.reader(f) if r and r[0] == "SUMMARY"][0]
+                rows = list(csv.reader(f))
+            row = [r for r in rows if r and r[0] == "SUMMARY"][0]
             line += f", {row[4]} {row[5]} (at most 8)"
             good = row[4] == "max_cost_over_sqrt_l_mu" and float(row[5]) <= 8
+            if profile is not True:
+                routes = {r[5] for r in rows[1:] if r and r[0] != "SUMMARY"}
+                line += f", routes {sorted(routes)} (only {profile})"
+                good &= routes == {profile}
         print(("ok   " if good else "FAIL ") + line, flush=True)
         ok &= good
     return ok

@@ -228,11 +228,14 @@ class Frame:
     :meth:`mu_of`), and no subgraph or relabelled cover is built per call.
     ``strip_mask`` and ``part_mask`` are the two ordered covers as the
     builders return them, tuples of part masks; a part index is a position
-    in them.
+    in them.  The sweep table of the intervals (:meth:`sweep`) is built by
+    the first chordal cut that reads it, so constructing a frame does not
+    pay for it.
     """
 
     __slots__ = ("adj_mask", "intervals", "strip_of", "strip_mask",
-                 "unstripped", "part_of", "part_mask")
+                 "unstripped", "part_of", "part_mask", "_sweep",
+                 "_whole_length")
 
     def __init__(self, G: Graph, intervals, strips, parts):
         if intervals is not None and len(intervals) != G.n:
@@ -248,6 +251,35 @@ class Frame:
         if None in self.part_of:
             raise ValueError(f"vertex {self.part_of.index(None)} of G "
                              "missing from cover")
+        # _whole_length is l(V), kept by separator._whole_length
+        self._sweep = self._whole_length = None
+
+    def sweep(self) -> tuple[list[int], list[int], list[int]]:
+        """The sweep table of the intervals: ``(pos_lo, pos_hi, item)``.
+
+        Position p is a place in the order of all 2n interval ends by
+        coordinate, left ends before right ends, then by id; v's ends are at
+        ``pos_lo[v]`` and ``pos_hi[v]``, and ``item[p]`` is v for a left end
+        and ~v for a right end.  The ends of the members of a mask F, sorted
+        as ints, are then in the order a sort of F's ends alone would give,
+        tie-breaks included.  Built on the first call.
+        """
+        if self._sweep is None:
+            n = len(self.intervals)
+            ends = sorted([(lo, 0, v) for v, (lo, _) in
+                           enumerate(self.intervals)]
+                          + [(hi, 1, v) for v, (_, hi) in
+                             enumerate(self.intervals)])
+            pos_lo, pos_hi, item = [0] * n, [0] * n, []
+            for p, (_, is_hi, v) in enumerate(ends):
+                if is_hi:
+                    pos_hi[v] = p
+                    item.append(~v)
+                else:
+                    pos_lo[v] = p
+                    item.append(v)
+            self._sweep = pos_lo, pos_hi, item
+        return self._sweep
 
     def mu_of(self, F: int) -> int:
         """The number of measure parts that meet the mask F."""

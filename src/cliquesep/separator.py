@@ -84,31 +84,59 @@ def _strips(frame: Frame, F: int) -> tuple[list[int], list[int]]:
     return parts, after
 
 
-def _length(frame: Frame, parts: list[int], after: list[int]) -> int:
+def _length(frame: Frame, parts: list[int], after: list[int],
+            cap: int) -> int:
     """The largest gap between the strip indices of an edge's ends, in a
-    list of strips from :func:`_strips`: the neighbours of each strip are
-    walked forward through ``after`` to the last strip they meet."""
+    list of strips from :func:`_strips`, or ``cap`` if that is smaller.
+
+    The neighbours of each strip but the last (nothing lies after it) reach
+    forward through ``after``: they meet ``after[i]`` exactly when they meet
+    a strip past i, so a strip's gap is tested only beyond the largest one
+    found so far, and the walk stops once the gap reaches ``cap``.
+    """
     adj = frame.adj_mask
     length = 0
     for j, part in enumerate(parts):
+        i = j + length
+        if i >= len(parts) - 1:
+            break  # no strip lies far enough on for a longer gap
         reach = 0
         for v in _ids(part):
             reach |= adj[v]
-        i = j
         while reach & after[i]:
             i += 1
-        length = max(length, i - j)
+        if i - j > length:
+            length = i - j
+            if length >= cap:
+                return cap
     return length
 
 
 def strip_length(frame: Frame, F: int) -> int:
     """The edge-gap length of the strip cover restricted to G[F]: the
     largest gap between the indices, among the strips that meet F, of the
-    ends of an edge inside F; 0 when F is edgeless."""
-    return _length(frame, *_strips(frame, F))
+    ends of an edge inside F; 0 when F is edgeless.  Exact: no gap reaches
+    the number of strips."""
+    parts, after = _strips(frame, F)
+    return _length(frame, parts, after, len(parts))
 
 
-def _window_cut(frame: Frame, F: int) -> Optional[Cut]:
+def _whole_length(frame: Frame) -> int:
+    """l(V), the edge-gap length of the frame's whole strip cover, computed
+    on the first call and kept on the frame.
+
+    It bounds l(F) for every F inside the cover: restricted to F, the
+    strips that meet F are re-indexed in the same order, so an edge's gap
+    can only shrink, and fewer edges are left.
+    """
+    if frame._whole_length is None:
+        every = (1 << len(frame.adj_mask)) - 1
+        frame._whole_length = strip_length(frame, every & ~frame.unstripped)
+    return frame._whole_length
+
+
+def _window_cut(frame: Frame, F: int, parts: list[int],
+                after: list[int]) -> Optional[Cut]:
     """Remove a window of consecutive strips that meet F.
 
     Edges of G[F] span at most l of those strips, so the strips before and
@@ -122,9 +150,9 @@ def _window_cut(frame: Frame, F: int) -> Optional[Cut]:
     The measure parts each strip meets are listed once.  The measures
     before and after each strip are running counts of the distinct parts
     met so far, from either end, and a window's measure is a count of the
-    parts its strips meet, kept as the window slides right.
+    parts its strips meet, kept as the window slides right.  ``parts`` and
+    ``after`` are :func:`_strips` of F.
     """
-    parts, after = _strips(frame, F)
     k = len(parts)
     if k == 0:
         return None
@@ -144,7 +172,10 @@ def _window_cut(frame: Frame, F: int) -> Optional[Cut]:
     # both exist: nothing lies before strip 0 or after strip k - 1
     last = max(i for i in range(k + 1) if 3 * mu_before[i] <= 2 * total)
     first = min(j for j in range(k) if 3 * mu_after[j] <= 2 * total)
-    w = max(_length(frame, parts, after), first - last + 1)
+    # the balanced span is already as wide as any l(F) can be, l(V), or
+    # the gap walk stops there
+    span, cap = first - last + 1, _whole_length(frame)
+    w = span if span >= cap else max(_length(frame, parts, after, cap), span)
     # a window of width 0 is an edgeless gap between strips i - 1 and i, an
     # empty separator (the gaps before strip 0 and after strip k - 1 leave
     # all of F on one side and never balance)
@@ -176,22 +207,31 @@ def _window_cut(frame: Frame, F: int) -> Optional[Cut]:
 def separate_mask(frame: Frame, F: int) -> Cut:
     """Best of both routes on the mask F by unit count; CHORDAL wins ties.
 
-    The chordal route is skipped when the frame has no intervals, and
-    otherwise always succeeds on a nonempty F.  The length route always
-    succeeds when some strip meets F, since the window of all those strips
-    leaves both sides empty.  It runs first: a strip cover that misses
-    part of F raises ``ValueError`` there, and one that misses all of F
-    raises :class:`NoSeparatorFound`, before the chordal route would split
-    a clique by strips.
+    The strips that meet F are listed first: a strip cover that misses
+    part of F raises ``ValueError``, and one that misses all of F raises
+    :class:`NoSeparatorFound`, before the chordal route would split a
+    clique by strips.  The length route then always succeeds, since the
+    window of all those strips leaves both sides empty.  The chordal route
+    is skipped when the frame has no intervals, and otherwise always
+    succeeds on a nonempty F; it runs next, and its sweep checks F.
+
+    When F meets a single strip, the chordal cut is returned without the
+    window being built.  Its clique lies in that strip, so it is one unit.
+    The window is all of F at a cost of mu(F) >= 1: nothing lies before or
+    after the one strip, which carries all of mu(F) >= 1, so ``last`` =
+    ``first`` = 0, the span is 1, l(F) = 0, and the only window of width 1
+    is the strip.  So the chordal cut costs no more, and wins the tie.
     """
-    window = _window_cut(frame, F)
-    if window is None:
+    parts, after = _strips(frame, F)
+    if not parts:
         raise NoSeparatorFound(_diagnostic(frame, F))
-    if frame.intervals is not None:
-        cut = _chordal_cut(frame, F)
-        if cut.cost <= window.cost:
-            return cut
-    return window
+    if frame.intervals is None:
+        return _window_cut(frame, F, parts, after)
+    cut = _chordal_cut(frame, F)
+    if len(parts) == 1:
+        return cut
+    window = _window_cut(frame, F, parts, after)
+    return cut if cut.cost <= window.cost else window
 
 
 def _diagnostic(frame: Frame, F: int) -> dict:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cliquesep.chordal import _clique_path, clique_cut
+from cliquesep.chordal import clique_cut
 from cliquesep.graphs import Frame, Graph, _ids, _mask, _members
 from cliquesep.oracles import (NotChordalError, interval_graph,
                                maximal_cliques_chordal, mcs_order)
@@ -244,17 +244,18 @@ class TestBalancedCliqueSeparator:
 
     @given(interval_inputs())
     def test_sweep_matches_exhaustive_scan(self, case):
+        # the one-pass pick equals the least key over every maximal clique
+        # the oracle lists, on all of G and on G less each one vertex
         ivs, mu = case
         G = interval_graph(ivs)
-        found = cut_everything(ivs, G, mu)
-        cliques = maximal_cliques_chordal(G, mcs_order(G))
-        frame = Frame(G, ivs, (), mu)
-        swept = [_members(K) for K, _, _ in _clique_path(frame, range(len(ivs)))]
-        assert sorted(map(sorted, swept)) == sorted(map(sorted, cliques))
-        key, K, a, b = reference_pick(ivs, mu, (1 << len(ivs)) - 1)
-        clique, side_a, side_b, larger = found
-        assert (larger, len(clique), sorted(clique)) == key
-        assert (clique, side_a, side_b) == (K, a, b)
+        every = (1 << len(ivs)) - 1
+        for F in [every] + [every ^ 1 << v for v in range(len(ivs))]:
+            if not F:
+                continue
+            key, K, a, b = reference_pick(ivs, mu, F)
+            clique, side_a, side_b, larger = cut_everything(ivs, G, mu, F)
+            assert (larger, len(clique), sorted(clique)) == key
+            assert (clique, side_a, side_b) == (K, a, b)
 
     @given(interval_subsets())
     def test_cut_halves_every_subset(self, case):

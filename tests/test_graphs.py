@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cliquesep.graphs import (Frame, Graph, _mask, check_measure_axioms,
-                              components_within, cover_length,
-                              verify_clique_cover)
+from cliquesep.graphs import (Frame, Graph, _ids, _mask,
+                              check_measure_axioms, components_within,
+                              cover_length, verify_clique_cover)
 
 
 def path(n):
@@ -78,6 +78,21 @@ class TestGraph:
         full = frozenset(range(G.n))
         assert sorted(map(sorted, components_within(G.adj, full))) == \
             sorted(map(sorted, set(group.values())))
+
+
+class TestIds:
+    @example(0)
+    @example(1)
+    @example(0xFF)
+    @example(0x100)
+    @example(0x1FF)
+    @example((1 << 64) - 1)
+    @example(1 << 8000)
+    @given(st.one_of(st.integers(0, 9000).map(lambda b: 1 << b),
+                     st.sets(st.integers(0, 8000), max_size=30).map(_mask),
+                     st.integers(0, (1 << 1200) - 1)))
+    def test_members_ascending(self, m):
+        assert _ids(m) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 def masks(*parts):

@@ -9,8 +9,9 @@ from cliquesep import instances
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.graphs import Frame, Graph, _ids, _mask
 from cliquesep.separator import (CHORDAL, LENGTH_WINDOW, Cut,
-                                 NoSeparatorFound, _chordal_cut, _window_cut,
-                                 check_separator, separate_mask, strip_length)
+                                 NoSeparatorFound, _chordal_cut, _strips,
+                                 _window_cut, check_separator, separate_mask,
+                                 strip_length)
 from cliquesep.solvers import PointContext, RectContext, separation_profile
 
 
@@ -117,7 +118,8 @@ class TestLengthWindowRoute:
     def test_window_matches_width_search(self, case):
         G, strips, mu, F = case
         frame = Frame(G, None, strips, mu)
-        assert _window_cut(frame, F) == reference_window(G, strips, mu, F)
+        assert (_window_cut(frame, F, *_strips(frame, F))
+                == reference_window(G, strips, mu, F))
 
     def test_window_measures_are_counted_not_measured(self, monkeypatch):
         # the prefix, suffix and window measures come from one listing of
@@ -134,10 +136,11 @@ class TestLengthWindowRoute:
                     PointContext(instances.generate("points", 200, 17).items)]
         monkeypatch.setattr(Frame, "mu_of", counting)
         for ctx in contexts:
-            cut = _window_cut(ctx, (1 << len(ctx.adj_mask)) - 1)
+            every = (1 << len(ctx.adj_mask)) - 1
+            cut = _window_cut(ctx, every, *_strips(ctx, every))
             assert cut.side_a and cut.side_b
-            _window_cut(ctx, cut.side_a)
-            _window_cut(ctx, cut.side_b)
+            _window_cut(ctx, cut.side_a, *_strips(ctx, cut.side_a))
+            _window_cut(ctx, cut.side_b, *_strips(ctx, cut.side_b))
         assert calls == 0
         assert contexts[0].mu_of(cut.s) and calls == 1  # the patch is live
 
@@ -417,3 +420,78 @@ class TestLongStripEdges:
         length = strip_length(frame, F)
         target(float(length), label="l")
         assert cut.cost <= 8 * math.sqrt(max(1, length) * frame.mu_of(F))
+
+
+QUARTER = st.integers(0, 24).map(lambda k: k * SCALE // 4)
+QUARTER_WIDTH = st.integers(1, 8).map(lambda k: k * SCALE // 4)
+# on the quarter lattice, or all crossing the stab line y = 1 (one strip)
+LATTICE_RECTS = st.lists(st.builds(lambda x, w, y: Rect(x, x + w, y),
+                                   QUARTER, QUARTER_WIDTH, QUARTER),
+                         min_size=1, max_size=30)
+ROW_RECTS = st.lists(st.builds(lambda x, w, y: Rect(x, x + w, y * SCALE // 4),
+                               QUARTER, QUARTER_WIDTH, st.integers(1, 4)),
+                     min_size=1, max_size=20)
+
+
+@st.composite
+def rect_frames(draw):
+    """(RectContext, F) for lattice rects or rects on one stab line."""
+    ctx = RectContext(draw(st.one_of(LATTICE_RECTS, ROW_RECTS)))
+    return ctx, draw(st.integers(1, (1 << len(ctx.adj_mask)) - 1))
+
+
+def balanced_span(frame, F):
+    """first - last + 1 of the length route, from measures taken here:
+    ``last`` the last strip index whose prefix carries at most 2/3 of
+    mu(F), ``first`` the first whose suffix does."""
+    strips = frame.strips(F)
+    k, total = len(strips), frame.mu_of(F)
+
+    def mu(pieces):
+        return frame.mu_of(_mask(v for p in pieces for v in _ids(p)))
+
+    last = max(i for i in range(k + 1) if 3 * mu(strips[:i]) <= 2 * total)
+    first = min(j for j in range(k) if 3 * mu(strips[j + 1:]) <= 2 * total)
+    return first - last + 1
+
+
+class TestRouteShortcuts:
+    """The window is as wide as max(l(F), span) however l(F) is reached,
+    and a mask inside one strip never needs the window."""
+
+    def check_width(self, frame, F):
+        every = (1 << len(frame.adj_mask)) - 1
+        target(float(strip_length(frame, every) - strip_length(frame, F)),
+               label="l(V) - l(F)")
+        width = len(frame.strips(_window_cut(frame, F, *_strips(frame, F)).s))
+        assert width == max(strip_length(frame, F), balanced_span(frame, F))
+
+    @settings(deadline=None)
+    @given(rect_frames())
+    def test_rect_window_width(self, case):
+        self.check_width(*case)
+
+    # l(V) = 3 from the edge 0-3, l(F) = 1: the span, 0, does not reach the
+    # cap, so the gap walk runs and stops at 1
+    @example((Graph(4, [(0, 3), (1, 2)]), singletons(4), singletons(4),
+              0b0110))
+    # l(V) = 4, l(F) = 2 and span 0: the width is l(F), below the cap
+    @example((Graph(6, [(0, 4), (1, 3), (2, 3)]), singletons(6),
+              singletons(6), 0b011110))
+    @settings(deadline=None)
+    @given(window_cases())
+    def test_hand_built_window_width(self, case):
+        G, strips, mu, F = case
+        self.check_width(Frame(G, None, strips, mu), F)
+
+    @settings(deadline=None)
+    @given(st.one_of(rect_frames(), strip_frames()), st.data())
+    def test_one_strip_never_needs_the_window(self, case, data):
+        frame, F = case
+        strip = data.draw(st.sampled_from(frame.strips(F)))
+        F = data.draw(st.integers(1, strip).map(lambda m: m & strip)
+                      .filter(bool))
+        chordal = _chordal_cut(frame, F)
+        window = _window_cut(frame, F, *_strips(frame, F))
+        assert window.cost >= chordal.cost == 1
+        assert separate_mask(frame, F) == chordal
