@@ -9,7 +9,7 @@ from .geometry import (SCALE, Disc, PointSite, Rect,
                        greedy_cover_and_is_rects, rect_intersection_graph,
                        strip_cover_rects, unit_distance_graph,
                        vertical_strip_cover_points)
-from .separator import Cut, NoSeparatorFound, check_separator, separate_mask
+from .separator import Cut, check_separator, separate_mask
 from .solvers import (CoverSolution, InfeasibleSolution, MisSolution,
                       PierceSolution, SolveConfig, disccover_exact,
                       disccover_ptas, mis_exact, mis_ptas, pierce_exact,
@@ -26,7 +26,7 @@ __all__ = [
     "candidate_pierce_points", "greedy_cover_and_is_rects",
     "rect_intersection_graph", "strip_cover_rects", "unit_distance_graph",
     "vertical_strip_cover_points",
-    "Cut", "NoSeparatorFound", "check_separator", "separate_mask",
+    "Cut", "check_separator", "separate_mask",
     "CoverSolution", "InfeasibleSolution", "MisSolution", "PierceSolution",
     "SolveConfig", "disccover_exact", "disccover_ptas", "mis_exact", "mis_ptas",
     "pierce_exact", "pierce_ptas", "verify_disc_cover",

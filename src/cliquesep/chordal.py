@@ -11,22 +11,21 @@ pack.  G2 is never built.  The subproblem is a vertex mask F over a
 endpoints as their positions in the frame's sweep table
 (:meth:`~cliquesep.graphs.Frame.sweep`), the order of all endpoints by
 coordinate and then by id, so it picks the same clique as a sweep of G[F]
-relabelled to 0..|F|-1 would.  The same sweep checks its input: a G-edge or
-a measure part inside F whose intervals share no point raises
-``ValueError``.  The tests check the sweep against
+relabelled to 0..|F|-1 would.  The frame has checked, once for all of V,
+that G and the measure fit the intervals (see
+:meth:`~cliquesep.graphs.Frame.sweep`), so no call checks them again.  The
+tests check the sweep against
 :func:`cliquesep.oracles.maximal_cliques_chordal` on G2 built by
 :func:`cliquesep.oracles.interval_graph`.
 """
 from __future__ import annotations
 
-from typing import Optional
-
-from .graphs import Frame, _ids
+from .graphs import Frame, _ids, _running_counts
 
 
-def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int]]:
-    """The maximal clique of the interval graph on the mask F whose larger
-    side has the least measure, or None when F is empty.
+def clique_cut(frame: Frame, F: int) -> tuple[int, int, int]:
+    """The maximal clique of the interval graph on the nonempty mask F whose
+    larger side has the least measure.
 
     Returns (clique, side_a, side_b) as masks.  One pass over F's endpoints
     in sweep order, left ends before right ends at equal coordinates: the
@@ -39,13 +38,6 @@ def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int]]:
     larger side is smallest wins, ties to the smaller clique, then the
     smaller sorted member list.
 
-    Every edge of G inside F must join overlapping intervals, and every
-    measure part must be an interval clique inside F.  Each interval is
-    checked as it starts against the mask of those already ended, which lie
-    wholly to its left: a G-neighbour or a member of its measure part among
-    them raises ``ValueError``.  Every pair of disjoint intervals meets this
-    test once, when the later one starts.
-
     The winner's sides both have measure at most half of F's.  A measure
     part is an interval clique, so it lies inside one maximal clique K_j:
     its members are open at K_j, so none ended before a clique up to K_j
@@ -57,18 +49,11 @@ def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int]]:
     its suffix at most mu(F) less the successor's prefix, below mu(F)/2.
     """
     ids = _ids(F)
-    if not ids:
-        return None
     pos_lo, pos_hi, item = frame.sweep()
-    adj, part_of, part_mask = frame.adj_mask, frame.part_of, frame.part_mask
+    part_of = frame.part_of
     by_start = sorted(ids, key=pos_lo.__getitem__)
-    # after[t]: the parts met by the last t intervals to start, counted
-    # here, as _running_counts would need a 1-tuple per interval
-    seen: set = set()
-    after = [0]
-    for i in reversed(by_start):
-        seen.add(part_of[i])
-        after.append(len(seen))
+    # after[t]: the parts met by the last t intervals to start
+    after = _running_counts((part_of[i],) for i in reversed(by_start))
     n = len(ids)
     ended_parts: set = set()  # the parts met by the intervals ended so far
     active = ended = starts = ends = 0
@@ -78,12 +63,6 @@ def clique_cut(frame: Frame, F: int) -> Optional[tuple[int, int, int]]:
     for p in sorted([pos_lo[i] for i in by_start] + [pos_hi[i] for i in ids]):
         i = item[p]
         if i >= 0:
-            if adj[i] & ended:
-                u = _ids(adj[i] & ended)[0]
-                raise ValueError(f"G edge ({u},{i}) joins disjoint intervals")
-            if part_mask[part_of[i]] & ended:
-                raise ValueError(f"measure part {part_of[i]} is not an "
-                                 "interval clique")
             active |= 1 << i
             starts += 1
             opened = True

@@ -2,7 +2,7 @@
 the separator-cost benchmark.
 
 Exit codes: 0 success, 2 infeasible solution or failed oracle check,
-3 no balanced separator found (diagnostic printed to stderr), 4 input error.
+4 input error.
 """
 from __future__ import annotations
 
@@ -18,13 +18,11 @@ from typing import Optional
 
 from . import instances, oracles, solvers
 from .instances import KIND_POINTS, KIND_RECTS, FormatError, Instance
-from .separator import NoSeparatorFound
 from .solvers import (InfeasibleSolution, PointContext, RectContext,
                       SolveConfig, separation_profile)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
-EXIT_NO_SEPARATOR = 3
 EXIT_INPUT = 4
 
 _SOLVERS = {
@@ -149,10 +147,6 @@ def _cmd_solve(args) -> int:
     start = time.perf_counter()
     try:
         sol = fn(inst.items, cfg, trace=trace)
-    except NoSeparatorFound as exc:
-        json.dump(exc.diagnostic, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return EXIT_NO_SEPARATOR
     except InfeasibleSolution as exc:
         print(f"cliquesep: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -208,10 +202,6 @@ def _cmd_bench(args) -> int:
     except (OSError, FormatError) as exc:
         print(f"cliquesep: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NoSeparatorFound as exc:
-        json.dump(exc.diagnostic, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return EXIT_NO_SEPARATOR
 
     try:
         out = sys.stdout if args.out == "-" else open(args.out, "w",

@@ -21,10 +21,10 @@ masks over the same ids, so a subproblem is a mask and nothing is relabelled
 or rebuilt for it.  Its :meth:`Frame.mu_of` is the restriction measure: the
 number of measure parts that touch a vertex set.  It is monotone,
 subadditive, and exactly additive across edgeless splits, which is what the
-engine relies on and :func:`check_measure_axioms` samples.  Every vertex
-must lie in a measure part; a frame refuses a measure cover that misses one
-with ``ValueError``.  Each solver context is a frame, built when the context
-is constructed.
+engine relies on and :func:`check_measure_axioms` samples.  A frame checks
+the engine's inputs once for the whole instance, so no subproblem is
+checked again.  Each solver context is a frame, built when the context is
+constructed.
 """
 from __future__ import annotations
 
@@ -164,8 +164,6 @@ def cover_length(G: Graph, parts) -> LengthReport:
     G must be covered.
     """
     idx = _index(parts, G.n)
-    if None in idx:
-        raise ValueError(f"vertex {idx.index(None)} of G missing from cover")
     best = 0
     witness = None
     for u, v in G.edges():
@@ -201,9 +199,10 @@ def _members(mask: int) -> frozenset:
     return frozenset(_ids(mask))
 
 
-def _index(parts, n: int) -> list:
-    """Each vertex's part index (None outside every part), for disjoint
-    part masks over the vertices 0..n-1."""
+def _index(parts, n: int) -> list[int]:
+    """Each vertex's part index, for part masks that must partition the
+    vertices 0..n-1: a vertex out of range, in two parts or in none raises
+    ``ValueError``."""
     index: list = [None] * n
     for i, part in enumerate(parts):
         ids = _ids(part)
@@ -213,44 +212,43 @@ def _index(parts, n: int) -> list:
             if index[v] is not None:
                 raise ValueError(f"vertex {v} appears in two parts")
             index[v] = i
+    if None in index:
+        raise ValueError(f"vertex {index.index(None)} of G missing from cover")
     return index
 
 
 class Frame:
     """What the separator engine reads of one instance, over global ids.
 
-    Holds each vertex's interval (of the chordal supergraph G2; None to skip
-    the chordal route), its strip-cover part and its measure part, and as
-    int bitmasks the neighbourhood in G of each vertex, the members of each
-    strip and measure part, and the vertices outside the strip cover.  A
-    subproblem is then just a mask F of vertices: the engine reads the parts
-    that meet F off these masks (:meth:`strips`, :meth:`parts`,
-    :meth:`mu_of`), and no subgraph or relabelled cover is built per call.
-    ``strip_mask`` and ``part_mask`` are the two ordered covers as the
-    builders return them, tuples of part masks; a part index is a position
-    in them.  The sweep table of the intervals (:meth:`sweep`) is built by
-    the first chordal cut that reads it, so constructing a frame does not
-    pay for it.
+    Holds each vertex's interval (of the chordal supergraph G2), its
+    strip-cover part and its measure part, and as int bitmasks the
+    neighbourhood in G of each vertex and the members of each strip and
+    measure part.  A subproblem is then just a mask F of vertices: the
+    engine reads the parts that meet F off these masks (:meth:`strips`,
+    :meth:`parts`, :meth:`mu_of`), and no subgraph or relabelled cover is
+    built per call.  ``strip_mask`` and ``part_mask`` are the two ordered
+    covers as the builders return them, tuples of part masks; a part index
+    is a position in them.
+
+    The frame is the one place that checks the engine's inputs, once for
+    the whole instance: it needs one interval per vertex, and each cover
+    must put every vertex in exactly one part, or construction raises
+    ``ValueError``.  The intervals are checked against G and the measure
+    by :meth:`sweep`.
     """
 
     __slots__ = ("adj_mask", "intervals", "strip_of", "strip_mask",
-                 "unstripped", "part_of", "part_mask", "_sweep",
-                 "_whole_length")
+                 "part_of", "part_mask", "_sweep", "_whole_length")
 
     def __init__(self, G: Graph, intervals, strips, parts):
-        if intervals is not None and len(intervals) != G.n:
+        if len(intervals) != G.n:
             raise ValueError("need one interval per vertex of G")
         self.adj_mask = G.adj_mask
         self.intervals = intervals
         self.strip_mask = tuple(strips)
         self.strip_of = _index(self.strip_mask, G.n)
-        self.unstripped = _mask(v for v, k in enumerate(self.strip_of)
-                                if k is None)
         self.part_mask = tuple(parts)
         self.part_of = _index(self.part_mask, G.n)
-        if None in self.part_of:
-            raise ValueError(f"vertex {self.part_of.index(None)} of G "
-                             "missing from cover")
         # _whole_length is l(V), kept by separator._whole_length
         self._sweep = self._whole_length = None
 
@@ -262,7 +260,17 @@ class Frame:
         ``pos_lo[v]`` and ``pos_hi[v]``, and ``item[p]`` is v for a left end
         and ~v for a right end.  The ends of the members of a mask F, sorted
         as ints, are then in the order a sort of F's ends alone would give,
-        tie-breaks included.  Built on the first call.
+        tie-breaks included.  Built on the first call, by the first chordal
+        cut, so constructing a frame does not pay for it.
+
+        Building it checks the intervals: every edge of G must join
+        overlapping intervals, and every measure part must be an interval
+        clique.  Each interval is checked as it starts against the mask of
+        those already ended, which lie wholly to its left: a G-neighbour or
+        a member of its measure part among them raises ``ValueError``.
+        Every pair of disjoint intervals meets this test once, when the
+        later one starts.  A violation inside any mask F is one inside V,
+        so no subproblem is checked again.
         """
         if self._sweep is None:
             n = len(self.intervals)
@@ -270,14 +278,25 @@ class Frame:
                            enumerate(self.intervals)]
                           + [(hi, 1, v) for v, (_, hi) in
                              enumerate(self.intervals)])
+            adj, part_of = self.adj_mask, self.part_of
+            part_mask = self.part_mask
             pos_lo, pos_hi, item = [0] * n, [0] * n, []
+            ended = 0
             for p, (_, is_hi, v) in enumerate(ends):
                 if is_hi:
                     pos_hi[v] = p
                     item.append(~v)
-                else:
-                    pos_lo[v] = p
-                    item.append(v)
+                    ended |= 1 << v
+                    continue
+                if joined := adj[v] & ended:
+                    u = (joined & -joined).bit_length() - 1
+                    raise ValueError(f"G edge ({u},{v}) joins disjoint "
+                                     "intervals")
+                if part_mask[part_of[v]] & ended:
+                    raise ValueError(f"measure part {part_of[v]} is not an "
+                                     "interval clique")
+                pos_lo[v] = p
+                item.append(v)
             self._sweep = pos_lo, pos_hi, item
         return self._sweep
 
@@ -291,9 +310,8 @@ class Frame:
         return count
 
     def strips(self, F: int) -> list[int]:
-        """The strips that meet F, cut to F, in strip order; the members of
-        F outside the strip cover are left out."""
-        return _split(F & ~self.unstripped, self.strip_of, self.strip_mask)
+        """The strips that meet F, cut to F, in strip order."""
+        return _split(F, self.strip_of, self.strip_mask)
 
     def parts(self, F: int) -> list[int]:
         """The measure parts that meet F, cut to F, in part order."""
@@ -341,7 +359,8 @@ def check_measure_axioms(parts, G: Graph, trials: int = 1000,
     pairs, (iii) exact additivity over disjoint pairs with no joining edge.
     The report carries the first counterexample found, if any.
     """
-    mu_of = Frame(G, None, (), parts).mu_of
+    # every vertex shares the point 0, an interval model valid for any G
+    mu_of = Frame(G, [(0, 0)] * G.n, parts, parts).mu_of
 
     def mu(vs) -> int:
         return mu_of(_mask(vs))

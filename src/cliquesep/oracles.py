@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geometry import SCALE, Disc, PointSite, Rect, candidate_discs, sq_dist
-from .graphs import Graph, _index, cover_length, verify_clique_cover
+from .graphs import (Graph, _index, components_within, cover_length,
+                     verify_clique_cover)
 
 
 class TooLargeError(ValueError):
@@ -429,7 +430,6 @@ def brute_length(G: Graph, H: Graph,
     def decide(L: int) -> Optional[tuple[frozenset, ...]]:
         if L == 0:
             # every G-component must be an H-clique part
-            from .graphs import components_within
             parts = []
             for comp in components_within(G.adj, all_vs):
                 mem = sorted(comp)

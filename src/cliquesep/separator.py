@@ -19,8 +19,9 @@ The engine, :func:`separate_mask`, runs on a :class:`~cliquesep.graphs.Frame`
 (a solver context is one), and a subproblem is a vertex mask F over it in
 global ids: the strip and measure parts that meet F, the sides and the
 units are read off the frame's masks, so no subgraph, relabelled cover or id
-map is built per call.  To separate a whole graph, build its frame from G,
-the intervals and the two covers' part masks, and pass it every vertex.  A
+map is built per call, and nothing is checked per call: the frame checks
+the inputs once.  To separate a whole graph, build its frame from G, the
+intervals and the two covers' part masks, and pass it every vertex.  A
 :class:`Cut` of masks is the one separator type: the engine returns it, and
 :func:`check_separator` checks it against a frame and a mask F.
 """
@@ -53,14 +54,6 @@ class Cut(NamedTuple):
         return len(self.units)
 
 
-class NoSeparatorFound(RuntimeError):
-    """Neither route produced a balanced candidate; carries a diagnostic dump."""
-
-    def __init__(self, diagnostic: dict):
-        super().__init__("no balanced separator found")
-        self.diagnostic = diagnostic
-
-
 def _chordal_cut(frame: Frame, F: int) -> Cut:
     """Balanced maximal-clique separator of G2[F] for a nonempty mask F,
     covered by one unit per strip the clique meets."""
@@ -70,11 +63,7 @@ def _chordal_cut(frame: Frame, F: int) -> Cut:
 
 def _strips(frame: Frame, F: int) -> tuple[list[int], list[int]]:
     """The strips that meet F, in order, cut to F, and for each the members
-    of F in the strips after it.  Raises ``ValueError`` when some but not
-    all of F lies outside the strip cover."""
-    stray = F & frame.unstripped
-    if stray and stray != F:
-        raise ValueError(f"vertex {_ids(stray)[0]} of G missing from cover")
+    of F in the strips after it."""
     parts = frame.strips(F)
     after = []
     rest = F
@@ -131,13 +120,13 @@ def _whole_length(frame: Frame) -> int:
     """
     if frame._whole_length is None:
         every = (1 << len(frame.adj_mask)) - 1
-        frame._whole_length = strip_length(frame, every & ~frame.unstripped)
+        frame._whole_length = strip_length(frame, every)
     return frame._whole_length
 
 
 def _window_cut(frame: Frame, F: int, parts: list[int],
-                after: list[int]) -> Optional[Cut]:
-    """Remove a window of consecutive strips that meet F.
+                after: list[int]) -> Cut:
+    """Remove a window of consecutive strips that meet the nonempty mask F.
 
     Edges of G[F] span at most l of those strips, so the strips before and
     after a window of l strips cannot interact.  The measure before a window
@@ -154,8 +143,6 @@ def _window_cut(frame: Frame, F: int, parts: list[int],
     ``after`` are :func:`_strips` of F.
     """
     k = len(parts)
-    if k == 0:
-        return None
     part_of, part_mask = frame.part_of, frame.part_mask
     meets = []  # the measure parts each strip meets
     for strip in parts:
@@ -205,15 +192,14 @@ def _window_cut(frame: Frame, F: int, parts: list[int],
 
 
 def separate_mask(frame: Frame, F: int) -> Cut:
-    """Best of both routes on the mask F by unit count; CHORDAL wins ties.
+    """Best of both routes on the nonempty mask F by unit count; CHORDAL
+    wins ties.  An empty F raises ``ValueError``.
 
-    The strips that meet F are listed first: a strip cover that misses
-    part of F raises ``ValueError``, and one that misses all of F raises
-    :class:`NoSeparatorFound`, before the chordal route would split a
-    clique by strips.  The length route then always succeeds, since the
-    window of all those strips leaves both sides empty.  The chordal route
-    is skipped when the frame has no intervals, and otherwise always
-    succeeds on a nonempty F; it runs next, and its sweep checks F.
+    Both routes always succeed on a nonempty F: the chordal route finds a
+    maximal clique of it, and the length route's window of all the strips
+    that meet it leaves both sides empty.  The frame has checked the inputs
+    for every F once (see :class:`~cliquesep.graphs.Frame`), so nothing is
+    checked here.
 
     When F meets a single strip, the chordal cut is returned without the
     window being built.  Its clique lies in that strip, so it is one unit.
@@ -222,27 +208,14 @@ def separate_mask(frame: Frame, F: int) -> Cut:
     ``first`` = 0, the span is 1, l(F) = 0, and the only window of width 1
     is the strip.  So the chordal cut costs no more, and wins the tie.
     """
+    if not F:
+        raise ValueError("cannot separate an empty vertex set")
     parts, after = _strips(frame, F)
-    if not parts:
-        raise NoSeparatorFound(_diagnostic(frame, F))
-    if frame.intervals is None:
-        return _window_cut(frame, F, parts, after)
     cut = _chordal_cut(frame, F)
     if len(parts) == 1:
         return cut
     window = _window_cut(frame, F, parts, after)
     return cut if cut.cost <= window.cost else window
-
-
-def _diagnostic(frame: Frame, F: int) -> dict:
-    adj = frame.adj_mask
-    return {
-        "n": F.bit_count(),
-        "vertices": _ids(F),
-        "edges": [(u, v) for u in _ids(F) for v in _ids(adj[u] & F) if u < v],
-        "g1_parts": [_ids(p) for p in frame.strips(F)],
-        "measure_parts": [_ids(p) for p in frame.parts(F)],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,10 @@ def cut_everything(ivs, G, mu, F=None):
     """:func:`clique_cut` on the mask F (every vertex of G by default), with
     ``ivs[v]`` the closed interval of v: (clique, side_a, side_b, larger
     measure), the sets as frozensets and the larger measure that of the
-    heavier side, or None."""
+    heavier side."""
     if F is None:
         F = (1 << G.n) - 1
-    found = clique_cut(Frame(G, ivs, (), mu), F)
-    if found is None:
-        return None
+    found = clique_cut(Frame(G, ivs, singleton_measure(G), mu), F)
     clique, a, b = map(_members, found)
     return clique, a, b, max(measure(mu, a), measure(mu, b))
 

@@ -149,9 +149,9 @@ class TestCliqueCover:
         with pytest.raises(ValueError, match="vertex 1 appears in two parts"):
             cover_length(G, cov)
         with pytest.raises(ValueError, match="vertex 1 appears in two parts"):
-            Frame(G, None, cov, singletons(3))
+            Frame(G, [(0, 0)] * 3, cov, singletons(3))
         with pytest.raises(ValueError, match="vertex 1 appears in two parts"):
-            Frame(G, None, singletons(3), cov)
+            Frame(G, [(0, 0)] * 3, singletons(3), cov)
 
     @given(graphs(max_n=7).flatmap(lambda G: st.tuples(st.just(G), st.one_of(
         # any masks, and parts of at most two members, which are often
@@ -201,7 +201,7 @@ class TestCoverLength:
         with pytest.raises(ValueError, match="vertex 3 out of range"):
             cover_length(G, masks({0, 1}, {2, 3}))
         with pytest.raises(ValueError, match="vertex 3 out of range"):
-            Frame(G, None, (), masks({0, 1}, {2, 3}))
+            Frame(G, [(0, 0)] * 3, singletons(3), masks({0, 1}, {2, 3}))
 
     def test_gap_counts_part_indices(self):
         G = Graph(5, [(0, 4)])
@@ -213,7 +213,7 @@ class TestRestrictionMeasure:
 
     def test_counts_touched_parts(self):
         G = path(4)
-        frame = Frame(G, None, (), masks({0, 1}, {2, 3}))
+        frame = Frame(G, [(0, 0)] * 4, singletons(4), masks({0, 1}, {2, 3}))
         assert frame.mu_of(0) == 0
         assert frame.mu_of(_mask([0])) == 1
         assert frame.mu_of(_mask([0, 1])) == 1

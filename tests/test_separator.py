@@ -8,10 +8,9 @@ from hypothesis import example, given, settings, strategies as st, target
 from cliquesep import instances
 from cliquesep.geometry import SCALE, PointSite, Rect
 from cliquesep.graphs import Frame, Graph, _ids, _mask
-from cliquesep.separator import (CHORDAL, LENGTH_WINDOW, Cut,
-                                 NoSeparatorFound, _chordal_cut, _strips,
-                                 _window_cut, check_separator, separate_mask,
-                                 strip_length)
+from cliquesep.separator import (CHORDAL, LENGTH_WINDOW, Cut, _chordal_cut,
+                                 _strips, _window_cut, check_separator,
+                                 separate_mask, strip_length)
 from cliquesep.solvers import PointContext, RectContext, separation_profile
 
 
@@ -32,9 +31,19 @@ def pair_cover(pairs):
     return tuple(_mask(p) for p in pairs)
 
 
+def shared_point(n):
+    """Intervals that all lie at the point 0: a valid model of any graph
+    and any measure, for frames built to test the length route."""
+    return [(0, 0)] * n
+
+
 def separate_all(G, strips, parts, intervals=None):
     """The engine on all of G; with no intervals, the length route alone."""
-    return separate_mask(Frame(G, intervals, strips, parts), (1 << G.n) - 1)
+    every = (1 << G.n) - 1
+    if intervals is None:
+        frame = Frame(G, shared_point(G.n), strips, parts)
+        return _window_cut(frame, every, *_strips(frame, every))
+    return separate_mask(Frame(G, intervals, strips, parts), every)
 
 
 def measure(parts, vs):
@@ -117,7 +126,7 @@ class TestLengthWindowRoute:
     @given(window_cases())
     def test_window_matches_width_search(self, case):
         G, strips, mu, F = case
-        frame = Frame(G, None, strips, mu)
+        frame = Frame(G, shared_point(G.n), strips, mu)
         assert (_window_cut(frame, F, *_strips(frame, F))
                 == reference_window(G, strips, mu, F))
 
@@ -214,22 +223,18 @@ class TestSeparate:
             assert res.route == CHORDAL, n
             assert res.cost == 1, n
 
-    def test_no_candidates_raises_with_diagnostic(self):
-        G = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        for ivs in (None, [(0, 1)] * 3):
-            with pytest.raises(NoSeparatorFound) as err:
-                separate_all(G, (), singletons(3), ivs)
-            assert "n" in err.value.diagnostic
+    def test_empty_mask_raises(self):
+        frame = Frame(path(3), path_intervals(3), singletons(3), singletons(3))
+        with pytest.raises(ValueError, match="empty vertex set"):
+            separate_mask(frame, 0)
 
     def test_strip_cover_missing_a_vertex_raises(self):
         # the measure cover covers every vertex; the strip cover leaves 0
-        # out, and 0 lies in the clique {0, 1} the chordal route would pick
-        G = path(3)
-        cov = pair_cover([(1,), (2,)])
-        for ivs in (path_intervals(3), None):
-            with pytest.raises(ValueError,
-                               match="vertex 0 of G missing from cover"):
-                separate_all(G, cov, singletons(3), ivs)
+        # out, and the frame is refused when it is built, before any cut
+        with pytest.raises(ValueError,
+                           match="vertex 0 of G missing from cover"):
+            Frame(path(3), path_intervals(3), pair_cover([(1,), (2,)]),
+                  singletons(3))
 
     def test_measure_cover_missing_a_vertex_raises(self):
         # the strip cover covers every vertex; the measure cover leaves 3 out
@@ -256,7 +261,8 @@ class TestSeparate:
         # result on the path 0-1-2-3-4-5 with measure parts {0,1} {2,3} {4,5};
         # a CHORDAL unit is checked as a G-clique without points and against
         # a unit box with them
-        frame = Frame(path(6), None, (), pair_cover([(0, 1), (2, 3), (4, 5)]))
+        frame = Frame(path(6), shared_point(6), singletons(6),
+                      pair_cover([(0, 1), (2, 3), (4, 5)]))
         points = [PointSite(2 * i * SCALE, 0) for i in range(6)]  # 2 apart
         good = Cut(s=_mask({2, 3}), units=(_mask({2, 3}),),
                    side_a=_mask({0, 1}), side_b=_mask({4, 5}),
@@ -313,25 +319,26 @@ def row_of_rects(n):
 
 
 class TestSweepChecks:
-    """The chordal sweep checks its input on every call, inside the mask it
-    is handed."""
+    """The frame's sweep table checks the intervals over every vertex when
+    the first cut builds it, so a frame that breaks them is refused on its
+    first cut, whether the bad pair or part lies inside the mask or not."""
 
     def test_g_edge_between_disjoint_intervals_raises(self):
         ctx = RectContext(row_of_rects(5))
         intervals = list(ctx.intervals)
         intervals[2] = (100 * SCALE, 101 * SCALE)  # now far from 1 and 3
-        frame = Frame(ctx.G, intervals, ctx.strip_mask, ctx.part_mask)
-        with pytest.raises(ValueError, match="joins disjoint intervals"):
-            separate_mask(frame, _mask({1, 2, 3}))
-        separate_mask(frame, _mask({3, 4}))  # 2 lies outside F
+        for F in ({3, 4}, {1, 2, 3}):  # 2 lies outside the first F
+            frame = Frame(ctx.G, intervals, ctx.strip_mask, ctx.part_mask)
+            with pytest.raises(ValueError, match="joins disjoint intervals"):
+                separate_mask(frame, _mask(F))
 
     def test_measure_part_without_a_common_point_raises(self):
         ctx = RectContext(row_of_rects(5))
         mu = pair_cover([(0, 4), (1,), (2,), (3,)])
-        frame = Frame(ctx.G, ctx.intervals, ctx.strip_mask, mu)
-        with pytest.raises(ValueError, match="not an interval clique"):
-            separate_mask(frame, _mask({0, 3, 4}))
-        separate_mask(frame, _mask({1, 2, 3}))  # 0 and 4 outside F
+        for F in ({1, 2, 3}, {0, 3, 4}):  # 0 and 4 lie outside the first F
+            frame = Frame(ctx.G, ctx.intervals, ctx.strip_mask, mu)
+            with pytest.raises(ValueError, match="not an interval clique"):
+                separate_mask(frame, _mask(F))
 
 
 class TestPinnedCuts:
@@ -482,7 +489,7 @@ class TestRouteShortcuts:
     @given(window_cases())
     def test_hand_built_window_width(self, case):
         G, strips, mu, F = case
-        self.check_width(Frame(G, None, strips, mu), F)
+        self.check_width(Frame(G, shared_point(G.n), strips, mu), F)
 
     @settings(deadline=None)
     @given(st.one_of(rect_frames(), strip_frames()), st.data())
